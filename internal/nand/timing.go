@@ -55,40 +55,3 @@ func (t Timing) SLCMode() Timing {
 func (t Timing) TransferTime(n int) sim.Time {
 	return sim.Time(n) * t.DataCycle
 }
-
-// OpFloors holds conservative per-operation lower bounds on array time: no
-// read, program, or erase issued under a Timing can occupy the die for less
-// than its floor, whatever mode (SLC derating included) it runs in. The
-// parallel engine (DESIGN.md §11) uses these as lookahead bounds: a die that
-// just accepted an operation cannot interact with anything outside its shard
-// before the floor elapses.
-type OpFloors struct {
-	Read    sim.Time
-	Program sim.Time
-	Erase   sim.Time
-}
-
-// Floors returns the per-op lookahead bounds for t, taking the minimum of
-// the nominal array times and their pseudo-SLC deratings — the fastest any
-// op can complete on a die driven with this timing.
-func (t Timing) Floors() OpFloors {
-	s := t.SLCMode()
-	return OpFloors{
-		Read:    minTime(t.ReadPage, s.ReadPage),
-		Program: minTime(t.ProgramPage, s.ProgramPage),
-		Erase:   minTime(t.EraseBlock, s.EraseBlock),
-	}
-}
-
-// Min returns the smallest of the three floors: a bound on how soon any
-// array operation whatsoever can finish.
-func (f OpFloors) Min() sim.Time {
-	return minTime(f.Read, minTime(f.Program, f.Erase))
-}
-
-func minTime(a, b sim.Time) sim.Time {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -30,31 +30,29 @@ type Bus struct {
 	wires  *sim.Resource
 	dies   [][]*sim.Resource // [chip][die]
 	// suspendable marks dies whose current array operation is a
-	// background program that supports program-suspend.
+	// background program or erase that a priority read may suspend.
 	suspendable [][]bool
 	obs         []observerReg
 	nextObsID   int
 	stats       BusStats
-	// ops are the in-flight tracked operations (see tracked.go); qseq
-	// orders their resource-queue entries for snapshot/restore.
-	ops  []*busOp
+	// ops are the in-flight operations (see op.go); qseq orders their
+	// resource-queue entries for snapshot/restore; free recycles their
+	// descriptors so steady-state traffic allocates nothing.
+	ops  []*flashOp
 	qseq uint64
-	// freeHost / freeTracked recycle operation descriptors so steady-state
-	// host and GC traffic allocates nothing (see pooled.go, tracked.go).
-	freeHost    *hostOp
-	freeTracked *busOp
+	free *flashOp
 
 	// Observability (SetTrace): nand.* spans for per-die Perfetto tracks and
-	// latency-attribution phase marks. Only the untracked operation paths
-	// record spans — tracked (GC/scrub) operations can straddle a snapshot,
-	// and a restored clone must not diverge from a from-scratch build.
+	// latency-attribution phase marks. Only untracked operations record
+	// them — tracked (GC/scrub) operations can straddle a snapshot, and a
+	// restored clone must not diverge from a from-scratch build.
 	tr   *obs.Tracer
 	prof *obs.Profiler
 }
 
 // SuspendOverhead is the array-time cost of suspending an in-progress
-// background program to service a priority read (vendor datasheets quote
-// tens of microseconds).
+// background program or erase to service a priority read (vendor
+// datasheets quote tens of microseconds).
 const SuspendOverhead = 50 * sim.Microsecond
 
 // observerReg pairs an observer with the registration id its detach closure
@@ -96,16 +94,6 @@ func (b *Bus) dieWaitPhase(chip, die int) obs.Phase {
 		return obs.PhaseGCStall
 	}
 	return obs.PhaseChanWait
-}
-
-// beginNandSpan opens a per-die span for an untracked operation, or an inert
-// span when tracing is off.
-func (b *Bus) beginNandSpan(name string, chip, die int) obs.Span {
-	if !b.tr.Enabled() {
-		return obs.Span{}
-	}
-	return b.tr.Begin(name,
-		obs.Int("ch", int64(b.id)), obs.Int("chip", int64(chip)), obs.Int("die", int64(die)))
 }
 
 // ID returns the channel index.
@@ -184,165 +172,60 @@ func (b *Bus) markSuspendable(chip, die int, v bool) {
 	b.suspendable[chip][die] = v
 }
 
-// ReadPri is a priority read: if the target die is mid-way through a
-// suspendable background program, the read suspends it (paying
-// SuspendOverhead) instead of queueing behind it. The suspended program's
-// completion time is modeled as unchanged — the resume consumes slack the
-// array operation already had.
-func (b *Bus) ReadPri(chip int, addr nand.Addr, buf []byte, done func(bitErrors int, err error)) {
-	die := addr.Die
-	if !b.suspendable[chip][die] || !b.dies[chip][die].Busy() {
-		b.ReadEx(chip, addr, buf, done)
-		return
-	}
-	// Suspend path: bypass the die queue; command+address+transfer still
-	// serialize on the channel wires. The span is named for the exporter's
-	// async track — without a die hold it may overlap the suspended
-	// program's span, so it cannot live on the nested per-die track.
-	c := b.checkChip(chip)
-	g := c.Geometry()
-	bits := c.BitErrors(addr)
-	ax := b.prof.TakeOp()
-	ax.Mark(obs.PhaseChanWait)
-	sp := b.beginNandSpan("nand.read.pri", chip, die)
-	b.wires.Acquire(func() {
-		ax.Mark(obs.PhaseNAND)
-		dur := b.emitCmdAddrAt(chip, die, CmdReadSetup, true, g.RowAddress(addr), 0)
-		dur += b.timing.CmdCycle
-		b.stats.CmdCycles++
-		b.eng.Schedule(dur, func() {
-			b.wires.Release()
-			b.eng.Schedule(SuspendOverhead+b.timing.ReadPage, func() {
-				// The fixed suspend overhead within this interval is GC
-				// interference (the read only pays it because a background
-				// program held the die); the rest is array time.
-				ax.MarkCarved(obs.PhaseGCStall, SuspendOverhead, obs.PhaseChanWait)
-				err := c.Read(addr, buf)
-				n := g.PageSize
-				b.wires.Acquire(func() {
-					ax.Mark(obs.PhaseNAND)
-					xfer := b.timing.TransferTime(n)
-					b.stats.BytesOut += int64(n)
-					b.stats.Reads++
-					b.eng.Schedule(xfer, func() {
-						b.wires.Release()
-						sp.End()
-						if done != nil {
-							done(bits, err)
-						}
-					})
-				})
-			})
-		})
-	})
-}
-
-// ProgramMulti issues a multi-plane program: all addresses must be on the
-// same die. Payloads transfer sequentially on the bus; the single array
-// operation covers all planes. done(err) fires at completion with the first
-// commit error, if any.
-func (b *Bus) ProgramMulti(chip int, addrs []nand.Addr, data [][]byte, done func(error)) {
-	b.programMulti(chip, addrs, data, b.timing.ProgramPage, done)
-}
-
-func (b *Bus) programMulti(chip int, addrs []nand.Addr, data [][]byte, tprog sim.Time, done func(error)) {
-	if len(addrs) == 0 || len(data) != len(addrs) {
-		panic("onfi: ProgramMulti needs matching non-empty addrs and data")
-	}
-	c := b.checkChip(chip)
-	die := addrs[0].Die
-	for _, a := range addrs[1:] {
-		if a.Die != die {
-			panic("onfi: multi-plane program spans dies")
-		}
-	}
-	g := c.Geometry()
-	ax := b.prof.TakeOp()
-	ax.Mark(b.dieWaitPhase(chip, die))
-	var sp obs.Span
-	b.dies[chip][die].Acquire(func() {
-		sp = b.beginNandSpan("nand.program", chip, die)
-		ax.Mark(obs.PhaseChanWait)
-		b.wires.Acquire(func() {
-			ax.Mark(obs.PhaseNAND)
-			var dur sim.Time
-			for i, a := range addrs {
-				confirm := CmdProgramConfirm
-				if i < len(addrs)-1 {
-					confirm = CmdProgramPlane
-				}
-				// Data burst sits between address cycles and the confirm
-				// command; emit in that order with correct offsets.
-				hdr := b.emitCmdAddrAt(chip, die, CmdProgramSetup, true, g.RowAddress(a), dur)
-				dur += hdr
-				n := g.PageSize
-				xfer := b.timing.TransferTime(n)
-				if b.observed() {
-					b.emit(BusEvent{Time: b.eng.Now() + dur, Dur: xfer, Bus: b.id, Chip: chip, Die: die, Kind: EventDataIn, Len: n})
-				}
-				dur += xfer
-				if b.observed() {
-					b.emit(BusEvent{Time: b.eng.Now() + dur, Bus: b.id, Chip: chip, Die: die, Kind: EventCmd, Byte: confirm})
-				}
-				dur += b.timing.CmdCycle
-				b.stats.CmdCycles++
-				b.stats.BytesIn += int64(n)
-			}
-			b.eng.Schedule(dur, func() {
-				if b.observed() {
-					b.emit(BusEvent{Time: b.eng.Now(), Bus: b.id, Chip: chip, Die: die, Kind: EventBusy})
-				}
-				b.wires.Release()
-				b.eng.Schedule(tprog, func() {
-					var err error
-					for i, a := range addrs {
-						if e := c.Program(a, data[i]); e != nil && err == nil {
-							err = e
-						}
-						b.stats.Programs++
-					}
-					if b.observed() {
-						b.emit(BusEvent{Time: b.eng.Now(), Bus: b.id, Chip: chip, Die: die, Kind: EventReady})
-					}
-					sp.End()
-					b.dies[chip][die].Release()
-					if done != nil {
-						done(err)
-					}
-				})
-			})
-		})
-	})
-}
-
-// emitCmdAddrAt is emitCmdAddr with events offset by `offset` from now, for
-// callers composing several segments under one bus hold.
-func (b *Bus) emitCmdAddrAt(chip, die int, cmd byte, withColumn bool, row uint32, offset sim.Time) sim.Time {
-	t := b.eng.Now() + offset
-	var dur sim.Time
-	emit := b.observed()
-	if emit {
-		b.emit(BusEvent{Time: t, Bus: b.id, Chip: chip, Die: die, Kind: EventCmd, Byte: cmd})
-	}
-	dur += b.timing.CmdCycle
-	b.stats.CmdCycles++
+// emitCmdAddrAt puts a command cycle and the address cycles of page a on
+// the bus, offset from now, and returns their duration: the two column
+// bytes (withColumn, page operations) and then the three row bytes. With no
+// observer attached only the duration is computed.
+func (b *Bus) emitCmdAddrAt(chip int, cmd byte, withColumn bool, a nand.Addr, offset sim.Time) sim.Time {
+	dur := b.emitCmdAt(chip, a.Die, cmd, offset)
+	cycles := RowAddrCycles
 	if withColumn {
-		for i := 0; i < ColumnAddrCycles; i++ {
-			if emit {
-				b.emit(BusEvent{Time: t + dur, Bus: b.id, Chip: chip, Die: die, Kind: EventAddr, Byte: 0})
+		cycles = PageAddrCycles
+	}
+	if b.observed() {
+		t := offset + dur
+		if withColumn {
+			for i := 0; i < ColumnAddrCycles; i++ {
+				t += b.emitAddrAt(chip, a.Die, 0, t)
 			}
-			dur += b.timing.AddrCycle
+		}
+		for _, ab := range RowBytes(b.chips[chip].Geometry().RowAddress(a)) {
+			t += b.emitAddrAt(chip, a.Die, ab, t)
 		}
 	}
-	for _, ab := range RowBytes(row) {
-		if emit {
-			b.emit(BusEvent{Time: t + dur, Bus: b.id, Chip: chip, Die: die, Kind: EventAddr, Byte: ab})
-		}
-		dur += b.timing.AddrCycle
-	}
-	return dur
+	return dur + sim.Time(cycles)*b.timing.AddrCycle
 }
 
-// Read, ReadEx, Erase, EraseBG, Program, ProgramSLC and ProgramBG — the
-// steady-state host/FTL operation paths — live in pooled.go as
-// freelist-recycled state machines.
+// emitCmdAt puts one command cycle on the bus, offset from now, and returns
+// its duration.
+func (b *Bus) emitCmdAt(chip, die int, cmd byte, offset sim.Time) sim.Time {
+	if b.observed() {
+		b.emitAt(chip, die, EventCmd, cmd, offset)
+	}
+	b.stats.CmdCycles++
+	return b.timing.CmdCycle
+}
+
+// emitAddrAt puts one address cycle on the bus, offset from now, and
+// returns its duration.
+func (b *Bus) emitAddrAt(chip, die int, ab byte, offset sim.Time) sim.Time {
+	if b.observed() {
+		b.emitAt(chip, die, EventAddr, ab, offset)
+	}
+	return b.timing.AddrCycle
+}
+
+// emitEdge reports an R/B# transition (EventBusy or EventReady) of a die.
+func (b *Bus) emitEdge(chip, die int, k EventKind) {
+	if b.observed() {
+		b.emitAt(chip, die, k, 0, 0)
+	}
+}
+
+// emitAt reports a cycle or edge event, offset from now, to the observers.
+func (b *Bus) emitAt(chip, die int, k EventKind, by byte, offset sim.Time) {
+	b.emit(BusEvent{Time: b.eng.Now() + offset, Bus: b.id, Chip: chip, Die: die, Kind: k, Byte: by})
+}
+
+// The read, program and erase entry points and their stages live in op.go;
+// snapshot and resume of in-flight ops in snapshot.go.

@@ -2,6 +2,7 @@ package onfi
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"ssdtp/internal/nand"
@@ -371,4 +372,56 @@ func TestEraseBGSuspendable(t *testing.T) {
 		})
 	})
 	eng.Run()
+}
+
+// A priority read that suspends a background program puts on the bus, between
+// its issue and its completion, the same command, address, R/B# and data-out
+// sequence as a plain read of the page: a probe sees a read that returns
+// data, not a bare command.
+func TestReadPriSuspendMatchesReadSequence(t *testing.T) {
+	type cycle struct {
+		kind EventKind
+		b    byte
+	}
+	page := nand.Addr{Die: 0, Block: 1}
+	probe := func(suspend bool) []cycle {
+		eng, b := testBus(t, 1)
+		b.Program(0, page, nil, nil)
+		eng.Run()
+		if suspend {
+			b.ProgramBG(0, nand.Addr{Die: 0, Block: 2}, nil, false, nil)
+			eng.RunUntil(eng.Now() + b.Timing().ProgramPage/2)
+		}
+		var seq []cycle
+		recording := true
+		b.Observe(ObserverFunc(func(ev BusEvent) {
+			if recording {
+				seq = append(seq, cycle{ev.Kind, ev.Byte})
+			}
+		}))
+		done := func(int, error) { recording = false }
+		if suspend {
+			b.ReadPri(0, page, nil, done)
+		} else {
+			b.ReadEx(0, page, nil, done)
+		}
+		eng.Run()
+		return seq
+	}
+	plain, pri := probe(false), probe(true)
+	want := []EventKind{EventCmd, EventAddr, EventAddr, EventAddr, EventAddr, EventAddr, EventCmd, EventBusy, EventReady, EventDataOut}
+	if len(plain) != len(want) {
+		t.Fatalf("plain read emitted %v, want kinds %v", plain, want)
+	}
+	for i, k := range want {
+		if plain[i].kind != k {
+			t.Fatalf("plain read event %d = %v, want %v", i, plain[i].kind, k)
+		}
+	}
+	if plain[0].b != CmdReadSetup || plain[6].b != CmdReadConfirm {
+		t.Fatalf("plain read commands %x/%x, want %x/%x", plain[0].b, plain[6].b, CmdReadSetup, CmdReadConfirm)
+	}
+	if !reflect.DeepEqual(pri, plain) {
+		t.Errorf("suspending priority read emitted %v, want %v", pri, plain)
+	}
 }

@@ -1,9 +1,5 @@
 package onfi
 
-import (
-	"ssdtp/internal/sim"
-)
-
 // ReadID issues the ONFI READ ID sequence (0x90 + address 0x00, five data
 // bytes out) and delivers the identification bytes. Controllers run this at
 // power-on for every chip — which is why a probe attached before boot
@@ -11,16 +7,8 @@ import (
 func (b *Bus) ReadID(chip int, done func([5]byte, error)) {
 	c := b.checkChip(chip)
 	b.wires.Acquire(func() {
-		var dur sim.Time
-		if b.observed() {
-			b.emit(BusEvent{Time: b.eng.Now(), Bus: b.id, Chip: chip, Kind: EventCmd, Byte: CmdReadID})
-		}
-		dur += b.timing.CmdCycle
-		b.stats.CmdCycles++
-		if b.observed() {
-			b.emit(BusEvent{Time: b.eng.Now() + dur, Bus: b.id, Chip: chip, Kind: EventAddr, Byte: 0})
-		}
-		dur += b.timing.AddrCycle
+		dur := b.emitCmdAt(chip, 0, CmdReadID, 0)
+		dur += b.emitAddrAt(chip, 0, 0, dur)
 		id := c.IDBytes()
 		xfer := b.timing.TransferTime(len(id))
 		if b.observed() {
@@ -44,26 +32,14 @@ func (b *Bus) ReadID(chip int, done func([5]byte, error)) {
 func (b *Bus) ReadParameterPage(chip int, done func([]byte, error)) {
 	c := b.checkChip(chip)
 	b.wires.Acquire(func() {
-		var dur sim.Time
-		if b.observed() {
-			b.emit(BusEvent{Time: b.eng.Now(), Bus: b.id, Chip: chip, Kind: EventCmd, Byte: CmdReadParamPage})
-		}
-		dur += b.timing.CmdCycle
-		b.stats.CmdCycles++
-		if b.observed() {
-			b.emit(BusEvent{Time: b.eng.Now() + dur, Bus: b.id, Chip: chip, Kind: EventAddr, Byte: 0})
-		}
-		dur += b.timing.AddrCycle
+		dur := b.emitCmdAt(chip, 0, CmdReadParamPage, 0)
+		dur += b.emitAddrAt(chip, 0, 0, dur)
 		b.eng.Schedule(dur, func() {
-			if b.observed() {
-				b.emit(BusEvent{Time: b.eng.Now(), Bus: b.id, Chip: chip, Kind: EventBusy})
-			}
+			b.emitEdge(chip, 0, EventBusy)
 			b.wires.Release()
 			b.eng.Schedule(b.timing.ReadPage, func() {
 				page := c.ParameterPage()
-				if b.observed() {
-					b.emit(BusEvent{Time: b.eng.Now(), Bus: b.id, Chip: chip, Kind: EventReady})
-				}
+				b.emitEdge(chip, 0, EventReady)
 				b.wires.Acquire(func() {
 					xfer := b.timing.TransferTime(len(page))
 					if b.observed() {

@@ -192,10 +192,10 @@ func (d *Device) TrackCompletions() { d.trackOutstanding = true }
 // make progress until the host interacts again. Requires TrackCompletions.
 //
 // The bound is the engine's next-event time: a completion only ever fires
-// from inside an event, so nothing host-visible can happen earlier. Channel
-// buses additionally expose per-op lookahead (onfi.Bus.OutputFloor), but the
-// write cache can complete a host write with no NAND op in flight, so the
-// device-level floor must come from the event queue.
+// from inside an event, so nothing host-visible can happen earlier. A NAND
+// timing floor would be unsound: the write cache can complete a host write
+// with no NAND op in flight, so the device-level floor must come from the
+// event queue.
 func (d *Device) CompletionFloor() (sim.Time, bool) {
 	if d.outstanding == 0 {
 		return 0, false
