@@ -32,7 +32,7 @@ profile:
 determinism:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p $(GO) test ./internal/experiments/ ./internal/fleet/ \
-			-run 'TestShardByteIdenticalAcrossWorkers|TestParallelOutputByteIdentical|TestTraceByteIdenticalAcrossWorkers|TestTelemetryByteIdenticalAcrossWorkers|TestParallel' \
+			-run 'TestShardByteIdenticalAcrossWorkers|TestParallelOutputByteIdentical|TestTraceByteIdenticalAcrossWorkers|TestTelemetryByteIdenticalAcrossWorkers|TestFig3CellExportsPinned|TestTimelineCSVMatchesTelemetryJSONL|TestParallel' \
 			-count=1 || exit 1; \
 	done
 

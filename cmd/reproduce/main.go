@@ -9,11 +9,12 @@
 // With -trace FILE the traced experiments (fig3, fleet, tabS3, tabS4) also
 // emit a
 // JSONL span stream, with -trace-perfetto FILE a Chrome trace-event JSON
-// document loadable in Perfetto/chrome://tracing, with -timeline FILE a
-// time-windowed telemetry CSV (sampled every -timeline-ms of simulated
-// time), with -telemetry FILE a JSONL stream of transparency log pages
-// (the host-visible disclosure interface of DESIGN.md §14, sampled every
-// -telemetry-ms), and with -metrics FILE a Prometheus-style text dump of
+// document loadable in Perfetto/chrome://tracing, with -telemetry FILE a
+// JSONL stream of transparency log pages (the host-visible disclosure
+// interface of DESIGN.md §14, sampled every -telemetry-ms), with -timeline
+// FILE the same log page as CSV (columns cell,t_ns then the JSONL fields,
+// sampled every -timeline-ms; it also covers the traced tabS3 and tabS4
+// cells), and with -metrics FILE a Prometheus-style text dump of
 // per-cell counters. All are timestamped with the simulated clock and
 // ordered by cell label, so they too are byte-identical for any -parallel
 // value.
@@ -34,7 +35,9 @@
 //
 // Every output path (-trace, -trace-perfetto, -timeline, -metrics, the -csv
 // directory) is opened and validated before any experiment runs, so a bad
-// path fails in milliseconds rather than after a long -full regeneration.
+// path fails in milliseconds rather than after a long -full regeneration;
+// so is every sampling interval in use (-timeline-ms and -telemetry-ms must
+// be positive).
 //
 // Usage:
 //
@@ -70,10 +73,10 @@ func main() {
 	traceFile := flag.String("trace", "", "write a JSONL span trace of the traced experiments to this file")
 	perfettoFile := flag.String("trace-perfetto", "", "write a Chrome trace-event/Perfetto JSON trace of the traced experiments to this file")
 	traceCap := flag.Int("trace-cap", 0, "per-cell trace record cap (0 = default 1<<20; negative = unbounded); drops are counted in ssdtp_trace_dropped_spans_total")
-	timelineFile := flag.String("timeline", "", "write a time-windowed telemetry CSV to this file")
-	timelineMS := flag.Int64("timeline-ms", 10, "timeline sampling interval in simulated milliseconds")
+	timelineFile := flag.String("timeline", "", "write the transparency log page as CSV (cell,t_ns then the -telemetry fields) to this file")
+	timelineMS := flag.Int64("timeline-ms", 10, "-timeline sampling interval in simulated milliseconds (must be positive)")
 	telemetryFile := flag.String("telemetry", "", "write a JSONL stream of transparency log pages to this file")
-	telemetryMS := flag.Int64("telemetry-ms", 1, "log-page sampling interval in simulated milliseconds")
+	telemetryMS := flag.Int64("telemetry-ms", 1, "-telemetry and /telemetry sampling interval in simulated milliseconds (must be positive)")
 	metricsFile := flag.String("metrics", "", "write a Prometheus-style text dump of per-cell metrics to this file")
 	httpAddr := flag.String("http", "", "serve a live ops endpoint (pprof, expvar, /metrics, /progress) on this address, e.g. :6060")
 	snapCache := flag.Bool("snapshot-cache", true, "build each distinct preconditioned drive/file-system image once and clone it per cell (results are identical either way)")
@@ -82,6 +85,14 @@ func main() {
 	// Open and validate every output destination before any experiment runs:
 	// a bad -metrics path must fail now, not after a multi-minute -full
 	// regeneration (and with the flag it belongs to, not a bare OS error).
+	// A non-positive interval would sample nothing and leave the requested
+	// export empty; reject it before creating any file.
+	if *timelineFile != "" {
+		cliutil.MustInterval("timeline-ms", *timelineMS, 1)
+	}
+	if *telemetryFile != "" || *httpAddr != "" {
+		cliutil.MustInterval("telemetry-ms", *telemetryMS, 1)
+	}
 	traceOut := cliutil.MustOpen("trace", *traceFile)
 	perfettoOut := cliutil.MustOpen("trace-perfetto", *perfettoFile)
 	timelineOut := cliutil.MustOpen("timeline", *timelineFile)

@@ -18,9 +18,14 @@
 //
 //	ssdfio -fleet 64 -tenants 4 -placement hash -model mqsim-base -ms 200 [-shard N]
 //
+// -timeline FILE writes the transparency log page as CSV (columns cell,t_ns
+// then the -telemetry JSONL fields), sampled every -timeline-ms (default
+// 10 ms when the flag is 0).
+//
 // All output-file flags are opened and validated before the simulation
-// starts, and write failures are reported with the flag and path they
-// belong to.
+// starts, as are the sampling intervals (-timeline-ms must not be negative,
+// -telemetry-ms must be positive when used), and write failures are
+// reported with the flag and path they belong to.
 package main
 
 import (
@@ -49,15 +54,15 @@ func main() {
 	readFrac := flag.Float64("read", 0, "read fraction 0..1")
 	seed := flag.Int64("seed", 1, "workload seed")
 	showSMART := flag.Bool("smart", false, "print S.M.A.R.T. attributes after the run")
-	timelineMS := flag.Int64("timeline-ms", 0, "print a completions-per-bucket timeline with this bucket width")
+	timelineMS := flag.Int64("timeline-ms", 0, "print a completions-per-bucket timeline with this bucket width in ms, and sample -timeline at it (0 = no buckets, 10 ms CSV sampling)")
 	prefill := flag.Bool("prefill", false, "sequentially prefill 85% of the device first")
 	replayFile := flag.String("replay", "", "replay a text block trace (`W off len` / `R off len` / `T off len` / `F` per line) instead of a synthetic pattern")
 	traceFile := flag.String("trace", "", "write a JSONL span trace of the run (prefill excluded) to this file")
 	perfettoFile := flag.String("trace-perfetto", "", "write a Chrome trace-event/Perfetto JSON trace of the run to this file")
 	traceCap := flag.Int("trace-cap", 0, "trace record cap (0 = default 1<<20; negative = unbounded); drops are counted in ssdtp_trace_dropped_spans_total")
-	timelineFile := flag.String("timeline", "", "write a time-windowed telemetry CSV (sampled every -timeline-ms) to this file")
+	timelineFile := flag.String("timeline", "", "write the transparency log page as CSV (cell,t_ns then the -telemetry fields, sampled every -timeline-ms) to this file")
 	telemetryFile := flag.String("telemetry", "", "write a JSONL stream of transparency log pages (sampled every -telemetry-ms) to this file")
-	telemetryMS := flag.Int64("telemetry-ms", 1, "log-page sampling interval in simulated milliseconds")
+	telemetryMS := flag.Int64("telemetry-ms", 1, "-telemetry and /telemetry sampling interval in simulated milliseconds (must be positive)")
 	metricsFile := flag.String("metrics", "", "write a Prometheus-style text dump of device metrics to this file")
 	httpAddr := flag.String("http", "", "serve a live ops endpoint (pprof, expvar, /metrics, /progress) on this address, e.g. :6060")
 	fleetN := flag.Int("fleet", 0, "simulate a tier of N drives behind a placement layer instead of a single device")
@@ -75,6 +80,12 @@ func main() {
 	}
 	// Open every requested output before the simulation starts: a bad path
 	// fails here, flag-attributed, not after the run has burned its CPU time.
+	// Reject intervals that would sample nothing before creating any file
+	// (-timeline-ms 0 selects the CSV's 10 ms default).
+	cliutil.MustInterval("timeline-ms", *timelineMS, 0)
+	if *telemetryFile != "" || *httpAddr != "" {
+		cliutil.MustInterval("telemetry-ms", *telemetryMS, 1)
+	}
 	traceOut := cliutil.MustOpen("trace", *traceFile)
 	perfettoOut := cliutil.MustOpen("trace-perfetto", *perfettoFile)
 	timelineOut := cliutil.MustOpen("timeline", *timelineFile)

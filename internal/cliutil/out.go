@@ -56,6 +56,16 @@ func Failf(flagName, format string, args ...any) {
 	os.Exit(2)
 }
 
+// MustInterval is Failf for sampling-interval flags, given in simulated
+// milliseconds: it fails unless ms >= min (1 where the interval must be
+// positive, 0 where zero selects a default). A non-positive interval would
+// otherwise disable sampling silently and leave a requested export empty.
+func MustInterval(flagName string, ms, min int64) {
+	if ms < min {
+		Failf(flagName, "sampling interval %d ms must be at least %d ms", ms, min)
+	}
+}
+
 // Enabled reports whether this output was requested (flag given, file open).
 func (o *Out) Enabled() bool { return o != nil }
 

@@ -3,6 +3,7 @@ package cliutil
 import (
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -99,5 +100,33 @@ func TestDir(t *testing.T) {
 	f.Close()
 	if filepath.Dir(path) != dir {
 		t.Fatalf("Create placed file at %s", path)
+	}
+}
+
+// MustInterval exits with status 2 and names the flag when the interval is
+// below its minimum; the failing cases run in a child process because Failf
+// exits.
+func TestMustInterval(t *testing.T) {
+	if flag := os.Getenv("CLIUTIL_INTERVAL_CHILD"); flag != "" {
+		if flag == "timeline-ms" {
+			MustInterval(flag, -5, 0)
+		} else {
+			MustInterval(flag, 0, 1)
+		}
+		os.Exit(0)
+	}
+	MustInterval("telemetry-ms", 1, 1) // valid values return
+	MustInterval("timeline-ms", 0, 0)
+	for _, flag := range []string{"telemetry-ms", "timeline-ms"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestMustInterval$")
+		cmd.Env = append(os.Environ(), "CLIUTIL_INTERVAL_CHILD="+flag)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("%s: child exited with %v, want status 2 (output %q)", flag, err, out)
+		}
+		if !strings.Contains(string(out), "-"+flag+": ") {
+			t.Fatalf("%s: error %q does not name the flag", flag, out)
+		}
 	}
 }

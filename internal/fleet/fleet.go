@@ -52,6 +52,7 @@ import (
 	"ssdtp/internal/sim"
 	"ssdtp/internal/ssd"
 	"ssdtp/internal/stats"
+	"ssdtp/internal/telemetry"
 )
 
 // drive is one device in the tier plus its co-simulation and placement state.
@@ -669,28 +670,11 @@ func (r MemReport) String() string {
 // spans (the drives' own spans stay on their private capped tracers — at
 // fleet scale the tenant-level stream is the one worth exporting), and, when
 // the tracer has a timeline configured, rows are sampled on host-clock
-// boundaries from the summed telemetry of every drive.
+// boundaries from the tier's log page (FillLogPage).
 func (f *Fleet) BindObs(tr *obs.Tracer) {
 	f.tr = tr
 	tr.BindEngine(f.eng)
-	tr.SetTimelineSampler(f.sampleTimeline)
-}
-
-// sampleTimeline sums per-drive telemetry into one tier-level sample.
-func (f *Fleet) sampleTimeline(s *obs.TimelineSample) {
-	for _, d := range f.drives {
-		var t obs.TimelineSample
-		d.dev.SampleTimeline(&t)
-		s.HostBytesWritten += t.HostBytesWritten
-		s.HostBytesRead += t.HostBytesRead
-		s.PagesProgrammed += t.PagesProgrammed
-		s.GCPagesMoved += t.GCPagesMoved
-		s.DirtyCacheBytes += t.DirtyCacheBytes
-		s.QueueDepth += t.QueueDepth
-		s.GCRunning += t.GCRunning
-		s.BusBusyNS += t.BusBusyNS
-		s.BusWaitNS += t.BusWaitNS
-	}
+	tr.SetTimelineSource(f.FillLogPage)
 }
 
 // PublishMetrics snapshots tier-level aggregates and per-tenant summaries
@@ -702,20 +686,22 @@ func (f *Fleet) PublishMetrics(tr *obs.Tracer) {
 	if m == nil {
 		return
 	}
-	var agg obs.TimelineSample
-	f.sampleTimeline(&agg)
-	var driveEvents int64
+	var agg telemetry.Page
+	f.FillLogPage(&agg)
+	var driveEvents, written, read int64
 	for _, d := range f.drives {
 		driveEvents += d.dev.Tracer().EventsFired()
+		written += d.dev.HostBytesWritten()
+		read += d.dev.HostBytesRead()
 	}
 	tr.AddEventsFired(driveEvents)
 	m.Set("ssdtp_fleet_drives", int64(len(f.drives)))
 	m.Set("ssdtp_fleet_shared_drives", int64(f.SharedDrives()))
 	m.Set("ssdtp_fleet_tenants", int64(len(f.vols)))
-	m.Set("ssdtp_fleet_host_bytes_written_total", agg.HostBytesWritten)
-	m.Set("ssdtp_fleet_host_bytes_read_total", agg.HostBytesRead)
+	m.Set("ssdtp_fleet_host_bytes_written_total", written)
+	m.Set("ssdtp_fleet_host_bytes_read_total", read)
 	m.Set("ssdtp_fleet_pages_programmed_total", agg.PagesProgrammed)
-	m.Set("ssdtp_fleet_gc_pages_moved_total", agg.GCPagesMoved)
+	m.Set("ssdtp_fleet_gc_pages_moved_total", agg.GCPagesProgrammed)
 	mem := f.MemReport()
 	m.Set("ssdtp_image_shared_chunks", mem.ImageChunks)
 	m.Set("ssdtp_image_cow_chunks", mem.CowCopies)

@@ -220,6 +220,36 @@ func TestAttrDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
+// The engine hook runs on every fired event of a traced cell. With no
+// sampling window, and with a timeline configured but no page source bound
+// (a cell whose device never binds one), it must not allocate.
+func TestEngineHookZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not stable under the race detector")
+	}
+	for _, tc := range []struct {
+		name     string
+		timeline sim.Time
+	}{{"no windows", 0}, {"timeline without source", sim.Microsecond}} {
+		eng := sim.NewEngine()
+		tr := NewTracer("hook")
+		tr.SetTimeline(tc.timeline)
+		tr.BindEngine(eng)
+		var tick func()
+		tick = func() { eng.Schedule(100, tick) }
+		eng.Schedule(0, tick)
+		for i := 0; i < 64; i++ { // warm the heap slice and freelist
+			eng.Step()
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { eng.Step() }); allocs != 0 {
+			t.Errorf("%s: engine hook allocates %.1f objects/event, want 0", tc.name, allocs)
+		}
+		if tr.EventsFired() == 0 {
+			t.Errorf("%s: hook not installed", tc.name)
+		}
+	}
+}
+
 // A suspended tracer must behave like a disabled one for new requests
 // (prefill traffic is not attributed) while still tracking the GC gauge,
 // which is simulation state a post-Resume request needs to see.

@@ -1,12 +1,12 @@
 package obs
 
 import (
-	"bufio"
 	"io"
 	"sort"
 	"sync"
 
 	"ssdtp/internal/sim"
+	"ssdtp/internal/telemetry"
 )
 
 // Collector aggregates per-cell tracers across a parallel experiment run.
@@ -176,29 +176,10 @@ func (c *Collector) WriteTimelineCSV(w io.Writer) error {
 	if c == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
-	if err := writeTimelineHeader(bw); err != nil {
-		return err
+	tracers := c.tracers()
+	recs := make([]*telemetry.Recorder, len(tracers))
+	for i, t := range tracers {
+		recs[i] = t.tlRec
 	}
-	for _, t := range c.tracers() {
-		if err := t.appendTimelineCSV(bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteTimelineJSONL renders every cell's timeline rows as JSONL, cells in
-// label order.
-func (c *Collector) WriteTimelineJSONL(w io.Writer) error {
-	if c == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	for _, t := range c.tracers() {
-		if err := t.appendTimelineJSONL(bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return telemetry.WriteCSV(w, recs...)
 }

@@ -28,6 +28,7 @@ import (
 	"strconv"
 
 	"ssdtp/internal/sim"
+	"ssdtp/internal/telemetry"
 )
 
 // Attr is one key/value annotation on a span or event. Construct with Int or
@@ -81,9 +82,10 @@ type Tracer struct {
 	recCap      int
 	droppedRecs int64
 
-	prof *Profiler // latency attribution (lazily created by Prof)
-	tl   *timeline // time-windowed telemetry (nil unless configured)
-	win  *window   // aux sampling window (nil unless SetWindow configured)
+	prof  *Profiler           // latency attribution (lazily created by Prof)
+	tl    *window             // timeline window (nil unless SetTimeline configured)
+	tlRec *telemetry.Recorder // the timeline's log-page rows
+	win   *window             // aux sampling window (nil unless SetWindow configured)
 
 	// Engine observation (installed by BindEngine).
 	eventsFired  int64

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ssdtp/internal/sim"
+	"ssdtp/internal/telemetry"
 )
 
 // pfDoc mirrors the Chrome trace-event JSON document shape for test parsing.
@@ -196,13 +197,13 @@ func TestRecordCapDropsCounted(t *testing.T) {
 }
 
 // Timeline sampling: rows land exactly on absolute interval boundaries, with
-// values read through the registered sampler at the boundary crossing.
+// values read through the bound log-page source at the boundary crossing.
 func TestTimelineSampling(t *testing.T) {
 	eng := sim.NewEngine()
 	tr := NewTracer("c")
 	tr.SetTimeline(10 * sim.Microsecond)
 	var written int64
-	tr.SetTimelineSampler(func(s *TimelineSample) { s.HostBytesWritten = written })
+	tr.SetTimelineSource(func(p *telemetry.Page) { p.Drives, p.HostSectorsWritten = 1, written })
 	tr.BindEngine(eng)
 
 	// Events at 1µs (anchors the first boundary), then past two boundaries.
@@ -211,9 +212,6 @@ func TestTimelineSampling(t *testing.T) {
 	eng.Schedule(25*sim.Microsecond, func() {})
 	eng.Run()
 
-	if tr.TimelineRows() != 2 {
-		t.Fatalf("rows = %d, want 2", tr.TimelineRows())
-	}
 	var sb strings.Builder
 	if err := tr.WriteTimelineCSV(&sb); err != nil {
 		t.Fatal(err)
@@ -222,13 +220,48 @@ func TestTimelineSampling(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("csv lines = %d, want header + 2 rows", len(lines))
 	}
+	if !strings.HasPrefix(lines[0], "cell,t_ns,drives,host_sectors_written,") {
+		t.Fatalf("header = %q, want cell,t_ns then the log-page fields", lines[0])
+	}
 	// The first fired event at or past each boundary triggers its sample; the
 	// engine hook runs before the event's callback, so the 10µs row sees the
 	// state as of the 1µs callback and the 20µs row the 12µs callback.
-	if !strings.HasPrefix(lines[1], `"c",10000,100,`) {
+	if !strings.HasPrefix(lines[1], `"c",10000,1,100,`) {
 		t.Fatalf("row 1 = %q, want boundary t=10000 with written=100", lines[1])
 	}
-	if !strings.HasPrefix(lines[2], `"c",20000,200,`) {
+	if !strings.HasPrefix(lines[2], `"c",20000,1,200,`) {
 		t.Fatalf("row 2 = %q, want boundary t=20000 with written=200", lines[2])
+	}
+}
+
+// The lookahead cap is the earliest boundary over both windows; a timeline
+// without a bound source does not count, and an unanchored window reports
+// (0, true).
+func TestNextTimelineBoundary(t *testing.T) {
+	eng := sim.NewEngine()
+	tr := NewTracer("c")
+	tr.SetTimeline(10 * sim.Microsecond)
+	tr.BindEngine(eng)
+	if _, ok := tr.NextTimelineBoundary(); ok {
+		t.Fatal("timeline without a source reports a boundary")
+	}
+	tr.SetTimelineSource(func(*telemetry.Page) {})
+	if at, ok := tr.NextTimelineBoundary(); !ok || at != 0 {
+		t.Fatalf("unanchored timeline = (%d, %v), want (0, true)", at, ok)
+	}
+	tr.SetWindow(4*sim.Microsecond, func(sim.Time) {})
+	eng.Schedule(1*sim.Microsecond, func() {})
+	eng.Run()
+	if at, ok := tr.NextTimelineBoundary(); !ok || at != 4*sim.Microsecond {
+		t.Fatalf("anchored windows = (%d, %v), want the aux window's 4µs", at, ok)
+	}
+	eng.Schedule(8*sim.Microsecond, func() {}) // fires at 9µs: aux moves to 12µs
+	eng.Run()
+	if at, ok := tr.NextTimelineBoundary(); !ok || at != 10*sim.Microsecond {
+		t.Fatalf("anchored windows = (%d, %v), want the timeline's 10µs", at, ok)
+	}
+	tr.Suspend()
+	if _, ok := tr.NextTimelineBoundary(); ok {
+		t.Fatal("suspended tracer reports a boundary")
 	}
 }

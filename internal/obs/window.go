@@ -1,21 +1,32 @@
 package obs
 
-import "ssdtp/internal/sim"
+import (
+	"io"
 
-// Aux sampling window (DESIGN.md §14). Alongside the timeline, a tracer can
-// carry one generic window: a fixed simulated-time interval whose boundary
-// crossings invoke a caller-supplied callback. The telemetry log page rides
-// this hook — obs stays ignorant of what is sampled, telemetry stays ignorant
-// of engine hooks, and the shard pump's conservative lookahead covers both
-// streams through NextTimelineBoundary.
+	"ssdtp/internal/sim"
+	"ssdtp/internal/telemetry"
+)
+
+// Sampling windows (DESIGN.md §9, §14). A tracer carries up to two windows,
+// each a fixed simulated-time interval whose boundary crossings invoke a
+// callback from the engine hook BindEngine installs:
 //
-// Anchor semantics are identical to the timeline's: the first observation
-// only anchors the grid at the next absolute multiple of the interval (so a
-// restored clone and a from-scratch build align), and each later observation
-// fires once per crossed boundary, sampling *current* state at the boundary
-// timestamp.
+//   - the timeline (SetTimeline), which records the bound device's or
+//     fleet's transparency log page into the tracer's own telemetry recorder
+//     — the -timeline CSV is a rendering of those rows;
+//   - the aux window (SetWindow), a caller-supplied callback; the -telemetry
+//     JSONL stream and the transparency experiment ride it.
+//
+// Both share one anchor rule: the first observation only anchors the grid at
+// the next absolute multiple of the interval (so a restored clone and a
+// from-scratch build align), and each later observation fires once per
+// crossed boundary, sampling *current* state at the boundary timestamp.
+// Sampling reads simulation state only, so rows are identical across worker
+// and shard counts. The shard pump's conservative lookahead covers both
+// windows through NextTimelineBoundary.
 
-// window is a tracer's aux sampling state.
+// window is one sampling window's state. A nil fire leaves it inert: it
+// neither anchors nor counts as a boundary for the lookahead.
 type window struct {
 	interval sim.Time
 	fire     func(at sim.Time)
@@ -39,6 +50,18 @@ func (w *window) observe(now sim.Time) {
 	}
 }
 
+// next returns the window's next boundary: ok=false when it is absent or
+// inert, (0, true) before its grid is anchored.
+func (w *window) next() (sim.Time, bool) {
+	if w == nil || w.fire == nil {
+		return 0, false
+	}
+	if !w.inited {
+		return 0, true
+	}
+	return w.nextAt, true
+}
+
 // SetWindow installs the aux sampling window: fire runs at every crossed
 // boundary of the given interval, receiving the boundary timestamp. The
 // callback runs inside the engine hook and must only read simulation state.
@@ -54,22 +77,58 @@ func (t *Tracer) SetWindow(interval sim.Time, fire func(at sim.Time)) {
 	t.win = &window{interval: interval, fire: fire}
 }
 
-// WindowInterval returns the aux window's sampling interval (0 = none).
-func (t *Tracer) WindowInterval() sim.Time {
-	if t == nil || t.win == nil {
-		return 0
+// SetTimeline enables timeline sampling every interval of simulated time.
+// Must be set before the device or fleet binds its page source;
+// interval <= 0 disables.
+func (t *Tracer) SetTimeline(interval sim.Time) {
+	if t == nil {
+		return
 	}
-	return t.win.interval
+	t.tl = nil
+	t.tlRec = telemetry.NewRecorder(t.label, interval)
+	if t.tlRec != nil {
+		t.tl = &window{interval: interval}
+	}
 }
 
-// nextWindowBoundary mirrors NextTimelineBoundary for the aux window:
-// ok=false when no window is active, (0, true) before the grid is anchored.
-func (t *Tracer) nextWindowBoundary() (sim.Time, bool) {
-	if t == nil || t.win == nil || t.win.fire == nil || t.suspended {
+// SetTimelineSource binds the log-page source the timeline samples; devices
+// and fleets bind their FillLogPage at construction. No-op unless a timeline
+// is configured.
+func (t *Tracer) SetTimelineSource(fn func(*telemetry.Page)) {
+	if t == nil || t.tl == nil {
+		return
+	}
+	t.tlRec.SetSource(fn)
+	t.tl.fire = t.tlRec.Observe
+}
+
+// NextTimelineBoundary returns the simulated time of the next sampling
+// boundary — the minimum over the timeline and the aux window — or ok=false
+// when neither is active (none configured, no source bound, or sampling
+// suspended). The parallel fleet engine caps its lookahead here: a boundary
+// samples *current* device state at the first event at or past it, so no
+// event beyond the boundary may fire before the row is captured. Before the
+// first observation anchors a window's grid, that window conservatively
+// reports time 0 with ok=true — callers treat (0, true) as "no lookahead
+// until anchored".
+func (t *Tracer) NextTimelineBoundary() (sim.Time, bool) {
+	if t == nil || t.suspended {
 		return 0, false
 	}
-	if !t.win.inited {
-		return 0, true
+	var at sim.Time
+	ok := false
+	for _, w := range [...]*window{t.tl, t.win} {
+		if b, wok := w.next(); wok && (!ok || b < at) {
+			at, ok = b, true
+		}
 	}
-	return t.win.nextAt, true
+	return at, ok
+}
+
+// WriteTimelineCSV renders the tracer's timeline rows as CSV (with header).
+func (t *Tracer) WriteTimelineCSV(w io.Writer) error {
+	if t == nil {
+		return nil
+	}
+	return telemetry.WriteCSV(w, t.tlRec)
 }

@@ -138,41 +138,12 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 		// sector-aligned write lands inside one chunk.
 		d.content = cow.NewArray[byte](d.Size(), contentChunkSectors*int64(d.sectorSize), 1, 0)
 	}
-	cfg.Trace.SetTimelineSampler(d.sampleTimeline)
+	cfg.Trace.SetTimelineSource(d.FillLogPage)
 	return d
-}
-
-// sampleTimeline fills one time-windowed telemetry sample from the device's
-// ground-truth state; the tracer invokes it at each interval boundary while a
-// timeline is configured (see obs.Tracer.SetTimeline).
-func (d *Device) sampleTimeline(s *obs.TimelineSample) {
-	c := d.fl.Counters()
-	s.HostBytesWritten = d.hostBytesWritten
-	s.HostBytesRead = d.hostBytesRead
-	s.PagesProgrammed = c.PagesProgrammed()
-	s.GCPagesMoved = c.GCPagesProgrammed
-	s.DirtyCacheBytes = d.fl.DirtyCacheBytes()
-	s.QueueDepth = d.fl.BacklogDepth()
-	s.GCRunning = d.fl.GCRunningPUs()
-	var busy, wait sim.Time
-	for ch := 0; ch < d.cfg.Channels; ch++ {
-		b := d.array.Bus(ch)
-		busy += b.Utilization()
-		wait += b.WaitTime()
-	}
-	s.BusBusyNS = int64(busy)
-	s.BusWaitNS = int64(wait)
 }
 
 // Engine returns the simulation engine the device runs on.
 func (d *Device) Engine() *sim.Engine { return d.eng }
-
-// SampleTimeline fills s with the device's current timeline telemetry — the
-// same ground-truth sample the device's own tracer records at interval
-// boundaries. Aggregation layers that present many devices as one target
-// (internal/fleet) call it per drive and sum the fields into their own
-// timeline stream.
-func (d *Device) SampleTimeline(s *obs.TimelineSample) { d.sampleTimeline(s) }
 
 // Tracer returns the device's tracer (nil when tracing is off), so layers
 // above the device (hostif) can annotate the same trace stream.
@@ -236,6 +207,9 @@ func (d *Device) SectorSize() int { return d.sectorSize }
 
 // HostBytesWritten returns total bytes the host has written.
 func (d *Device) HostBytesWritten() int64 { return d.hostBytesWritten }
+
+// HostBytesRead returns total bytes the host has read.
+func (d *Device) HostBytesRead() int64 { return d.hostBytesRead }
 
 // checkIO validates an async I/O range.
 func (d *Device) checkIO(off, n int64) error {

@@ -9,11 +9,13 @@
 // at aligned simulated-clock boundaries so the stream is deterministic at any
 // worker or shard count.
 //
-// The package sits below ssd/fleet (both fill pages) and depends only on sim.
+// The package sits below ssd/fleet (both fill pages) and obs (whose tracer
+// timeline records pages for the -timeline CSV), and depends only on sim.
 package telemetry
 
 import (
 	"strconv"
+	"strings"
 	"unicode/utf8"
 
 	"ssdtp/internal/sim"
@@ -161,6 +163,22 @@ func appendRowJSON(line []byte, cell string, t sim.Time, p *Page) []byte {
 		line = strconv.AppendInt(line, vals[j], 10)
 	}
 	return append(line, '}', '\n')
+}
+
+// csvHeader is the CSV rendering's header line: the JSONL keys in order,
+// with the timestamp column named for its unit.
+var csvHeader = "cell,t_ns," + strings.Join(pageFields[:], ",") + "\n"
+
+// appendRowCSV renders one row as a CSV line, the columns in csvHeader order.
+func appendRowCSV(line []byte, cell string, t sim.Time, p *Page) []byte {
+	line = appendJSONString(line, cell)
+	line = append(line, ',')
+	line = strconv.AppendInt(line, int64(t), 10)
+	for _, v := range p.values() {
+		line = append(line, ',')
+		line = strconv.AppendInt(line, v, 10)
+	}
+	return append(line, '\n')
 }
 
 // appendJSONString quotes s as a JSON string (not strconv.Quote, whose \x

@@ -82,28 +82,31 @@ func (r *Recorder) Rows() []Row {
 // WriteJSONL renders the recorder's rows, one JSON object per line, in the
 // stream's fixed field order.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	if err := r.appendJSONL(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return writeRows(w, "", []*Recorder{r}, appendRowJSON)
 }
 
-// appendJSONL writes the rows through an existing buffered writer.
-func (r *Recorder) appendJSONL(bw *bufio.Writer) error {
-	if r == nil {
-		return nil
+// WriteCSV renders the recorders' rows, in argument order, as one CSV stream
+// under a single header: cell, t_ns, then the page fields in JSONL order.
+// Nil recorders contribute no rows.
+func WriteCSV(w io.Writer, recs ...*Recorder) error {
+	return writeRows(w, csvHeader, recs, appendRowCSV)
+}
+
+// writeRows writes header, then every recorder's rows rendered by enc.
+func writeRows(w io.Writer, header string, recs []*Recorder, enc func([]byte, string, sim.Time, *Page) []byte) error {
+	bw := bufio.NewWriter(w)
+	if _, err := bw.WriteString(header); err != nil {
+		return err
 	}
 	var line []byte
-	for i := range r.rows {
-		row := &r.rows[i]
-		line = appendRowJSON(line[:0], row.Cell, row.T, &row.Page)
-		if _, err := bw.Write(line); err != nil {
-			return err
+	for _, r := range recs {
+		rows := r.Rows()
+		for i := range rows {
+			line = enc(line[:0], rows[i].Cell, rows[i].T, &rows[i].Page)
+			if _, err := bw.Write(line); err != nil {
+				return err
+			}
 		}
 	}
-	return nil
+	return bw.Flush()
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"io"
 	"sort"
 	"sync"
@@ -108,7 +107,7 @@ func (s *Set) WriteJSONL(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
-	return writeRecorders(w, s.recorders(false))
+	return writeRows(w, "", s.recorders(false), appendRowJSON)
 }
 
 // WriteJSONLDone renders only cells marked done, in label order.
@@ -116,15 +115,5 @@ func (s *Set) WriteJSONLDone(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
-	return writeRecorders(w, s.recorders(true))
-}
-
-func writeRecorders(w io.Writer, recs []*Recorder) error {
-	bw := bufio.NewWriter(w)
-	for _, r := range recs {
-		if err := r.appendJSONL(bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeRows(w, "", s.recorders(true), appendRowJSON)
 }
