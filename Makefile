@@ -28,12 +28,14 @@ profile:
 
 # The parallel-engine determinism suite at several scheduler widths: the
 # sharded fleet pump and the cell pool must be byte-identical to serial under
-# a single OS thread, a narrow one, and a wide one.
+# a single OS thread, a narrow one, and a wide one, and the shard group must
+# match its reference scheduler and scan oracle.
 determinism:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p $(GO) test ./internal/experiments/ ./internal/fleet/ \
 			-run 'TestShardByteIdenticalAcrossWorkers|TestParallelOutputByteIdentical|TestTraceByteIdenticalAcrossWorkers|TestTelemetryByteIdenticalAcrossWorkers|TestFig3CellExportsPinned|TestTimelineCSVMatchesTelemetryJSONL|TestParallel' \
 			-count=1 || exit 1; \
+		GOMAXPROCS=$$p $(GO) test ./internal/sim/ -run 'TestShardGroup' -count=1 || exit 1; \
 	done
 
 reproduce:

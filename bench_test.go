@@ -285,9 +285,10 @@ func BenchmarkFleetTail(b *testing.B) {
 // independent drives concurrently inside conservative lookahead windows.
 // Output is identical to the serial pump — this measures only the
 // wall-clock effect, and the comparison against BenchmarkFleetTail is only
-// meaningful with spare cores: on a single-CPU host it reports the pure
-// window/merge overhead (the price of forcing -shard above the core count),
-// not a speedup.
+// meaningful with spare cores. On a single-CPU host it reports the window
+// overhead, the price of forcing -shard above the core count: per window,
+// Horizon's O(N) floor scan, the worker fan-out, and the pump's ghost
+// re-arms. A window allocates nothing, so allocs/op match BenchmarkFleetTail.
 func BenchmarkFleetTailShard(b *testing.B) {
 	experiments.SetShard(8)
 	defer experiments.SetShard(1)

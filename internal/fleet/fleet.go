@@ -11,15 +11,20 @@
 // Restored drive clones carry their preconditioning clock and trailing GC
 // events, and sim.Engine.Rebase forbids moving an engine with pending events —
 // so every drive keeps its own engine, offset from fleet time by a fixed
-// per-drive base (its clock at attach). The fleet owns one host engine, which
-// tenant workloads (workload.RunMulti) drive as usual; a single "pump" event
-// on the host engine is always armed at the earliest pending drive event's
-// fleet time. When it fires, due drive events are stepped in (fleet time,
+// per-drive base (its clock at attach). The drive engines are the shards of
+// one sim.ShardGroup, whose indexed heap answers "earliest pending drive
+// event" in O(1) and re-keys a drive in O(log N). The fleet owns one host
+// engine, which tenant workloads (workload.RunMulti) drive as usual; a
+// single "pump" event on the host engine is always armed at the group's
+// NextTime. When it fires, due drive events are stepped in (fleet time,
 // drive index) order; when a volume submits I/O, the target drive's clock is
-// first advanced to fleet-now. New drive events are always scheduled at or
-// after the drive's current clock, so no drive event can become due before
-// the armed pump — the interleaving is total, deterministic, and independent
-// of host-side worker counts.
+// first advanced to fleet-now (ShardGroup.RunShard) and, after the
+// submission, the drive is re-keyed (ShardGroup.Touch) — every drive engine
+// advances through the group, so the heap is never stale when armPump reads
+// it, even from a completion that fires mid-batch on another drive. New
+// drive events are always scheduled at or after the drive's current clock,
+// so no drive event can become due before the armed pump — the interleaving
+// is total, deterministic, and independent of host-side worker counts.
 //
 // # Parallel prefetch
 //
@@ -58,7 +63,7 @@ import (
 // drive is one device in the tier plus its co-simulation and placement state.
 type drive struct {
 	dev  *ssd.Device
-	eng  *sim.Engine
+	idx  int      // shard index in Fleet.group
 	base sim.Time // drive-local clock minus fleet clock, fixed at attach
 
 	tenants int   // volumes with at least one extent here
@@ -128,7 +133,7 @@ func New(eng *sim.Engine, devs []*ssd.Device, stripeBytes int64) *Fleet {
 		if dev.SectorSize() != f.sector {
 			panic(fmt.Sprintf("fleet: drive %d sector %d != fleet sector %d", i, dev.SectorSize(), f.sector))
 		}
-		d := &drive{dev: dev, eng: dev.Engine(), base: dev.Engine().Now() - eng.Now()}
+		d := &drive{dev: dev, base: dev.Engine().Now() - eng.Now()}
 		if prof := dev.Tracer().Prof(); prof != nil {
 			prof.SetRowSink(func(r obs.AttrRow) {
 				d.lastRow = r
@@ -136,7 +141,7 @@ func New(eng *sim.Engine, devs []*ssd.Device, stripeBytes int64) *Fleet {
 			})
 		}
 		dev.TrackCompletions()
-		f.group.Attach(d.eng, d.base, func() (sim.Time, bool) {
+		d.idx = f.group.Attach(dev.Engine(), d.base, func() (sim.Time, bool) {
 			t, ok := d.dev.CompletionFloor()
 			if !ok {
 				return 0, false
@@ -179,22 +184,7 @@ func (f *Fleet) SharedDrives() int {
 // syncDrive advances a drive's local clock to fleet-now, firing any of its
 // events due at or before it, so a submission lands on an up-to-date drive.
 func (f *Fleet) syncDrive(d *drive) {
-	d.eng.RunUntil(d.base + f.eng.Now())
-}
-
-// nextDriveTime returns the earliest pending drive event's fleet time.
-func (f *Fleet) nextDriveTime() (sim.Time, bool) {
-	var best sim.Time
-	found := false
-	for _, d := range f.drives {
-		if t, ok := d.eng.NextEventTime(); ok {
-			g := t - d.base
-			if !found || g < best {
-				best, found = g, true
-			}
-		}
-	}
-	return best, found
+	f.group.RunShard(d.idx, f.eng.Now())
 }
 
 // armPump (re)schedules the pump at the earliest pending drive event — or,
@@ -204,7 +194,7 @@ func (f *Fleet) nextDriveTime() (sim.Time, bool) {
 // events while being stepped or synced at fleet-now, so every new event's
 // fleet time is >= now.
 func (f *Fleet) armPump() {
-	next, ok := f.nextDriveTime()
+	next, ok := f.group.NextTime()
 	if len(f.ghosts) > 0 {
 		next, ok = f.ghosts[0], true
 	}
@@ -220,8 +210,12 @@ func (f *Fleet) armPump() {
 	if now := f.eng.Now(); next < now {
 		next = now // defensive; the invariant makes this unreachable
 	}
-	f.pump = f.eng.At(next, f.pumpFire)
+	f.pump = f.eng.AtArg(next, firePump, f)
 }
+
+// firePump is the pump's closure-free callback (arg is the *Fleet), so a
+// re-arm allocates nothing.
+func firePump(f any) { f.(*Fleet).pumpFire() }
 
 // pumpFire steps every due drive event in (fleet time, drive index) order —
 // sim.ShardGroup's total order over the drive shards — then, in parallel
@@ -489,6 +483,7 @@ func (v *Volume) submit(kind opKind, off, length int64, done func()) error {
 		case opTrim:
 			err = d.dev.TrimAsync(fr.off, fr.n, subDone)
 		}
+		v.f.group.Touch(d.idx)
 		if err != nil {
 			// The volume range was validated above; a drive rejecting a
 			// mapped piece means the extent map is corrupt.
@@ -549,6 +544,7 @@ func (v *Volume) FlushAsync(done func()) error {
 				done()
 			}
 		})
+		v.f.group.Touch(di)
 		if err != nil {
 			return fmt.Errorf("fleet %s: drive %d: %w", v.name, di, err)
 		}

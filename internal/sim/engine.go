@@ -156,9 +156,9 @@ func (e *Engine) SetHook(h Hook) { e.hook = h }
 func (e *Engine) Pending() int { return len(e.pq) }
 
 // NextEventTime returns the firing time of the earliest pending event, or
-// (0, false) when the queue is empty. Co-simulation layers that interleave
-// several engines (internal/fleet) use it to pick which engine to step next
-// without disturbing any queue.
+// (0, false) when the queue is empty, without disturbing the queue.
+// ShardGroup keys its shard heap with it, and ssd.Device derives its
+// completion floor from it.
 func (e *Engine) NextEventTime() (Time, bool) {
 	if len(e.pq) == 0 {
 		return 0, false
@@ -236,11 +236,9 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) Event {
 // release recycles a node that left the queue: the generation bump makes
 // every outstanding handle inert, the callback reference is dropped so the
 // closure becomes collectable, and the node joins the freelist for the next
-// At.
-// release recycles a node. It touches only the node's first cache line:
-// argFn/arg are cleared by whoever ends an arg tenancy (Step's arg path,
-// Cancel), so plain-Schedule traffic — the dominant case — never reads or
-// writes the spill fields.
+// At. It touches only the node's first cache line: argFn/arg are cleared by
+// whoever ends an arg tenancy (Step's arg path, Cancel), so plain-Schedule
+// traffic — the dominant case — never reads or writes the spill fields.
 func (e *Engine) release(n *node) {
 	n.gen++
 	n.fn = nil

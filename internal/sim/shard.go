@@ -2,7 +2,7 @@ package sim
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -13,6 +13,18 @@ import (
 // group defines a total order over all events — (group time, shard index,
 // shard-local sequence). Serial stepping (Step/RunUntil) fires events in
 // exactly that order.
+//
+// The group finds the earliest shard through an indexed binary min-heap of
+// shard indices keyed by (group time of the shard's next event, shard
+// index), idle shards last: NextTime reads the root, and re-keying one shard
+// is an O(log N) sift. A key must never be stale when it is read, so every
+// change to a shard's queue reaches the group: the group itself runs shard
+// engines (Step, RunShard, AdvanceBefore) and re-keys them afterwards, and
+// code outside the group that schedules onto or cancels from a shard calls
+// Touch. A shard whose engine is running right now — its events may submit
+// to other shards and ask for NextTime before the batch ends — sits on the
+// active stack, and NextTime/Step re-key those shards before reading the
+// root.
 //
 // The parallel path is conservative-lookahead PDES: each shard declares,
 // through a FloorFunc, a lower bound on when it can next perform an
@@ -39,6 +51,25 @@ type groupShard struct {
 	eng   *Engine
 	base  Time // shard-local clock minus group clock, fixed at attach
 	floor FloorFunc
+	pos   int // slot in ShardGroup.heap
+}
+
+// shardKey is one heap slot: a shard and the group time of its next event.
+type shardKey struct {
+	at    Time
+	shard int32
+	idle  bool // no pending event; at is meaningless
+}
+
+// less is the heap order: busy before idle, then (group time, shard index).
+func (a shardKey) less(b shardKey) bool {
+	if a.idle != b.idle {
+		return b.idle
+	}
+	if !a.idle && a.at != b.at {
+		return a.at < b.at
+	}
+	return a.shard < b.shard
 }
 
 // ShardGroup advances several engines under one total order, with optional
@@ -47,16 +78,38 @@ type groupShard struct {
 type ShardGroup struct {
 	workers int
 	shards  []groupShard
+	heap    []shardKey
+	// active holds the shards whose engines are running right now, innermost
+	// last; a shard run re-entrantly from its own batch appears twice.
+	active []int
+	// window is set while AdvanceBefore's workers run; Touch is a no-op then
+	// (the window re-keys every shard it ran once the workers have joined).
+	// h and bounded are the open window's horizon.
+	window  bool
+	h       Time
+	bounded bool
 
-	// fired is per-shard scratch reused across AdvanceBefore calls: the
-	// distinct group times of event batches fired in the current window.
-	fired [][]Time
+	// Per-window scratch reused across AdvanceBefore calls: fired[i] is
+	// shard i's distinct batch times in the current window, cand the shards
+	// with work in it, walk the heap-walk stack, merged the returned list.
+	fired  [][]Time
+	cand   []int
+	walk   []int
+	merged []Time
+	// Worker coordination for one parallel window. work is g.drainShared
+	// bound once, so starting a worker allocates no closure.
+	work     func()
+	next     atomic.Int64
+	wg       sync.WaitGroup
+	panicMu  sync.Mutex
+	panicked any
 }
 
 // NewShardGroup returns an empty group. workers bounds the goroutines a
 // parallel window uses; <= 0 means GOMAXPROCS.
 func NewShardGroup(workers int) *ShardGroup {
 	g := &ShardGroup{}
+	g.work = g.drainShared
 	g.SetWorkers(workers)
 	return g
 }
@@ -79,30 +132,103 @@ func (g *ShardGroup) Len() int { return len(g.shards) }
 // minus the group clock at attach time; floor may be nil for a shard that is
 // never externally visible (always unbounded).
 func (g *ShardGroup) Attach(eng *Engine, base Time, floor FloorFunc) int {
-	g.shards = append(g.shards, groupShard{eng: eng, base: base, floor: floor})
+	i := len(g.shards)
+	g.shards = append(g.shards, groupShard{eng: eng, base: base, floor: floor, pos: i})
+	g.heap = append(g.heap, shardKey{shard: int32(i), idle: true})
 	g.fired = append(g.fired, nil)
-	return len(g.shards) - 1
+	g.rekey(i)
+	return i
 }
 
 // SetBase re-declares shard i's clock offset. Needed after rebasing an empty
 // shard engine (snapshot restore moves the local clock without firing
 // events); the caller owns keeping base consistent with the engine's clock.
-func (g *ShardGroup) SetBase(i int, base Time) { g.shards[i].base = base }
+func (g *ShardGroup) SetBase(i int, base Time) {
+	g.shards[i].base = base
+	g.rekey(i)
+}
+
+// Touch re-keys shard i after code outside the group scheduled onto or
+// canceled from its engine. It is a no-op while an AdvanceBefore window is
+// open: window events must stay inside their own shard, and the window
+// re-keys every shard it ran.
+func (g *ShardGroup) Touch(i int) {
+	if !g.window {
+		g.rekey(i)
+	}
+}
+
+// rekey reads shard i's next event time into its heap slot and sifts the
+// slot to its place.
+func (g *ShardGroup) rekey(i int) {
+	s := &g.shards[i]
+	t, ok := s.eng.NextEventTime()
+	p := s.pos
+	g.heap[p].at, g.heap[p].idle = t-s.base, !ok
+	if !g.up(p) {
+		g.down(p)
+	}
+}
+
+// up sifts slot p toward the root and reports whether it moved.
+func (g *ShardGroup) up(p int) bool {
+	k := g.heap[p]
+	start := p
+	for p > 0 {
+		q := (p - 1) / 2
+		if !k.less(g.heap[q]) {
+			break
+		}
+		g.place(p, g.heap[q])
+		p = q
+	}
+	g.place(p, k)
+	return p != start
+}
+
+// down sifts slot p toward the leaves.
+func (g *ShardGroup) down(p int) {
+	k := g.heap[p]
+	n := len(g.heap)
+	for {
+		c := 2*p + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && g.heap[c+1].less(g.heap[c]) {
+			c++
+		}
+		if !g.heap[c].less(k) {
+			break
+		}
+		g.place(p, g.heap[c])
+		p = c
+	}
+	g.place(p, k)
+}
+
+// place stores k at slot p and records the slot on its shard.
+func (g *ShardGroup) place(p int, k shardKey) {
+	g.heap[p] = k
+	g.shards[k.shard].pos = p
+}
+
+// refresh re-keys the shards whose engines are mid-batch: their queues may
+// have changed since the group last looked.
+func (g *ShardGroup) refresh() {
+	for _, i := range g.active {
+		g.rekey(i)
+	}
+}
 
 // NextTime returns the group time of the earliest pending event across all
 // shards, or (0, false) when every shard is idle.
 func (g *ShardGroup) NextTime() (Time, bool) {
-	var best Time
-	found := false
-	for i := range g.shards {
-		s := &g.shards[i]
-		if t, ok := s.eng.NextEventTime(); ok {
-			if gt := t - s.base; !found || gt < best {
-				best, found = gt, true
-			}
-		}
+	g.refresh()
+	if len(g.heap) == 0 || g.heap[0].idle {
+		return 0, false
 	}
-	return best, found
+	return g.heap[0].at, true
 }
 
 // Step fires the globally earliest event batch: the shard holding the
@@ -110,30 +236,18 @@ func (g *ShardGroup) NextTime() (Time, bool) {
 // instant (including ones those events schedule for the same instant), in
 // its own (time, seq) order. Reports whether anything fired.
 func (g *ShardGroup) Step() bool {
-	best := -1
-	var bt Time
-	for i := range g.shards {
-		s := &g.shards[i]
-		t, ok := s.eng.NextEventTime()
-		if !ok {
-			continue
-		}
-		if gt := t - s.base; best < 0 || gt < bt {
-			best, bt = i, gt
-		}
-	}
-	if best < 0 {
+	g.refresh()
+	if len(g.heap) == 0 || g.heap[0].idle {
 		return false
 	}
-	s := &g.shards[best]
-	s.eng.RunUntil(s.base + bt)
+	root := g.heap[0]
+	g.RunShard(int(root.shard), root.at)
 	return true
 }
 
 // RunUntil fires every event with group time <= t, in (time, shard, seq)
 // order. Shard clocks advance only to their fired events, never to t itself;
-// callers that need a shard synchronized to a later instant advance it
-// directly (internal/fleet's syncDrive).
+// callers that need a shard synchronized to a later instant use RunShard.
 func (g *ShardGroup) RunUntil(t Time) {
 	for {
 		next, ok := g.NextTime()
@@ -142,6 +256,18 @@ func (g *ShardGroup) RunUntil(t Time) {
 		}
 		g.Step()
 	}
+}
+
+// RunShard fires shard i's events with group time <= t and advances its
+// clock to exactly t (Engine.RunUntil on the shard's local clock), then
+// re-keys the shard. Events it fires may run shards re-entrantly, including
+// shard i itself.
+func (g *ShardGroup) RunShard(i int, t Time) {
+	s := &g.shards[i]
+	g.active = append(g.active, i)
+	s.eng.RunUntil(s.base + t)
+	g.active = g.active[:len(g.active)-1]
+	g.rekey(i)
 }
 
 // Horizon combines the shards' floors with the caller's own bound into the
@@ -173,96 +299,107 @@ func (g *ShardGroup) Horizon(limit Time, bounded bool) (Time, bool) {
 // which batches fired — exactly the instants serial stepping would have
 // visited for the same events. Callers replaying a serial schedule
 // (internal/fleet's pump) use it to reproduce their per-instant bookkeeping.
-// Returns nil when nothing fired. A panic on any worker (model bugs panic in
-// this repository) is re-raised on the caller after all workers stop.
+// It is group scratch, valid until the next AdvanceBefore call; nil when
+// nothing fired. A panic on any worker (model bugs panic in this repository)
+// is re-raised on the caller after all workers stop.
 func (g *ShardGroup) AdvanceBefore(h Time, bounded bool) []Time {
-	// Collect shards with work in the window; skip the fan-out when idle.
-	var candidates []int
-	for i := range g.shards {
-		s := &g.shards[i]
-		if t, ok := s.eng.NextEventTime(); ok && (!bounded || t < s.base+h) {
-			candidates = append(candidates, i)
+	if len(g.heap) == 0 {
+		return nil
+	}
+	// Collect the shards with work in the window by walking the heap from
+	// the root: a slot keyed at or past h (or idle) bounds its subtree.
+	g.cand = g.cand[:0]
+	g.walk = append(g.walk[:0], 0)
+	for len(g.walk) > 0 {
+		p := g.walk[len(g.walk)-1]
+		g.walk = g.walk[:len(g.walk)-1]
+		k := g.heap[p]
+		if k.idle || (bounded && k.at >= h) {
+			continue
+		}
+		g.cand = append(g.cand, int(k.shard))
+		if c := 2*p + 1; c < len(g.heap) {
+			g.walk = append(g.walk, c)
+			if c+1 < len(g.heap) {
+				g.walk = append(g.walk, c+1)
+			}
 		}
 	}
-	if len(candidates) == 0 {
+	if len(g.cand) == 0 {
 		return nil
 	}
 
-	drain := func(i int) {
-		s := &g.shards[i]
-		times := g.fired[i][:0]
-		for {
-			t, ok := s.eng.NextEventTime()
-			if !ok || (bounded && t >= s.base+h) {
-				break
-			}
-			// RunUntil fires every event at t, including same-instant events
-			// the batch schedules, so each recorded time is one batch.
-			s.eng.RunUntil(t)
-			times = append(times, t-s.base)
-		}
-		g.fired[i] = times
-	}
-
-	if len(candidates) == 1 || g.workers <= 1 {
-		for _, i := range candidates {
-			drain(i)
+	g.window, g.h, g.bounded = true, h, bounded
+	if len(g.cand) == 1 || g.workers <= 1 {
+		for _, i := range g.cand {
+			g.drain(i)
 		}
 	} else {
-		workers := g.workers
-		if workers > len(candidates) {
-			workers = len(candidates)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		var panicMu sync.Mutex
-		var panicked any
-		wg.Add(workers)
+		workers := min(g.workers, len(g.cand))
+		g.next.Store(0)
+		g.wg.Add(workers)
 		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicMu.Lock()
-						if panicked == nil {
-							panicked = r
-						}
-						panicMu.Unlock()
-					}
-				}()
-				for {
-					n := int(next.Add(1)) - 1
-					if n >= len(candidates) {
-						return
-					}
-					drain(candidates[n])
-				}
-			}()
+			go g.work()
 		}
-		wg.Wait()
-		if panicked != nil {
-			panic(panicked)
-		}
+		g.wg.Wait()
+	}
+	g.window = false
+	if r := g.panicked; r != nil {
+		g.panicked = nil
+		panic(r)
 	}
 
-	// Merge the per-shard batch times into one ascending, distinct list.
-	total := 0
-	for _, i := range candidates {
-		total += len(g.fired[i])
-	}
-	if total == 0 {
-		return nil
-	}
-	merged := make([]Time, 0, total)
-	for _, i := range candidates {
+	// Re-key the drained shards and merge their batch times into one
+	// ascending, distinct list.
+	merged := g.merged[:0]
+	for _, i := range g.cand {
+		g.rekey(i)
 		merged = append(merged, g.fired[i]...)
 	}
-	sort.Slice(merged, func(a, b int) bool { return merged[a] < merged[b] })
-	out := merged[:1]
-	for _, t := range merged[1:] {
-		if t != out[len(out)-1] {
-			out = append(out, t)
-		}
+	g.merged = merged
+	if len(merged) == 0 {
+		return nil
 	}
-	return out
+	slices.Sort(merged)
+	return slices.Compact(merged)
+}
+
+// drainShared is one window worker: it drains candidate shards until none
+// are left, recording the first panic for AdvanceBefore to re-raise.
+func (g *ShardGroup) drainShared() {
+	defer g.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			g.panicMu.Lock()
+			if g.panicked == nil {
+				g.panicked = r
+			}
+			g.panicMu.Unlock()
+		}
+	}()
+	for {
+		n := int(g.next.Add(1)) - 1
+		if n >= len(g.cand) {
+			return
+		}
+		g.drain(g.cand[n])
+	}
+}
+
+// drain fires shard i's events before the window's horizon batch by batch,
+// recording each batch's group time in fired[i].
+func (g *ShardGroup) drain(i int) {
+	s := &g.shards[i]
+	times := g.fired[i][:0]
+	for {
+		t, ok := s.eng.NextEventTime()
+		if !ok || (g.bounded && t >= s.base+g.h) {
+			break
+		}
+		// RunUntil fires every event at t, including same-instant events
+		// the batch schedules, so each recorded time is one batch.
+		s.eng.RunUntil(t)
+		times = append(times, t-s.base)
+	}
+	g.fired[i] = times
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -14,9 +15,13 @@ import (
 // conservative-horizon parallel windows at several worker counts, demanding
 // per-shard identical outcomes regardless of how the run is windowed.
 //
-// Callbacks confine all effects to their own shard (the only usage the
-// horizon contract admits), so any window is legal here and the windowed run
-// must match the serial one exactly.
+// Programs replayed through windows confine every callback's effects to its
+// own shard (the only usage the horizon contract admits), so any window is
+// legal there and the windowed run must match the serial one exactly. The
+// serial-only programs add cross-shard ops: an event on shard X schedules
+// onto shard Y, directly or after a RunShard(Y) nested in X's batch — the
+// fleet's completion-submits-to-another-drive pattern — and a linear-scan
+// oracle checks the group's heap after every op and inside those callbacks.
 
 // refPeek pops lazily-canceled heads and returns the live head's time.
 func refPeek(e *refEngine) (Time, bool) {
@@ -67,6 +72,21 @@ func (g *refGroup) step() bool {
 	}
 }
 
+// runShard mirrors ShardGroup.RunShard: Engine.RunUntil on shard i's clock.
+func (g *refGroup) runShard(i int, t Time) {
+	e := g.shards[i]
+	for {
+		pt, ok := refPeek(e)
+		if !ok || pt > g.bases[i]+t {
+			break
+		}
+		e.step()
+	}
+	if lt := g.bases[i] + t; lt > e.now {
+		e.now = lt
+	}
+}
+
 func (g *refGroup) runUntil(t Time) {
 	for {
 		next, _, ok := g.next()
@@ -102,8 +122,11 @@ type backend interface {
 	localNow(shard int) Time
 	pendingEmpty(shard int) bool
 	rebase(shard int, delta Time)
+	runShard(shard int, t Time)
 	runUntil(t Time)
 	drain()
+	// check compares the scheduler's earliest-event answer with an oracle.
+	check()
 }
 
 type realBackend struct {
@@ -117,6 +140,8 @@ type realBackend struct {
 	wrng     *rand.Rand
 	// windowTimes accumulates AdvanceBefore's returned batch times.
 	windowTimes []Time
+	// mismatch records the first NextTime that disagreed with scanNextTime.
+	mismatch string
 }
 
 func newRealBackend(nShards, workers int, windowed bool, wseed int64) *realBackend {
@@ -131,10 +156,17 @@ func newRealBackend(nShards, workers int, windowed bool, wseed int64) *realBacke
 	return b
 }
 
+// schedule and its cancel reach the engine from outside the group, so both
+// Touch the shard (a no-op inside windows, which re-key their shards).
 func (b *realBackend) schedule(shard int, delay Time, fn func()) func() {
 	ev := b.engs[shard].Schedule(delay, fn)
-	return ev.Cancel
+	b.group.Touch(shard)
+	return func() {
+		ev.Cancel()
+		b.group.Touch(shard)
+	}
 }
+func (b *realBackend) runShard(shard int, t Time)  { b.group.RunShard(shard, t) }
 func (b *realBackend) localNow(shard int) Time     { return b.engs[shard].Now() }
 func (b *realBackend) pendingEmpty(shard int) bool { return b.engs[shard].Pending() == 0 }
 func (b *realBackend) rebase(shard int, delta Time) {
@@ -142,6 +174,30 @@ func (b *realBackend) rebase(shard int, delta Time) {
 	e.Rebase(e.Now() + delta)
 	b.bases[shard] += delta
 	b.group.SetBase(shard, b.bases[shard])
+}
+
+// scanNextTime is the linear scan the group's heap replaces: the earliest
+// (group time) pending event over every shard engine.
+func scanNextTime(g *ShardGroup) (Time, bool) {
+	var best Time
+	found := false
+	for i := range g.shards {
+		s := &g.shards[i]
+		if t, ok := s.eng.NextEventTime(); ok {
+			if gt := t - s.base; !found || gt < best {
+				best, found = gt, true
+			}
+		}
+	}
+	return best, found
+}
+
+func (b *realBackend) check() {
+	gt, gok := b.group.NextTime()
+	st, sok := scanNextTime(b.group)
+	if (gt != st || gok != sok) && b.mismatch == "" {
+		b.mismatch = fmt.Sprintf("NextTime (%d,%v), scan (%d,%v)", gt, gok, st, sok)
+	}
 }
 
 func (b *realBackend) runUntil(t Time) {
@@ -211,7 +267,9 @@ func (b *refBackend) rebase(shard int, delta Time) {
 	b.group.shards[shard].now += delta
 	b.group.bases[shard] += delta
 }
-func (b *refBackend) runUntil(t Time) { b.group.runUntil(t) }
+func (b *refBackend) runShard(shard int, t Time) { b.group.runShard(shard, t) }
+func (b *refBackend) runUntil(t Time)            { b.group.runUntil(t) }
+func (b *refBackend) check()                     {}
 func (b *refBackend) drain() {
 	for b.group.step() {
 	}
@@ -219,18 +277,27 @@ func (b *refBackend) drain() {
 
 // program is the top-level script: a fixed op list both backends replay.
 type progOp struct {
-	kind  int // 0 schedule root, 1 cancel a root, 2 runUntil, 3 rebase
+	// kind: 0 schedule root, 1 cancel a root, 2 runUntil, 3 rebase,
+	// 4 schedule a root that schedules onto shard pick%nShards when it
+	// fires, 5 the same after a nested RunShard of that shard.
+	kind  int
 	shard int
 	arg   Time
 	pick  int
 }
 
-func genProgram(rng *rand.Rand) (nShards int, ops []progOp) {
+// genProgram draws a program; cross adds the cross-shard op kinds 4 and 5,
+// which only serial execution admits.
+func genProgram(rng *rand.Rand, cross bool) (nShards int, ops []progOp) {
 	nShards = 1 + rng.Intn(4)
 	n := 15 + rng.Intn(20)
+	kinds := 10
+	if cross {
+		kinds = 13
+	}
 	for i := 0; i < n; i++ {
 		op := progOp{shard: rng.Intn(nShards), pick: rng.Int()}
-		switch k := rng.Intn(10); {
+		switch k := rng.Intn(kinds); {
 		case k < 5: // schedule a root event
 			op.kind = 0
 			op.arg = Time(rng.Intn(500))
@@ -239,9 +306,12 @@ func genProgram(rng *rand.Rand) (nShards int, ops []progOp) {
 		case k < 9: // advance group time
 			op.kind = 2
 			op.arg = Time(50 + rng.Intn(300))
-		default: // rebase an idle shard forward
+		case k < 10: // rebase an idle shard forward
 			op.kind = 3
 			op.arg = Time(rng.Intn(200))
+		default: // a root whose callback schedules onto another shard
+			op.kind = 4 + rng.Intn(2)
+			op.arg = Time(rng.Intn(500))
 		}
 		ops = append(ops, op)
 	}
@@ -284,16 +354,20 @@ func runProgram(b backend, seed int64, nShards int, ops []progOp) []*shardState 
 		return 0
 	}
 
+	// root schedules a fresh root event with body fn on shard.
+	root := func(shard int, delay Time, fn func(shard, id int)) {
+		s := states[shard]
+		id := s.nextID
+		s.nextID++
+		s.cancels = append(s.cancels, b.schedule(shard, delay, func() { fn(shard, id) }))
+	}
+	plain := func(shard, id int) { fire(shard, id, base) }
+
 	var groupTime Time
 	for _, op := range ops {
 		switch op.kind {
 		case 0:
-			s := states[op.shard]
-			id := s.nextID
-			s.nextID++
-			shard := op.shard
-			s.cancels = append(s.cancels,
-				b.schedule(shard, op.arg, func() { fire(shard, id, base) }))
+			root(op.shard, op.arg, plain)
 		case 1:
 			s := states[op.shard]
 			if len(s.cancels) > 0 {
@@ -306,9 +380,28 @@ func runProgram(b backend, seed int64, nShards int, ops []progOp) []*shardState 
 			if b.pendingEmpty(op.shard) {
 				b.rebase(op.shard, op.arg)
 			}
+		case 4, 5:
+			y, delay, nested := op.pick%nShards, Time(op.pick%300), op.kind == 5
+			root(op.shard, op.arg, func(x, id int) {
+				fire(x, id, base)
+				// Schedule onto y at x's group time plus delay, or at
+				// y's own clock if that is later: group time is not
+				// monotone across program phases (roots may land before
+				// instants other shards already reached).
+				now := b.localNow(x) - base(x)
+				if nested {
+					b.runShard(y, now)
+				}
+				at := max(b.localNow(y), base(y)+now) + delay
+				root(y, at-b.localNow(y), plain)
+				// The fleet's armPump asks for NextTime here, mid-batch.
+				b.check()
+			})
 		}
+		b.check()
 	}
 	b.drain()
+	b.check()
 	return states
 }
 
@@ -367,13 +460,19 @@ func TestShardGroupMatchesReference(t *testing.T) {
 	for p := 0; p < programs; p++ {
 		seed := int64(p)*7919 + 17
 		rng := rand.New(rand.NewSource(seed))
-		nShards, ops := genProgram(rng)
+		// Every fifth program replays through windows and so stays
+		// shard-private; the rest exercise cross-shard scheduling.
+		windowed := p%5 == 0
+		nShards, ops := genProgram(rng, !windowed)
 
 		real := newRealBackend(nShards, 1, false, 0)
 		realStates := runProgram(real, seed, nShards, ops)
 		ref := newRefBackend(nShards)
 		refStates := runProgram(ref, seed, nShards, ops)
 
+		if real.mismatch != "" {
+			t.Fatalf("program %d: heap vs scan oracle: %s", p, real.mismatch)
+		}
 		if !equalStates(realStates, refStates) {
 			t.Fatalf("program %d: sharded serial vs reference diverged", p)
 		}
@@ -390,12 +489,15 @@ func TestShardGroupMatchesReference(t *testing.T) {
 		// Windowed parallel executions: same program, same per-shard rng
 		// seeds, different window partitions and worker counts. Outcomes
 		// must be independent of both.
-		if p%5 != 0 {
+		if !windowed {
 			continue
 		}
 		for _, workers := range []int{2, 4} {
 			wb := newRealBackend(nShards, workers, true, seed^int64(workers)<<32)
 			wStates := runProgram(wb, seed, nShards, ops)
+			if wb.mismatch != "" {
+				t.Fatalf("program %d: windowed (workers=%d) heap vs scan oracle: %s", p, workers, wb.mismatch)
+			}
 			if !equalStates(wStates, realStates) {
 				t.Fatalf("program %d: windowed (workers=%d) vs serial diverged", p, workers)
 			}
@@ -486,4 +588,35 @@ func TestShardGroupPanicPropagates(t *testing.T) {
 	}()
 	g.AdvanceBefore(0, false)
 	t.Fatal("AdvanceBefore returned despite worker panic")
+}
+
+// TestShardGroupZeroAlloc pins the steady-state group paths at zero
+// allocations: serial stepping through the shard heap, and one-worker
+// windows, whose candidate walk and batch-time merge reuse group scratch.
+func TestShardGroupZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not stable under the race detector")
+	}
+	g := NewShardGroup(1)
+	for i := 0; i < 8; i++ {
+		e := NewEngine()
+		period := Time(7 + i)
+		var tick func()
+		tick = func() { e.Schedule(period, tick) }
+		e.Schedule(0, tick)
+		g.Attach(e, 0, nil)
+	}
+	var h Time
+	round := func() {
+		h += 100
+		g.AdvanceBefore(h, true)
+		h += 100
+		g.RunUntil(h)
+	}
+	for i := 0; i < 10; i++ { // grow the scratch slices
+		round()
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("window + serial round allocates %.1f objects/op, want 0", allocs)
+	}
 }
