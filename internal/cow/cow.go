@@ -29,6 +29,8 @@
 // nothing, so a freshly constructed drive is almost free until written.
 package cow
 
+import "unsafe"
+
 // deepCopy routes Snapshot/Restore through the retained deep-copy reference
 // path (SnapshotDeep/RestoreDeep) instead of chunk sharing. The two paths are
 // observationally indistinguishable — pinned by property tests in this
@@ -49,7 +51,6 @@ func DeepCopy() bool { return deepCopy }
 type Array[E comparable] struct {
 	n        int64
 	chunkLen int64
-	elemSize int64
 	fill     E
 	fillZero bool
 	chunks   [][]E
@@ -63,22 +64,20 @@ type Array[E comparable] struct {
 type Image[E comparable] struct {
 	n        int64
 	chunkLen int64
-	elemSize int64
 	fill     E
 	chunks   [][]E
 }
 
 // NewArray returns an all-fill array of n elements in chunks of chunkLen.
-// elemSize is the element's in-memory size in bytes, used only for the
-// byte totals in Stats/VisitShared accounting.
-func NewArray[E comparable](n, chunkLen, elemSize int64, fill E) *Array[E] {
-	if n < 0 || chunkLen <= 0 || elemSize <= 0 {
+// The byte totals in Stats/VisitShared accounting use E's in-memory size.
+func NewArray[E comparable](n, chunkLen int64, fill E) *Array[E] {
+	if n < 0 || chunkLen <= 0 {
 		panic("cow: invalid array shape")
 	}
 	nc := (n + chunkLen - 1) / chunkLen
 	var zero E
 	return &Array[E]{
-		n: n, chunkLen: chunkLen, elemSize: elemSize,
+		n: n, chunkLen: chunkLen,
 		fill: fill, fillZero: fill == zero,
 		chunks: make([][]E, nc), shared: make([]bool, nc),
 	}
@@ -220,7 +219,7 @@ func (a *Array[E]) Snapshot() Image[E] {
 		}
 	}
 	return Image[E]{
-		n: a.n, chunkLen: a.chunkLen, elemSize: a.elemSize, fill: a.fill,
+		n: a.n, chunkLen: a.chunkLen, fill: a.fill,
 		chunks: append([][]E(nil), a.chunks...),
 	}
 }
@@ -235,7 +234,7 @@ func (a *Array[E]) SnapshotDeep() Image[E] {
 		}
 	}
 	return Image[E]{
-		n: a.n, chunkLen: a.chunkLen, elemSize: a.elemSize, fill: a.fill,
+		n: a.n, chunkLen: a.chunkLen, fill: a.fill,
 		chunks: chunks,
 	}
 }
@@ -252,13 +251,16 @@ func (a *Array[E]) check(img Image[E]) {
 // goroutines may restore from the same image concurrently. Resets the
 // copy-on-write counter. With the deep-copy reference path selected it
 // delegates to RestoreDeep.
+//
+// The chunk pointers are copied into the array's own table, which no Image
+// ever aliases (Snapshot copies it), so restoring allocates nothing.
 func (a *Array[E]) Restore(img Image[E]) {
 	if deepCopy {
 		a.RestoreDeep(img)
 		return
 	}
 	a.check(img)
-	a.chunks = append(a.chunks[:0:0], img.chunks...)
+	copy(a.chunks, img.chunks)
 	for i := range a.shared {
 		a.shared[i] = a.chunks[i] != nil
 	}
@@ -287,7 +289,7 @@ func (a *Array[E]) RestoreDeep(img Image[E]) {
 }
 
 // Stats is chunk-level memory accounting for one or more Arrays. Add-able;
-// byte figures use the elemSize given at construction.
+// byte figures count each element at its in-memory size.
 type Stats struct {
 	OwnedChunks  int64 // chunks this holder may write in place
 	SharedChunks int64 // chunks aliasing an image (references, not unique)
@@ -305,6 +307,11 @@ func (s *Stats) Add(o Stats) {
 	s.CowCopies += o.CowCopies
 }
 
+// chunkBytes is ch's storage size in bytes.
+func (a *Array[E]) chunkBytes(ch []E) int64 {
+	return int64(len(ch)) * int64(unsafe.Sizeof(a.fill))
+}
+
 // Stats returns the array's current chunk accounting.
 func (a *Array[E]) Stats() Stats {
 	st := Stats{CowCopies: a.cowed}
@@ -312,7 +319,7 @@ func (a *Array[E]) Stats() Stats {
 		if ch == nil {
 			continue
 		}
-		b := int64(len(ch)) * a.elemSize
+		b := a.chunkBytes(ch)
 		if a.shared[i] {
 			st.SharedChunks++
 			st.SharedBytes += b
@@ -331,7 +338,7 @@ func (a *Array[E]) Stats() Stats {
 func (a *Array[E]) VisitShared(f func(id any, bytes int64)) {
 	for i, ch := range a.chunks {
 		if ch != nil && a.shared[i] {
-			f(&ch[0], int64(len(ch))*a.elemSize)
+			f(&ch[0], a.chunkBytes(ch))
 		}
 	}
 }

@@ -48,7 +48,7 @@ func TestArrayVsModel(t *testing.T) {
 	)
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		a := NewArray[int64](n, chunkLen, 8, fill)
+		a := NewArray[int64](n, chunkLen, fill)
 		m := newModel(n, fill)
 		var (
 			imgs    []Image[int64]
@@ -133,7 +133,7 @@ func TestDeepCopyPathEquivalence(t *testing.T) {
 	run := func(deep bool) []int64 {
 		SetDeepCopy(deep)
 		defer SetDeepCopy(false)
-		a := NewArray[int64](n, chunkLen, 8, 0)
+		a := NewArray[int64](n, chunkLen, 0)
 		var imgs []Image[int64]
 		for _, o := range script {
 			switch o.kind {
@@ -165,7 +165,7 @@ func TestDeepCopyPathEquivalence(t *testing.T) {
 // TestSetFillIntoAbsentChunkAllocatesNothing pins the lazy representation: a
 // fresh array writes of the fill value stay at zero materialized chunks.
 func TestSetFillIntoAbsentChunkAllocatesNothing(t *testing.T) {
-	a := NewArray[int64](128, 16, 8, -1)
+	a := NewArray[int64](128, 16, -1)
 	for i := int64(0); i < 128; i++ {
 		a.Set(i, -1)
 	}
@@ -183,12 +183,12 @@ func TestSetFillIntoAbsentChunkAllocatesNothing(t *testing.T) {
 // chunks stay shared.
 func TestCowAccounting(t *testing.T) {
 	const n, chunkLen = 256, 16
-	a := NewArray[int64](n, chunkLen, 8, 0)
+	a := NewArray[int64](n, chunkLen, 0)
 	for i := int64(0); i < n; i++ {
 		a.Set(i, i)
 	}
 	img := a.Snapshot()
-	b := NewArray[int64](n, chunkLen, 8, 0)
+	b := NewArray[int64](n, chunkLen, 0)
 	b.Restore(img)
 	if st := b.Stats(); st.OwnedChunks != 0 || st.SharedChunks != n/chunkLen || st.CowCopies != 0 {
 		t.Fatalf("after restore: %+v", st)
@@ -222,5 +222,26 @@ func TestCowAccounting(t *testing.T) {
 	// COWed #0); the union is all 16 image chunks, counted once each.
 	if want := int64(n) * 8; unique != want {
 		t.Fatalf("unique shared bytes = %d, want %d", unique, want)
+	}
+}
+
+// TestRestoreZeroAlloc pins that restoring onto a same-shape array reuses
+// its chunk table: aliasing an image's chunks copies pointers, nothing more.
+func TestRestoreZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under the race detector")
+	}
+	const n, chunkLen = 1 << 12, 16
+	a := NewArray[int32](n, chunkLen, -1)
+	for i := int64(0); i < n; i += 3 {
+		a.Set(i, int32(i))
+	}
+	img := a.Snapshot()
+	b := NewArray[int32](n, chunkLen, -1)
+	if avg := testing.AllocsPerRun(100, func() { b.Restore(img) }); avg != 0 {
+		t.Fatalf("Restore allocated %.2f objects/op, want 0", avg)
+	}
+	if b.At(3) != 3 || b.At(4) != -1 {
+		t.Fatalf("restored array reads %d, %d; want 3, -1", b.At(3), b.At(4))
 	}
 }

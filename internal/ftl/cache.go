@@ -27,13 +27,20 @@ type cacheEntry struct {
 // with admission backpressure. It holds no payload bytes (content fidelity
 // lives at the device layer); it tracks which sectors are dirty and when
 // they flush, which is all the timing and write-amplification models need.
+//
+// entries indexes every resident sector (dirty or flushing) by LBA in an
+// open-addressing table sized from the cache's capacity in sectors, the
+// entries themselves are recycled through a freelist, and the FIFO reuses
+// its backing array (push), so at steady state admitting, flushing and
+// committing sectors allocates nothing.
 type writeCache struct {
 	capBytes   int
 	flushWater int
 	sector     int
 
-	entries map[int64]*cacheEntry
-	fifo    []*cacheEntry // dirty entries in arrival order (stale nodes skipped)
+	entries cacheIndex
+	fifo    []*cacheEntry // fifo[head:]: dirty entries in arrival order (stale nodes skipped)
+	head    int
 
 	dirtyCount    int
 	dirtyBytes    int
@@ -86,7 +93,7 @@ func newWriteCache(capBytes, sector int) *writeCache {
 		capBytes:   capBytes,
 		flushWater: capBytes * 3 / 4,
 		sector:     sector,
-		entries:    make(map[int64]*cacheEntry),
+		entries:    newCacheIndex(capBytes / sector),
 	}
 }
 
@@ -98,11 +105,10 @@ func (c *writeCache) overCommitted() bool {
 // drop removes lsn from the cache (TRIM). A flushing copy is marked dead so
 // its commit discards the programmed slot.
 func (c *writeCache) drop(lsn int64) {
-	e, ok := c.entries[lsn]
-	if !ok {
+	e := c.entries.del(lsn)
+	if e == nil {
 		return
 	}
-	delete(c.entries, lsn)
 	switch e.state {
 	case entryDirty:
 		c.dirtyBytes -= c.sector
@@ -124,24 +130,22 @@ func (f *FTL) writeCached(lsn int64, count int, done func()) {
 	attr := f.prof.Cur()
 	for s := int64(0); s < int64(count); s++ {
 		l := lsn + s
-		if e, ok := c.entries[l]; ok {
+		if e := c.entries.get(l); e != nil {
 			f.counters.CacheHits++
 			if e.state == entryFlushing {
 				// Supersede the in-flight copy: this entry becomes dirty
 				// again; the flying program's slot will be dead on commit.
 				e.state = entryDirty
 				e.flight = nil
-				e.queued = true
-				c.fifo = append(c.fifo, e)
+				c.push(e)
 				c.dirtyBytes += c.sector
 				c.dirtyCount++
 			}
 			continue
 		}
 		e := c.newEntry(l)
-		e.queued = true
-		c.entries[l] = e
-		c.fifo = append(c.fifo, e)
+		c.entries.put(l, e)
+		c.push(e)
 		c.dirtyBytes += c.sector
 		c.dirtyCount++
 	}
@@ -170,15 +174,30 @@ func (f *FTL) maybeFlushCache() {
 	}
 }
 
+// push queues e at the FIFO's tail. Once the backing array is full and at
+// least half of it is popped nodes, the queued nodes slide down to its
+// start instead of growing it, so at steady state the queue reuses one
+// array rather than reallocating as its head advances.
+func (c *writeCache) push(e *cacheEntry) {
+	if len(c.fifo) == cap(c.fifo) && 2*c.head >= len(c.fifo) {
+		n := copy(c.fifo, c.fifo[c.head:])
+		clear(c.fifo[n:])
+		c.fifo, c.head = c.fifo[:n], 0
+	}
+	e.queued = true
+	c.fifo = append(c.fifo, e)
+}
+
 // popDirty removes and returns the oldest dirty entry, skipping stale
 // nodes. Skipped nodes were the last reference to their (dead) entries, so
 // this is also where trimmed-while-dirty entries return to the freelist.
 func (c *writeCache) popDirty() *cacheEntry {
-	for len(c.fifo) > 0 {
-		e := c.fifo[0]
-		c.fifo = c.fifo[1:]
+	for c.head < len(c.fifo) {
+		e := c.fifo[c.head]
+		c.fifo[c.head] = nil
+		c.head++
 		e.queued = false
-		if e.state == entryDirty && c.entries[e.lsn] == e {
+		if e.state == entryDirty && c.entries.get(e.lsn) == e {
 			return e
 		}
 		c.recycleIfDead(e)
@@ -240,7 +259,7 @@ func (f *FTL) commitCachedSector(e *cacheEntry, op *pageOp, lsn, psn int64) {
 		// This copy is still the newest: install it and retire the entry.
 		e.state = entryDead
 		e.flight = nil
-		delete(c.entries, lsn)
+		c.entries.del(lsn)
 		f.commitMapping(lsn, psn)
 		if op.slc && f.pslcIndex != nil {
 			f.pslcIndex[lsn] = psn

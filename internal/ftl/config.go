@@ -18,6 +18,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"ssdtp/internal/nand"
 	"ssdtp/internal/obs"
@@ -282,6 +283,23 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("%w: GC high water must exceed low water", ErrBadConfig)
 	case c.RAIN.DataPages < 0:
 		return fmt.Errorf("%w: negative RAIN stripe", ErrBadConfig)
+	case !fitsInt32(c.Channels, c.ChipsPerChannel, c.Geometry.Dies, c.Geometry.Planes,
+		c.Geometry.BlocksPerPlane, c.Geometry.PagesPerBlock, c.Geometry.PageSize/c.SectorSize):
+		return fmt.Errorf("%w: more than %d physical sectors, the most the 32-bit mapping tables address",
+			ErrBadConfig, math.MaxInt32)
 	}
 	return nil
+}
+
+// fitsInt32 reports whether the product of the positive factors is at most
+// math.MaxInt32, without overflowing on the way.
+func fitsInt32(factors ...int) bool {
+	p := 1
+	for _, x := range factors {
+		if x > math.MaxInt32/p {
+			return false
+		}
+		p *= x
+	}
+	return true
 }

@@ -18,11 +18,14 @@ const (
 	psnMapMeta int64 = -3 // mapping-journal payload
 )
 
-// Chunk lengths for the FTL's COW arrays: mapChunk elements per l2p/p2l
-// chunk (32 KiB of table — fine enough that a clone's dirty set tracks what
-// its tenants actually touch), blockChunk for the small per-block counters.
+// Chunk lengths for the FTL's COW arrays (DESIGN.md §12). mapChunk is the
+// l2p/p2l chunk: 256 int32 entries, 1 KiB of table. A write to a random LBA
+// touches a random l2p chunk and the p2l chunk of the sector's old location,
+// and a clone copies each on its first write to it; a small chunk keeps that
+// copy, and the clone's dirty set, close to what its tenants actually touch.
+// blockChunk covers the per-block counters, which are small either way.
 const (
-	mapChunk   = 4096
+	mapChunk   = 256
 	blockChunk = 256
 )
 
@@ -103,8 +106,8 @@ type FTL struct {
 	puTotal   int64
 
 	logicalSectors int64
-	l2p            *cow.Array[int64]
-	p2l            *cow.Array[int64]
+	l2p            mapTable
+	p2l            mapTable
 	blockValid     *cow.Array[int32]
 	blockInflight  []int32
 	blockErases    *cow.Array[int32]
@@ -251,12 +254,12 @@ func New(eng *sim.Engine, flash Flash, cfg Config) *FTL {
 	// image until first write (DESIGN.md §12). blockInflight stays a plain
 	// slice — it is transient scheduling state, provably all-zero whenever a
 	// snapshot is legal.
-	f.l2p = cow.NewArray[int64](logical, mapChunk, 8, psnFree)
-	f.p2l = cow.NewArray[int64](totalSectors, mapChunk, 8, psnFree)
+	f.l2p = newMapTable(logical)
+	f.p2l = newMapTable(totalSectors)
 	totalBlocks := int64(f.numPU) * int64(f.blksPerPU)
-	f.blockValid = cow.NewArray[int32](totalBlocks, blockChunk, 4, 0)
+	f.blockValid = cow.NewArray[int32](totalBlocks, blockChunk, 0)
 	f.blockInflight = make([]int32, totalBlocks)
-	f.blockErases = cow.NewArray[int32](totalBlocks, blockChunk, 4, 0)
+	f.blockErases = cow.NewArray[int32](totalBlocks, blockChunk, 0)
 
 	f.pus = make([]puState, f.numPU)
 	for i := range f.pus {
@@ -768,7 +771,7 @@ func (f *FTL) Read(lsn int64, count int, done func()) error {
 	for s := int64(0); s < int64(count); s++ {
 		l := lsn + s
 		if f.cache != nil {
-			if _, ok := f.cache.entries[l]; ok {
+			if f.cache.entries.get(l) != nil {
 				f.counters.CacheReadHits++
 				continue
 			}

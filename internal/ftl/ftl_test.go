@@ -1,7 +1,9 @@
 package ftl
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -511,18 +513,31 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
+	// oneChip reshapes c into one chip of blocks × pages one-sector pages.
+	oneChip := func(c *Config, blocks, pages int) {
+		c.Channels, c.ChipsPerChannel = 1, 1
+		c.Geometry = nand.Geometry{Dies: 1, Planes: 1, BlocksPerPlane: blocks,
+			PagesPerBlock: pages, PageSize: c.SectorSize}
+	}
+	// The largest drive the 32-bit mapping tables address.
+	atLimit := smallConfig()
+	oneChip(&atLimit, math.MaxInt32, 1)
+	if err := atLimit.Validate(); err != nil {
+		t.Fatalf("drive of math.MaxInt32 physical sectors rejected: %v", err)
+	}
 	cases := []func(*Config){
 		func(c *Config) { c.Channels = 0 },
 		func(c *Config) { c.SectorSize = 3000 },
 		func(c *Config) { c.OverProvision = 0.95 },
 		func(c *Config) { c.RAIN.DataPages = -1 },
 		func(c *Config) { c.GCLowWater = 1 },
+		func(c *Config) { oneChip(c, 1<<30, 2) }, // 2^31 sectors: would truncate
 	}
 	for i, mutate := range cases {
 		cfg := smallConfig()
 		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("case %d: bad config accepted", i)
+		if err := cfg.Validate(); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("case %d: Validate = %v, want ErrBadConfig", i, err)
 		}
 	}
 }

@@ -46,8 +46,8 @@ type puSnap struct {
 // chunk only on its first write to it (DESIGN.md §12).
 type State struct {
 	allocSeq    int64
-	l2p         cow.Image[int64]
-	p2l         cow.Image[int64]
+	l2p         cow.Image[int32]
+	p2l         cow.Image[int32]
 	blockValid  cow.Image[int32]
 	blockErases cow.Image[int32]
 	validTotal  int64
@@ -101,7 +101,7 @@ func (f *FTL) Snapshot() *State {
 		panic("ftl: Snapshot with refresh programs outstanding")
 	}
 	if c := f.cache; c != nil {
-		if len(c.entries) != 0 || c.dirtyCount != 0 || c.dirtyBytes != 0 ||
+		if c.entries.n != 0 || c.dirtyCount != 0 || c.dirtyBytes != 0 ||
 			c.flushingBytes != 0 || c.inflight != 0 || len(c.admitWaiters) != 0 {
 			panic("ftl: Snapshot with a non-clean cache")
 		}

@@ -26,9 +26,12 @@ const (
 	PageProgrammed
 )
 
-// Chunk lengths for the chip's COW metadata arrays. Per-page arrays use a
-// coarser grain than the payload store (a 256-page state chunk is 256 bytes —
-// copying one on first write is noise); per-block arrays are tiny either way.
+// Chunk lengths for the chip's COW metadata arrays (DESIGN.md §12). A
+// per-page chunk covers 256 pages: 256 B of page state, and 2 KiB of birth
+// stamps when the reliability model keeps them. Pages are programmed in
+// order within a block, so a clone's writes dirty few of them. A per-block
+// chunk covers 64 blocks, 512 B of each counter. A sweep of both at a
+// quarter and four times these lengths moved no benchmark workload.
 const (
 	pageMetaChunk  = 256
 	blockMetaChunk = 64
@@ -94,13 +97,13 @@ func NewChip(cfg ChipConfig) *Chip {
 	c := &Chip{
 		cfg:    cfg,
 		geom:   g,
-		state:  cow.NewArray[PageState](g.Pages(), pageMetaChunk, 1, PageErased),
-		cursor: cow.NewArray[int](int64(g.Blocks()), blockMetaChunk, 8, 0),
-		erases: cow.NewArray[int](int64(g.Blocks()), blockMetaChunk, 8, 0),
-		reads:  cow.NewArray[int](int64(g.Blocks()), blockMetaChunk, 8, 0),
+		state:  cow.NewArray[PageState](g.Pages(), pageMetaChunk, PageErased),
+		cursor: cow.NewArray[int](int64(g.Blocks()), blockMetaChunk, 0),
+		erases: cow.NewArray[int](int64(g.Blocks()), blockMetaChunk, 0),
+		reads:  cow.NewArray[int](int64(g.Blocks()), blockMetaChunk, 0),
 	}
 	if cfg.Reliability.Enabled() {
-		c.birth = cow.NewArray[int64](g.Pages(), pageMetaChunk, 8, 0)
+		c.birth = cow.NewArray[int64](g.Pages(), pageMetaChunk, 0)
 	}
 	if cfg.StoreData {
 		c.data = newPageStore(g.PageSize, g.Pages())

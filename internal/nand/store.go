@@ -24,7 +24,7 @@ type pageStore struct {
 func newPageStore(pageSize int, pages int64) *pageStore {
 	return &pageStore{
 		pageSize: pageSize,
-		arr:      cow.NewArray[byte](pages*int64(pageSize), pagesPerChunk*int64(pageSize), 1, 0),
+		arr:      cow.NewArray[byte](pages*int64(pageSize), pagesPerChunk*int64(pageSize), 0),
 	}
 }
 

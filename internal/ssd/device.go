@@ -136,7 +136,7 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 		// snapshot/clone is O(dirty chunks) instead of O(written bytes).
 		// The chunk length is a multiple of the sector size so every
 		// sector-aligned write lands inside one chunk.
-		d.content = cow.NewArray[byte](d.Size(), contentChunkSectors*int64(d.sectorSize), 1, 0)
+		d.content = cow.NewArray[byte](d.Size(), contentChunkSectors*int64(d.sectorSize), 0)
 	}
 	cfg.Trace.SetTimelineSource(d.FillLogPage)
 	return d
