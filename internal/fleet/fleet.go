@@ -111,6 +111,11 @@ type Fleet struct {
 	// prefetchedBatches counts event batches fired inside windows — coverage
 	// telemetry for tests; never exported (it would differ from serial runs).
 	prefetchedBatches int64
+
+	// freeReqs and freeFrags recycle volume-request descriptors, so a
+	// steady-state tenant request allocates nothing in the fleet.
+	freeReqs  []*volReq
+	freeFrags []*volFrag
 }
 
 // New assembles a tier over devs on the host engine eng. Each device must be
@@ -327,39 +332,36 @@ func (f *Fleet) AddVolume(name string, group []int, bytes int64) (*Volume, error
 		rowCap:   DefaultRowCap,
 	}
 	// Validate the whole allocation before committing any cursor movement,
-	// so a failed AddVolume leaves the tier exactly as it found it.
-	need := make(map[int]int64)
-	for e := int64(0); e < extents; e++ {
-		di := group[int(e)%len(group)]
+	// so a failed AddVolume leaves the tier exactly as it found it. Extent e
+	// goes to group[e%len(group)], so group position j holds every extent
+	// e ≡ j (mod len(group)); need sums those per drive, which also covers a
+	// drive listed more than once.
+	need := make([]int64, len(f.drives))
+	k := int64(len(group))
+	for j, di := range group[:min(k, extents)] {
 		if di < 0 || di >= len(f.drives) {
 			return nil, fmt.Errorf("fleet: volume %s: drive index %d out of range", name, di)
 		}
-		need[di] += f.stripe
+		need[di] += ((extents-1-int64(j))/k + 1) * f.stripe
 	}
 	for di, n := range need {
-		d := f.drives[di]
-		if d.cursor+n > d.dev.Size() {
+		if d := f.drives[di]; n > 0 && d.cursor+n > d.dev.Size() {
 			return nil, fmt.Errorf("fleet: volume %s: drive %d cannot hold %d more bytes (%d of %d used)",
 				name, di, n, d.cursor, d.dev.Size())
 		}
 	}
-	touched := map[int]bool{}
 	for e := int64(0); e < extents; e++ {
-		di := group[int(e)%len(group)]
+		di := group[e%k]
 		d := f.drives[di]
 		v.extDrive[e] = int32(di)
 		v.extBase[e] = d.cursor
 		d.cursor += f.stripe
-		touched[di] = true
 	}
-	for di := range touched {
-		f.drives[di].tenants++
-		v.shared = append(v.shared, di)
-	}
-	// Deterministic flush fan-out order.
-	for i := 1; i < len(v.shared); i++ {
-		for j := i; j > 0 && v.shared[j] < v.shared[j-1]; j-- {
-			v.shared[j], v.shared[j-1] = v.shared[j-1], v.shared[j]
+	// Ascending drive order: the deterministic flush fan-out order.
+	for di, n := range need {
+		if n > 0 {
+			f.drives[di].tenants++
+			v.shared = append(v.shared, di)
 		}
 	}
 	f.vols = append(f.vols, v)
@@ -378,28 +380,13 @@ func (v *Volume) Size() int64 { return v.size }
 // SectorSize returns the tier's common sector size (workload.Target).
 func (v *Volume) SectorSize() int { return v.f.sector }
 
-// frag is one drive-local piece of a volume request.
-type frag struct {
-	di  int32
-	off int64
-	n   int64
-}
-
-// split cuts [off, off+length) at extent boundaries into drive-local pieces.
-func (v *Volume) split(off, length int64) []frag {
-	frags := make([]frag, 0, 1+length/v.f.stripe)
-	for length > 0 {
-		e := off / v.f.stripe
-		within := off % v.f.stripe
-		n := v.f.stripe - within
-		if n > length {
-			n = length
-		}
-		frags = append(frags, frag{di: v.extDrive[e], off: v.extBase[e] + within, n: n})
-		off += n
-		length -= n
-	}
-	return frags
+// piece returns the drive-local head of [off, off+length): its drive, its
+// local offset, and its length, which ends at the next extent boundary or at
+// off+length. submit walks a request with it, one piece per extent touched.
+func (v *Volume) piece(off, length int64) (di int32, local, n int64) {
+	e := off / v.f.stripe
+	within := off % v.f.stripe
+	return v.extDrive[e], v.extBase[e] + within, min(v.f.stripe-within, length)
 }
 
 // checkIO validates a request against the volume's bounds and alignment.
@@ -422,14 +409,84 @@ const (
 	opTrim
 )
 
-func (k opKind) String() string {
-	switch k {
-	case opWrite:
-		return "write"
-	case opRead:
-		return "read"
-	default:
-		return "trim"
+// opSpans are the tenant-request span names, by opKind.
+var opSpans = [...]string{opWrite: "fleet.write", opRead: "fleet.read", opTrim: "fleet.trim"}
+
+// volReq is one tenant request in flight: the joint completion state its
+// drive pieces report into. Descriptors are recycled through
+// Fleet.freeReqs; the last piece to complete releases its request before
+// calling the tenant's done, so a completion that submits again reuses it.
+type volReq struct {
+	v            *Volume
+	start        sim.Time
+	remaining    int
+	gc, gcShared sim.Time
+	sp           obs.Span
+	done         func()
+}
+
+// volFrag is one drive-local piece of a volReq. complete is its completion
+// method value, bound once when the descriptor is first allocated and handed
+// to the drive on every reuse (Fleet.freeFrags).
+type volFrag struct {
+	req      *volReq
+	d        *drive
+	shared   bool // d backs other tenants too
+	complete func()
+}
+
+// newReq returns a recycled (or fresh) request descriptor.
+func (f *Fleet) newReq() *volReq {
+	if n := len(f.freeReqs); n > 0 {
+		r := f.freeReqs[n-1]
+		f.freeReqs = f.freeReqs[:n-1]
+		return r
+	}
+	return new(volReq)
+}
+
+// newFrag returns a recycled (or fresh) piece descriptor.
+func (f *Fleet) newFrag() *volFrag {
+	if n := len(f.freeFrags); n > 0 {
+		fr := f.freeFrags[n-1]
+		f.freeFrags = f.freeFrags[:n-1]
+		return fr
+	}
+	fr := new(volFrag)
+	fr.complete = fr.done
+	return fr
+}
+
+// done is a piece's completion: it consumes the drive's attribution row
+// into the request's gc_stall accounting and, on the request's last piece,
+// records the request, ends its span and completes it to the tenant.
+func (fr *volFrag) done() {
+	r, d, shared := fr.req, fr.d, fr.shared
+	v := r.v
+	f := v.f
+	if f.prefetching {
+		panic("fleet: completion inside a prefetch window (drive violated its completion floor)")
+	}
+	fr.req, fr.d = nil, nil
+	f.freeFrags = append(f.freeFrags, fr)
+	if row, ok := d.takeRow(); ok {
+		g := row.Phases[obs.PhaseGCStall]
+		r.gc += g
+		if shared {
+			r.gcShared += g
+		}
+	}
+	r.remaining--
+	if r.remaining > 0 {
+		return
+	}
+	v.record(f.eng.Now()-r.start, r.gc, r.gcShared)
+	r.sp.End()
+	done := r.done
+	*r = volReq{}
+	f.freeReqs = append(f.freeReqs, r)
+	if done != nil {
+		done()
 	}
 }
 
@@ -440,57 +497,41 @@ func (v *Volume) submit(kind opKind, off, length int64, done func()) error {
 	if err := v.checkIO(off, length); err != nil {
 		return err
 	}
-	var sp obs.Span
-	if v.f.tr.Enabled() {
-		sp = v.f.tr.Begin("fleet."+kind.String(),
+	f := v.f
+	r := f.newReq()
+	r.v, r.start, r.done = v, f.eng.Now(), done
+	if f.tr.Enabled() {
+		r.sp = f.tr.Begin(opSpans[kind],
 			obs.Str("tenant", v.name), obs.Int("off", off), obs.Int("len", length))
 	}
-	frags := v.split(off, length)
-	start := v.f.eng.Now()
-	remaining := len(frags)
-	var gc, gcShared sim.Time
-	for _, fr := range frags {
-		d := v.f.drives[fr.di]
-		shared := d.tenants > 1
-		v.f.syncDrive(d)
+	// Count every piece before issuing any: syncing a later piece's drive
+	// may complete an earlier piece on the same drive.
+	r.remaining = int((off+length-1)/f.stripe - off/f.stripe + 1)
+	for length > 0 {
+		di, local, n := v.piece(off, length)
+		off, length = off+n, length-n
+		d := f.drives[di]
+		fr := f.newFrag()
+		fr.req, fr.d, fr.shared = r, d, d.tenants > 1
+		f.syncDrive(d)
 		v.subRequests++
-		subDone := func() {
-			if v.f.prefetching {
-				panic("fleet: completion inside a prefetch window (drive violated its completion floor)")
-			}
-			if row, ok := d.takeRow(); ok {
-				g := row.Phases[obs.PhaseGCStall]
-				gc += g
-				if shared {
-					gcShared += g
-				}
-			}
-			remaining--
-			if remaining == 0 {
-				v.record(v.f.eng.Now()-start, gc, gcShared)
-				sp.End()
-				if done != nil {
-					done()
-				}
-			}
-		}
 		var err error
 		switch kind {
 		case opWrite:
-			err = d.dev.WriteAsync(fr.off, nil, fr.n, subDone)
+			err = d.dev.WriteAsync(local, nil, n, fr.complete)
 		case opRead:
-			err = d.dev.ReadAsync(fr.off, nil, fr.n, subDone)
+			err = d.dev.ReadAsync(local, nil, n, fr.complete)
 		case opTrim:
-			err = d.dev.TrimAsync(fr.off, fr.n, subDone)
+			err = d.dev.TrimAsync(local, n, fr.complete)
 		}
-		v.f.group.Touch(d.idx)
+		f.group.Touch(d.idx)
 		if err != nil {
 			// The volume range was validated above; a drive rejecting a
 			// mapped piece means the extent map is corrupt.
-			panic(fmt.Sprintf("fleet %s: drive %d rejected mapped I/O: %v", v.name, fr.di, err))
+			panic(fmt.Sprintf("fleet %s: drive %d rejected mapped I/O: %v", v.name, di, err))
 		}
 	}
-	v.f.armPump()
+	f.armPump()
 	return nil
 }
 

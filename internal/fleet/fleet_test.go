@@ -72,6 +72,23 @@ func TestPlacementGroups(t *testing.T) {
 	}
 }
 
+// testPiece is one drive-local piece of a volume request.
+type testPiece struct {
+	di     int32
+	off, n int64
+}
+
+// pieces walks [off, off+length) the way submit does.
+func pieces(v *Volume, off, length int64) []testPiece {
+	var ps []testPiece
+	for length > 0 {
+		di, local, n := v.piece(off, length)
+		ps = append(ps, testPiece{di, local, n})
+		off, length = off+n, length-n
+	}
+	return ps
+}
+
 func TestVolumeExtentMapping(t *testing.T) {
 	f := testFleet(t, 4, 256*1024)
 	v, err := f.AddVolume("a", []int{0, 1, 2, 3}, 4*1024*1024)
@@ -82,7 +99,7 @@ func TestVolumeExtentMapping(t *testing.T) {
 		t.Fatalf("size = %d", v.Size())
 	}
 	// Extent e lives on drive e%4 at local offset (e/4)*stripe.
-	frags := v.split(0, 3*256*1024)
+	frags := pieces(v, 0, 3*256*1024)
 	if len(frags) != 3 {
 		t.Fatalf("frags = %d", len(frags))
 	}
@@ -92,7 +109,7 @@ func TestVolumeExtentMapping(t *testing.T) {
 		}
 	}
 	// Mid-extent request stays on one drive with the right local offset.
-	frags = v.split(256*1024+4096, 8192)
+	frags = pieces(v, 256*1024+4096, 8192)
 	if len(frags) != 1 || frags[0].di != 1 || frags[0].off != 4096 || frags[0].n != 8192 {
 		t.Errorf("mid-extent frag = %+v", frags[0])
 	}
@@ -115,6 +132,39 @@ func TestVolumeCapacityAndBounds(t *testing.T) {
 	}
 	if err := v.ReadAsync(-4096, nil, 4096, nil); err == nil {
 		t.Error("negative-offset read accepted")
+	}
+}
+
+// TestAddVolumeDuplicateDrives: a drive listed twice in a group takes the
+// extents of both positions, validation sums them before committing, and
+// the volume's flush fan-out lists each drive once, in ascending order.
+func TestAddVolumeDuplicateDrives(t *testing.T) {
+	const stripe = 256 * 1024
+	f := testFleet(t, 3, stripe)
+	v, err := f.AddVolume("a", []int{2, 0, 2}, 5*stripe) // extents on 2, 0, 2, 2, 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDrive := []int32{2, 0, 2, 2, 0}
+	wantBase := []int64{0, 0, stripe, 2 * stripe, stripe}
+	for e := range wantDrive {
+		if v.extDrive[e] != wantDrive[e] || v.extBase[e] != wantBase[e] {
+			t.Errorf("extent %d on drive %d at %d, want drive %d at %d",
+				e, v.extDrive[e], v.extBase[e], wantDrive[e], wantBase[e])
+		}
+	}
+	if fmt.Sprint(v.shared) != "[0 2]" || f.drives[0].tenants != 1 || f.drives[1].tenants != 0 || f.drives[2].tenants != 1 {
+		t.Errorf("shared %v, tenants %d/%d/%d; want [0 2] and 1/0/1",
+			v.shared, f.drives[0].tenants, f.drives[1].tenants, f.drives[2].tenants)
+	}
+	// Of every 3 extents, drive 2 takes two and drive 0 one: a volume that
+	// fits drive 0 but not drive 2 must fail and change nothing.
+	m := (f.drives[2].dev.Size()-f.drives[2].cursor)/stripe/2 + 1
+	if _, err := f.AddVolume("b", []int{2, 0, 2}, 3*m*stripe); err == nil {
+		t.Fatal("volume overfilling the duplicated drive accepted")
+	}
+	if f.drives[0].cursor != 2*stripe || f.drives[2].cursor != 3*stripe {
+		t.Errorf("failed AddVolume moved cursors to %d/%d", f.drives[0].cursor, f.drives[2].cursor)
 	}
 }
 

@@ -27,6 +27,7 @@ type puState struct {
 
 	gcRunning bool
 	job       *gcJob    // in-progress victim collection (nil between victims)
+	spareJob  *gcJob    // the last finished job, recycled by the next collectBlock
 	waiters   []*pageOp // page ops awaiting a free block
 }
 

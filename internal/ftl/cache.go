@@ -89,11 +89,14 @@ func newWriteCache(capBytes, sector int) *writeCache {
 	if capBytes <= 0 {
 		capBytes = 16 * sector // degenerate but functional minimum
 	}
+	// writeCached admits a whole request before it stalls, so residency can
+	// overshoot the capacity by up to one request; the index holds room for
+	// one more cache's worth of sectors, so that overshoot never rehashes it.
 	return &writeCache{
 		capBytes:   capBytes,
 		flushWater: capBytes * 3 / 4,
 		sector:     sector,
-		entries:    newCacheIndex(capBytes / sector),
+		entries:    newCacheIndex(2 * capBytes / sector),
 	}
 }
 
@@ -191,13 +194,17 @@ func (c *writeCache) push(e *cacheEntry) {
 // popDirty removes and returns the oldest dirty entry, skipping stale
 // nodes. Skipped nodes were the last reference to their (dead) entries, so
 // this is also where trimmed-while-dirty entries return to the freelist.
+//
+// A dirty entry is always the index's entry for its LSN, so no index lookup
+// is needed here: both index deletions (drop, commitCachedSector) mark the
+// entry dead, and an entry is recycled (and indexed afresh) only once dead.
 func (c *writeCache) popDirty() *cacheEntry {
 	for c.head < len(c.fifo) {
 		e := c.fifo[c.head]
 		c.fifo[c.head] = nil
 		c.head++
 		e.queued = false
-		if e.state == entryDirty && c.entries.get(e.lsn) == e {
+		if e.state == entryDirty {
 			return e
 		}
 		c.recycleIfDead(e)

@@ -15,11 +15,20 @@ type cacheSlot struct {
 // the slots are full. Its memory is O(cache capacity), not O(LBAs): the
 // cache bounds how many sectors are resident at once, and newCacheIndex
 // sizes the table so a full cache stays at or under half load.
+//
+// Homes are grouped by cache line: each aligned group of homeGroup
+// consecutive LBAs hashes to one group of adjacent slots (64 bytes of
+// 16-byte slots), so a sequential run of sectors — a multi-sector write,
+// or a page's worth of cache flush — touches one line per group rather
+// than one per sector.
 type cacheIndex struct {
 	slots []cacheSlot
-	shift uint // 64 - log2(len(slots)): home() keeps the hash's top bits
+	shift uint // 64 - log2(len(slots)/homeGroup): home() keeps the hash's top bits
 	n     int
 }
+
+// homeGroup is how many consecutive LBAs share one cache line of slots.
+const homeGroup = 4
 
 // newCacheIndex returns an index with room for capacity entries at half
 // load.
@@ -36,7 +45,7 @@ func newCacheIndex(capacity int) cacheIndex {
 func (x *cacheIndex) resize(size int) {
 	old := x.slots
 	x.slots = make([]cacheSlot, size)
-	x.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	x.shift = uint(64 - bits.TrailingZeros(uint(size/homeGroup)))
 	for _, s := range old {
 		if s.e != nil {
 			x.slots[x.find(s.lsn)] = s
@@ -46,10 +55,13 @@ func (x *cacheIndex) resize(size int) {
 
 func (x *cacheIndex) mask() int { return len(x.slots) - 1 }
 
-// home is lsn's preferred slot (Fibonacci hashing: sequential LBAs spread
-// across the table instead of filling one run).
+// home is lsn's preferred slot: its offset within its aligned group of
+// homeGroup LBAs, in the slot group picked by Fibonacci hashing the group
+// number (so sequential groups spread across the table instead of filling
+// one run).
 func (x *cacheIndex) home(lsn int64) int {
-	return int(uint64(lsn) * 0x9E3779B97F4A7C15 >> x.shift)
+	g := uint64(lsn) / homeGroup
+	return int(g*0x9E3779B97F4A7C15>>x.shift)*homeGroup + int(uint64(lsn)%homeGroup)
 }
 
 // find returns lsn's slot, or the empty slot that ends its probe run.

@@ -144,6 +144,56 @@ func TestCacheIndexVsMap(t *testing.T) {
 	}
 }
 
+// TestCacheIndexGroupedHomes pins the home layout: the LBAs of each aligned
+// group of homeGroup share one line of adjacent slots, in LBA order.
+func TestCacheIndexGroupedHomes(t *testing.T) {
+	x := newCacheIndex(512)
+	for g := int64(0); g < 4096; g++ {
+		base := x.home(g * homeGroup)
+		if base%homeGroup != 0 {
+			t.Fatalf("group %d starts at slot %d, not at a line boundary", g, base)
+		}
+		for k := int64(1); k < homeGroup; k++ {
+			if got := x.home(g*homeGroup + k); got != base+int(k) {
+				t.Fatalf("lsn %d homed at slot %d, want %d", g*homeGroup+k, got, base+int(k))
+			}
+		}
+	}
+}
+
+// TestCacheIndexKeepsItsSize checks the index's sizing rule: the cache
+// admits a whole write before it stalls, so it overshoots its capacity by
+// up to one request, and the index is built large enough that this never
+// rehashes it mid-run. A warm run of 64 KiB writes must overshoot and leave
+// the table at its construction size.
+func TestCacheIndexKeepsItsSize(t *testing.T) {
+	cfg := smallConfig()
+	eng := sim.NewEngine()
+	f := New(eng, newZAFlash(eng, cfg), cfg)
+	c := f.cache
+	size := len(c.entries.slots)
+	capacity := cfg.CacheBytes / cfg.SectorSize
+	const n = 16 // sectors per 64 KiB write
+	rng := rand.New(rand.NewSource(1))
+	peak := 0
+	for i := 0; i < 3000; i++ {
+		done := false
+		if err := f.Write(rng.Int63n(f.logicalSectors/n)*n, n, func() { done = true }); err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, c.entries.n)
+		if eng.RunWhile(func() bool { return !done }) {
+			t.Fatal("write never completed")
+		}
+	}
+	if peak <= capacity {
+		t.Fatalf("index peaked at %d entries, never past the cache's %d sectors", peak, capacity)
+	}
+	if len(c.entries.slots) != size {
+		t.Fatalf("index grew from %d to %d slots (peak %d entries)", size, len(c.entries.slots), peak)
+	}
+}
+
 // zaFlash is a Flash that completes every operation after a fixed delay
 // per kind, through one prebuilt callback per kind and reused FIFO queues,
 // so unlike fakeFlash it allocates nothing per operation.

@@ -110,9 +110,18 @@ func newTestFTL(t *testing.T, cfg Config) (*sim.Engine, *fakeFlash, *FTL) {
 	return eng, fl, New(eng, fl, cfg)
 }
 
-// checkInvariants validates the L2P/P2L bijection and block accounting.
+// checkInvariants validates the L2P/P2L bijection, block accounting, and
+// the write cache's FIFO: every dirty entry queued there is the index's
+// entry for its LSN (popDirty relies on it).
 func checkInvariants(t *testing.T, f *FTL) {
 	t.Helper()
+	if c := f.cache; c != nil {
+		for _, e := range c.fifo[c.head:] {
+			if e.state == entryDirty && c.entries.get(e.lsn) != e {
+				t.Fatalf("dirty FIFO entry for lsn %d is not the index's entry %p", e.lsn, c.entries.get(e.lsn))
+			}
+		}
+	}
 	mapped := int64(0)
 	for lsn := int64(0); lsn < f.l2p.Len(); lsn++ {
 		psn := f.l2p.At(lsn)

@@ -182,7 +182,12 @@ type gcJob struct {
 // PU's channel and die — this contention is the tail-latency mechanism of
 // the paper's Figure 3.
 func (f *FTL) collectBlock(pu *puState, victim int32) {
-	job := &gcJob{victim: victim}
+	job := pu.spareJob
+	if job == nil {
+		job = new(gcJob)
+	}
+	pu.spareJob = nil
+	*job = gcJob{victim: victim, moves: job.moves[:0], readPages: job.readPages[:0]}
 	blockBase := f.ppnOf(pu.index, victim, 0) * int64(f.secPerPage)
 	for p := 0; p < f.pagesPerBlk; p++ {
 		pageLive := false
@@ -302,6 +307,8 @@ func (f *FTL) gcEraseDone(pu *puState, err error) {
 		*f.blockErases.Ptr(f.globalBlock(pu.index, job.victim))++
 		pu.free = append(pu.free, job.victim)
 	}
+	job.sp = obs.Span{}
+	pu.spareJob = job
 	f.drainPUWaiters(pu)
 	f.gcStep(pu)
 	f.pumpDrain()

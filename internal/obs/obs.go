@@ -118,14 +118,26 @@ func (t *Tracer) DroppedRecords() int64 {
 	return t.droppedRecs
 }
 
-// addRecord buffers r, or drops it when the record cap is reached.
-func (t *Tracer) addRecord(r record) {
-	if t.recCap > 0 && len(t.recs) >= t.recCap {
+// full reports whether the record cap is reached. Records are never removed,
+// so a full tracer drops every later record.
+func (t *Tracer) full() bool { return t.recCap > 0 && len(t.recs) >= t.recCap }
+
+// keep reports whether the next record will be buffered, counting it as
+// dropped when it will not. Callers build the record (and copy its
+// attributes) only after keep returns true, so a full tracer allocates
+// nothing and the variadic attribute slices of Begin, Emit, Event and End
+// never escape their call sites.
+func (t *Tracer) keep() bool {
+	if t.full() {
 		t.droppedRecs++
-		return
+		return false
 	}
-	t.recs = append(t.recs, r)
+	return true
 }
+
+// copyAttrs returns a tracer-owned copy of a caller's attributes (nil when
+// there are none).
+func copyAttrs(attrs []Attr) []Attr { return append([]Attr(nil), attrs...) }
 
 // Label returns the cell label the tracer was created with.
 func (t *Tracer) Label() string {
@@ -212,21 +224,26 @@ func (t *Tracer) now() sim.Time {
 
 // Begin opens a span. The returned Span is a value; pass it into the
 // completion callback and call End there. When the tracer is nil or
-// suspended, the span is inert and End/Event on it are no-ops.
+// suspended, the span is inert and End/Event on it are no-ops. On a full
+// tracer the span is still active but carries id 0: its End counts one
+// dropped record and keeps nothing.
 func (t *Tracer) Begin(name string, attrs ...Attr) Span {
 	if !t.Enabled() {
 		return Span{}
 	}
 	t.nextID++
-	return Span{tr: t, id: t.nextID, name: name, start: t.now(), attrs: attrs}
+	if t.full() {
+		return Span{tr: t, name: name}
+	}
+	return Span{tr: t, id: t.nextID, name: name, start: t.now(), attrs: copyAttrs(attrs)}
 }
 
 // Emit records a top-level point event at the current simulated time.
 func (t *Tracer) Emit(name string, attrs ...Attr) {
-	if !t.Enabled() {
+	if !t.Enabled() || !t.keep() {
 		return
 	}
-	t.addRecord(record{kind: recEvent, name: name, start: t.now(), attrs: attrs})
+	t.recs = append(t.recs, record{kind: recEvent, name: name, start: t.now(), attrs: copyAttrs(attrs)})
 }
 
 // Metrics returns the tracer's metric set, or nil for a nil tracer. The
@@ -264,11 +281,12 @@ func (s Span) Active() bool { return s.tr != nil }
 // Event records a point event inside the span (a lifecycle phase: dispatch,
 // issue, retry) at the current simulated time.
 func (s Span) Event(name string, attrs ...Attr) {
-	if s.tr == nil || s.tr.suspended {
+	t := s.tr
+	if t == nil || t.suspended || !t.keep() {
 		return
 	}
-	s.tr.addRecord(record{
-		kind: recEvent, name: name, parent: s.id, start: s.tr.now(), attrs: attrs,
+	t.recs = append(t.recs, record{
+		kind: recEvent, name: name, parent: s.id, start: t.now(), attrs: copyAttrs(attrs),
 	})
 }
 
@@ -276,15 +294,25 @@ func (s Span) Event(name string, attrs ...Attr) {
 // attributes, and buffers it for export. Spans are exported in End order —
 // deterministic, because the engine is single-threaded.
 func (s Span) End(attrs ...Attr) {
-	if s.tr == nil || s.tr.suspended {
+	t := s.tr
+	if t == nil || t.suspended {
+		return
+	}
+	if s.id == 0 { // begun on a full tracer
+		t.droppedRecs++
+		return
+	}
+	if !t.keep() {
 		return
 	}
 	all := s.attrs
 	if len(attrs) > 0 {
-		all = append(append([]Attr(nil), s.attrs...), attrs...)
+		// s.attrs is this span's own copy (Begin); cap it so the append
+		// reallocates rather than writing into a shared Span value's slice.
+		all = append(s.attrs[:len(s.attrs):len(s.attrs)], attrs...)
 	}
-	s.tr.addRecord(record{
-		kind: recSpan, name: s.name, id: s.id, start: s.start, end: s.tr.now(), attrs: all,
+	t.recs = append(t.recs, record{
+		kind: recSpan, name: s.name, id: s.id, start: s.start, end: t.now(), attrs: all,
 	})
 }
 

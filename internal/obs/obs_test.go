@@ -187,3 +187,63 @@ func TestStringAttrEscaping(t *testing.T) {
 		t.Fatalf("escaping:\ngot:  %q\nwant: %q", sb.String(), want)
 	}
 }
+
+// A full tracer counts every record it drops and allocates nothing for it:
+// Begin, Emit, Span.Event and Span.End copy their attributes only for a
+// record they keep, so the callers' variadic slices stay on their stacks.
+func TestFullTracerZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	tr := NewTracer("c")
+	tr.BindEngine(eng)
+	tr.SetRecordCap(2)
+	early := tr.Begin("early", Int("k", 1))
+	tr.Emit("a")
+	tr.Emit("b")
+	if tr.Records() != 2 || tr.DroppedRecords() != 0 {
+		t.Fatalf("records %d, dropped %d; want 2 and 0", tr.Records(), tr.DroppedRecords())
+	}
+	ops := func() {
+		tr.Emit("e", Int("x", 1), Str("s", "v"))
+		sp := tr.Begin("s", Int("off", 2), Int("len", 3))
+		sp.Event("ev", Int("y", 4))
+		sp.End(Str("result", "ok"))
+	}
+	ops()
+	if got := tr.DroppedRecords(); got != 3 {
+		t.Fatalf("one Emit, Begin, Event and End dropped %d records, want 3 (Begin counts at its End)", got)
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, ops); n != 0 {
+			t.Fatalf("full tracer allocated %.1f objects per Emit/Begin/Event/End, want 0", n)
+		}
+	}
+	dropped := tr.DroppedRecords()
+	// A span begun before the cap was reached and ended after it is one
+	// dropped record.
+	early.End(Int("late", 1))
+	if got := tr.DroppedRecords() - dropped; got != 1 || tr.Records() != 2 {
+		t.Fatalf("ending a pre-cap span dropped %d records (records %d), want 1 (2)", got, tr.Records())
+	}
+}
+
+// A kept span owns its attributes: the caller may reuse its slice after
+// Begin returns, and End's extra attributes never write into a shared
+// backing array.
+func TestSpanCopiesAttrs(t *testing.T) {
+	tr := NewTracer("")
+	attrs := []Attr{Int("a", 1)}
+	sp := tr.Begin("x", attrs...)
+	attrs[0] = Int("a", 2)
+	sp.End(Int("b", 3))
+	sp.End(Int("c", 4))
+	var sb strings.Builder
+	if err := tr.WriteJSONL(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"kind":"span","name":"x","id":1,"start":0,"end":0,"attrs":{"a":1,"b":3}}
+{"kind":"span","name":"x","id":1,"start":0,"end":0,"attrs":{"a":1,"c":4}}
+`
+	if sb.String() != want {
+		t.Fatalf("JSONL:\n%s\nwant:\n%s", sb.String(), want)
+	}
+}

@@ -55,8 +55,9 @@ func zaReadOne() {
 }
 
 // zaDevice builds a small device and warms every pool: enough 4 KiB writes
-// to cycle the span several times, forcing cache eviction, GC, and freelist
-// growth to their steady-state sizes.
+// to cycle the span three times, forcing cache eviction, GC, and freelist
+// growth to their steady-state sizes, and writing every physical page at
+// least once, so no copy-on-write mapping chunk is still unmaterialized.
 func zaDevice(tr *obs.Tracer) *Device {
 	cfg := MQSimBase()
 	cfg.FTL.Seed = 1
@@ -66,19 +67,42 @@ func zaDevice(tr *obs.Tracer) *Device {
 	zaState.off = 0
 	zaState.span = dev.Size() / 2 / 4096 * 4096
 	zaState.pending = 0
-	for i := 0; i < 12000; i++ {
+	for i := int64(0); i < 3*zaState.span/4096; i++ {
 		zaWriteOne()
 	}
 	return dev
+}
+
+// zaBatchLen is how many requests one measured run makes. AllocsPerRun
+// reports whole allocations per run, rounded down, so a path allocating on
+// only some requests (a garbage-collection victim every few dozen writes)
+// would read as zero per request; counting a whole batch as one run reports
+// every allocation.
+const zaBatchLen = 2000
+
+func zaWriteBatch() {
+	for i := 0; i < zaBatchLen; i++ {
+		zaWriteOne()
+	}
+}
+
+func zaReadBatch() {
+	for i := 0; i < zaBatchLen; i++ {
+		zaReadOne()
+	}
 }
 
 func TestWritePathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under the race detector")
 	}
-	zaDevice(nil)
-	if avg := testing.AllocsPerRun(2000, zaWriteOne); avg != 0 {
-		t.Fatalf("steady-state WriteAsync allocated %.2f objects/op, want 0", avg)
+	dev := zaDevice(nil)
+	gc := dev.FTL().Counters().GCRuns
+	if n := testing.AllocsPerRun(1, zaWriteBatch); n != 0 {
+		t.Fatalf("%.0f allocations in %d steady-state WriteAsync calls, want 0", n, zaBatchLen)
+	}
+	if dev.FTL().Counters().GCRuns == gc {
+		t.Fatal("no garbage collection ran during the measured batches")
 	}
 }
 
@@ -90,8 +114,32 @@ func TestReadPathZeroAlloc(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		zaReadOne()
 	}
-	if avg := testing.AllocsPerRun(2000, zaReadOne); avg != 0 {
-		t.Fatalf("steady-state ReadAsync allocated %.2f objects/op, want 0", avg)
+	if n := testing.AllocsPerRun(1, zaReadBatch); n != 0 {
+		t.Fatalf("%.0f allocations in %d steady-state ReadAsync calls, want 0", n, zaBatchLen)
+	}
+}
+
+func zaRowSink(obs.AttrRow) {}
+
+// TestCappedTracerWriteZeroAlloc pins the fleet's per-drive configuration:
+// a tracer capped at one record keeps the latency profiler running, with a
+// row sink taking each request's attribution row, and every span and event
+// past the cap is only counted, so a steady-state write allocates nothing.
+func TestCappedTracerWriteZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under the race detector")
+	}
+	tr := obs.NewTracer("capped")
+	tr.SetRecordCap(1)
+	tr.Prof().SetRowSink(zaRowSink)
+	zaDevice(tr)
+	dropped := tr.DroppedRecords()
+	if n := testing.AllocsPerRun(1, zaWriteBatch); n != 0 {
+		t.Fatalf("%.0f allocations in %d steady-state WriteAsync calls on a full tracer, want 0", n, zaBatchLen)
+	}
+	if tr.Records() != 1 || tr.DroppedRecords() == dropped {
+		t.Fatalf("tracer kept %d records and dropped %d more; want the cap's 1 kept and the rest dropped",
+			tr.Records(), tr.DroppedRecords()-dropped)
 	}
 }
 
