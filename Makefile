@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all test vet bench bench-diff determinism reproduce reproduce-full cover clean
+.PHONY: all test vet bench bench-diff profile determinism reproduce reproduce-full cover clean
 
 all: test vet
 

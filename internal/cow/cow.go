@@ -2,11 +2,12 @@
 // (DESIGN.md §12). The simulator's large per-drive state — NAND page
 // payloads, per-page lifecycle metadata, the FTL's dense mapping tables — is
 // logically an array that a preconditioned clone shares almost entirely with
-// its source image. Array stores such state in fixed-size chunks; Snapshot
-// freezes the current chunks into an immutable Image, and Restore aliases an
-// Image's chunks instead of copying them. A chunk is copied only on first
-// write, so cloning costs O(chunks) pointer copies and a clone's resident
-// memory is O(dirty chunks), not O(capacity).
+// its source image. Array (element access; power-of-two chunks) and Bytes
+// (range access only; payload stores) keep such state in fixed-size chunks;
+// Snapshot freezes the current chunks into an immutable Image, and Restore
+// aliases an Image's chunks instead of copying them. A chunk is copied only
+// on first write, so cloning costs O(chunks) pointer copies and a clone's
+// resident memory is O(dirty chunks), not O(capacity).
 //
 // # Ownership rules
 //
@@ -29,7 +30,10 @@
 // nothing, so a freshly constructed drive is almost free until written.
 package cow
 
-import "unsafe"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // deepCopy routes Snapshot/Restore through the retained deep-copy reference
 // path (SnapshotDeep/RestoreDeep) instead of chunk sharing. The two paths are
@@ -46,9 +50,11 @@ func SetDeepCopy(on bool) { deepCopy = on }
 // DeepCopy reports whether the deep-copy reference path is selected.
 func DeepCopy() bool { return deepCopy }
 
-// Array is a chunked copy-on-write array of n elements. The zero value is
-// not usable; construct with NewArray.
-type Array[E comparable] struct {
+// table is the chunk store behind Array and Bytes: the chunks, their share
+// bits, and every operation that addresses a range of elements rather than
+// one element (MutSpan, CopyOut, FillRange) or the whole store (Snapshot,
+// Restore, Stats). A range op locates its chunk by division, once per call.
+type table[E comparable] struct {
 	n        int64
 	chunkLen int64
 	fill     E
@@ -58,9 +64,9 @@ type Array[E comparable] struct {
 	cowed    int64 // chunks privately copied on first write since Restore
 }
 
-// Image is an immutable snapshot of an Array. It may be restored onto any
-// number of identically shaped Arrays, concurrently; holders must never
-// mutate it.
+// Image is an immutable snapshot of an Array or a Bytes store. It may be
+// restored onto any number of identically shaped stores, concurrently;
+// holders must never mutate it.
 type Image[E comparable] struct {
 	n        int64
 	chunkLen int64
@@ -68,36 +74,73 @@ type Image[E comparable] struct {
 	chunks   [][]E
 }
 
-// NewArray returns an all-fill array of n elements in chunks of chunkLen.
-// The byte totals in Stats/VisitShared accounting use E's in-memory size.
-func NewArray[E comparable](n, chunkLen int64, fill E) *Array[E] {
+func newTable[E comparable](n, chunkLen int64, fill E) table[E] {
 	if n < 0 || chunkLen <= 0 {
 		panic("cow: invalid array shape")
 	}
 	nc := (n + chunkLen - 1) / chunkLen
 	var zero E
-	return &Array[E]{
+	return table[E]{
 		n: n, chunkLen: chunkLen,
 		fill: fill, fillZero: fill == zero,
 		chunks: make([][]E, nc), shared: make([]bool, nc),
 	}
 }
 
-// Len returns the element count.
-func (a *Array[E]) Len() int64 { return a.n }
+// Array is a chunked copy-on-write array of n elements with element access.
+// Its chunk length is a power of two, so At, Set and Ptr locate an element
+// by shift and mask, with no division on the per-element hot path. The zero
+// value is not usable; construct with NewArray.
+type Array[E comparable] struct {
+	table[E]
+	shift uint8 // log2(chunkLen)
+	mask  int64 // chunkLen - 1
+}
 
-// At returns element i.
+// NewArray returns an all-fill array of n elements in chunks of chunkLen,
+// which must be a power of two. The byte totals in Stats/VisitShared
+// accounting use E's in-memory size.
+func NewArray[E comparable](n, chunkLen int64, fill E) *Array[E] {
+	if chunkLen <= 0 || chunkLen&(chunkLen-1) != 0 {
+		panic("cow: Array chunk length must be a power of two")
+	}
+	return &Array[E]{
+		table: newTable(n, chunkLen, fill),
+		shift: uint8(bits.TrailingZeros64(uint64(chunkLen))),
+		mask:  chunkLen - 1,
+	}
+}
+
+// Bytes is a chunked copy-on-write byte store of range access only:
+// MutSpan, CopyOut and FillRange. Its chunk length follows a page or sector
+// size, which need not be a power of two, so it has no element accessors —
+// per-element indexing would need a division per access, and an Array's
+// shift would index a non-power-of-two chunk wrongly. Construct with
+// NewBytes.
+type Bytes struct{ table[byte] }
+
+// NewBytes returns an all-zero store of n bytes in chunks of chunkLen bytes
+// (any positive length).
+func NewBytes(n, chunkLen int64) *Bytes {
+	return &Bytes{newTable(n, chunkLen, byte(0))}
+}
+
+// Len returns the element count.
+func (a *table[E]) Len() int64 { return a.n }
+
+// At returns element i. (Masking the shift count with 63 lets the compiler
+// emit a bare arithmetic shift, without its out-of-range fix-up.)
 func (a *Array[E]) At(i int64) E {
-	ch := a.chunks[i/a.chunkLen]
+	ch := a.chunks[i>>(a.shift&63)]
 	if ch == nil {
 		return a.fill
 	}
-	return ch[i%a.chunkLen]
+	return ch[i&a.mask]
 }
 
 // own makes chunk ci exclusively writable: materializing it from the fill
 // value if absent, copying it if shared.
-func (a *Array[E]) own(ci int64) []E {
+func (a *table[E]) own(ci int64) []E {
 	ch := a.chunks[ci]
 	if ch == nil {
 		ch = make([]E, a.chunkLen)
@@ -123,24 +166,24 @@ func (a *Array[E]) own(ci int64) []E {
 // Set stores v at i. Storing the fill value into an absent chunk is a no-op
 // and allocates nothing.
 func (a *Array[E]) Set(i int64, v E) {
-	ci := i / a.chunkLen
+	ci := i >> (a.shift & 63)
 	if a.chunks[ci] == nil && v == a.fill {
 		return
 	}
-	a.own(ci)[i%a.chunkLen] = v
+	a.own(ci)[i&a.mask] = v
 }
 
 // Ptr returns a writable pointer to element i, materializing and privatizing
 // its chunk as needed. The pointer is valid until the next Snapshot, Restore
 // or FillRange touching the chunk.
 func (a *Array[E]) Ptr(i int64) *E {
-	return &a.own(i / a.chunkLen)[i%a.chunkLen]
+	return &a.own(i >> (a.shift & 63))[i&a.mask]
 }
 
 // MutSpan returns a writable view of [lo, hi), which must be non-empty and
 // lie within a single chunk (callers with chunk-aligned layouts, like the
 // NAND page store, guarantee this by construction).
-func (a *Array[E]) MutSpan(lo, hi int64) []E {
+func (a *table[E]) MutSpan(lo, hi int64) []E {
 	ci := lo / a.chunkLen
 	if lo >= hi || hi > a.n || (hi-1)/a.chunkLen != ci {
 		panic("cow: MutSpan must cover a non-empty range within one chunk")
@@ -151,7 +194,7 @@ func (a *Array[E]) MutSpan(lo, hi int64) []E {
 
 // CopyOut copies [lo, hi) into dst, which must hold hi-lo elements. Absent
 // chunks yield the fill value.
-func (a *Array[E]) CopyOut(lo, hi int64, dst []E) {
+func (a *table[E]) CopyOut(lo, hi int64, dst []E) {
 	for lo < hi {
 		ci := lo / a.chunkLen
 		off := lo % a.chunkLen
@@ -176,7 +219,7 @@ func (a *Array[E]) CopyOut(lo, hi int64, dst []E) {
 // released to the implicit-fill representation (dropping any shared
 // reference without copying it); partially covered chunks are privatized and
 // overwritten.
-func (a *Array[E]) FillRange(lo, hi int64) {
+func (a *table[E]) FillRange(lo, hi int64) {
 	if lo < 0 || hi > a.n || lo > hi {
 		panic("cow: FillRange out of bounds")
 	}
@@ -209,7 +252,7 @@ func (a *Array[E]) FillRange(lo, hi int64) {
 // materialized chunk becomes shared: the source keeps reading it in place
 // and copies it on its next write. O(chunks), no element copies. With the
 // deep-copy reference path selected it delegates to SnapshotDeep.
-func (a *Array[E]) Snapshot() Image[E] {
+func (a *table[E]) Snapshot() Image[E] {
 	if deepCopy {
 		return a.SnapshotDeep()
 	}
@@ -226,7 +269,7 @@ func (a *Array[E]) Snapshot() Image[E] {
 
 // SnapshotDeep is the retained deep-copy reference path: the image gets
 // private copies of every chunk and the source keeps exclusive ownership.
-func (a *Array[E]) SnapshotDeep() Image[E] {
+func (a *table[E]) SnapshotDeep() Image[E] {
 	chunks := make([][]E, len(a.chunks))
 	for i, ch := range a.chunks {
 		if ch != nil {
@@ -240,7 +283,7 @@ func (a *Array[E]) SnapshotDeep() Image[E] {
 }
 
 // check panics unless img matches the array's shape.
-func (a *Array[E]) check(img Image[E]) {
+func (a *table[E]) check(img Image[E]) {
 	if img.n != a.n || img.chunkLen != a.chunkLen || img.fill != a.fill {
 		panic("cow: Restore shape mismatch")
 	}
@@ -254,7 +297,7 @@ func (a *Array[E]) check(img Image[E]) {
 //
 // The chunk pointers are copied into the array's own table, which no Image
 // ever aliases (Snapshot copies it), so restoring allocates nothing.
-func (a *Array[E]) Restore(img Image[E]) {
+func (a *table[E]) Restore(img Image[E]) {
 	if deepCopy {
 		a.RestoreDeep(img)
 		return
@@ -269,7 +312,7 @@ func (a *Array[E]) Restore(img Image[E]) {
 
 // RestoreDeep is the retained deep-copy reference path: every image chunk is
 // copied into a chunk the array owns exclusively.
-func (a *Array[E]) RestoreDeep(img Image[E]) {
+func (a *table[E]) RestoreDeep(img Image[E]) {
 	a.check(img)
 	for i, ch := range img.chunks {
 		if ch == nil {
@@ -308,12 +351,12 @@ func (s *Stats) Add(o Stats) {
 }
 
 // chunkBytes is ch's storage size in bytes.
-func (a *Array[E]) chunkBytes(ch []E) int64 {
+func (a *table[E]) chunkBytes(ch []E) int64 {
 	return int64(len(ch)) * int64(unsafe.Sizeof(a.fill))
 }
 
 // Stats returns the array's current chunk accounting.
-func (a *Array[E]) Stats() Stats {
+func (a *table[E]) Stats() Stats {
 	st := Stats{CowCopies: a.cowed}
 	for i, ch := range a.chunks {
 		if ch == nil {
@@ -335,7 +378,7 @@ func (a *Array[E]) Stats() Stats {
 // chunk's first-element pointer) and the chunk's byte size. Aggregators that
 // present many holders of the same image as one tier dedupe on the identity
 // to count each image chunk once.
-func (a *Array[E]) VisitShared(f func(id any, bytes int64)) {
+func (a *table[E]) VisitShared(f func(id any, bytes int64)) {
 	for i, ch := range a.chunks {
 		if ch != nil && a.shared[i] {
 			f(&ch[0], a.chunkBytes(ch))

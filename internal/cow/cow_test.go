@@ -245,3 +245,106 @@ func TestRestoreZeroAlloc(t *testing.T) {
 		t.Fatalf("restored array reads %d, %d; want 3, -1", b.At(3), b.At(4))
 	}
 }
+
+// TestElementOpsAtChunkBoundaries pins shift-and-mask indexing against the
+// flat model at every chunk boundary (the last element of a chunk and the
+// first of the next) for each chunk length the simulator constructs, on
+// absent, owned and shared chunks alike.
+func TestElementOpsAtChunkBoundaries(t *testing.T) {
+	for _, chunkLen := range []int64{16, 32, 64, 256} {
+		n := 5*chunkLen + chunkLen/2 // a partial last chunk
+		a := NewArray[int64](n, chunkLen, -1)
+		m := newModel(n, -1)
+		var edges []int64
+		for k := int64(1); k*chunkLen <= n; k++ {
+			edges = append(edges, k*chunkLen-1)
+			if k*chunkLen < n {
+				edges = append(edges, k*chunkLen)
+			}
+		}
+		for round := int64(0); round < 3; round++ {
+			for j, i := range edges {
+				if got := a.At(i); got != m.els[i] {
+					t.Fatalf("chunk %d round %d: At(%d) = %d, want %d", chunkLen, round, i, got, m.els[i])
+				}
+				v := round*1000 + int64(j)
+				a.Set(i, v)
+				m.els[i] = v
+				*a.Ptr(i) += 7
+				m.els[i] += 7
+			}
+			checkEqual(t, int(round), a, m)
+			// Share every chunk, so the next round's writes copy on write
+			// through Set and Ptr.
+			b := NewArray[int64](n, chunkLen, -1)
+			b.Restore(a.Snapshot())
+			a = b
+		}
+	}
+}
+
+// TestNewArrayRequiresPowerOfTwoChunk pins the precondition of shift
+// indexing: an Array whose chunk length is not a power of two cannot be
+// constructed, so no element op can index one wrongly. Stores with such
+// chunk lengths are Bytes, which has range ops only.
+func TestNewArrayRequiresPowerOfTwoChunk(t *testing.T) {
+	for _, chunkLen := range []int64{0, -4, 3, 48, 6144 * 64} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewArray with chunk length %d did not panic", chunkLen)
+				}
+			}()
+			NewArray[int32](1000, chunkLen, 0)
+		}()
+	}
+}
+
+// TestBytesRangeOpsVsModel drives a Bytes store whose chunk length is not a
+// power of two through spans, fills, snapshots and restores against a flat
+// byte slice.
+func TestBytesRangeOpsVsModel(t *testing.T) {
+	const span, chunkLen = 6, 6 * 5 // 5 spans per 30-byte chunk
+	const n = 7 * chunkLen
+	rng := rand.New(rand.NewSource(3))
+	a := NewBytes(n, chunkLen)
+	m := make([]byte, n)
+	var imgs []Image[byte]
+	var refs [][]byte
+	got := make([]byte, n)
+	for step := 0; step < 500; step++ {
+		switch rng.Intn(5) {
+		case 0, 1:
+			lo := rng.Int63n(n/span) * span
+			sp := a.MutSpan(lo, lo+span)
+			for j := range sp {
+				sp[j] = byte(rng.Intn(256))
+				m[lo+int64(j)] = sp[j]
+			}
+		case 2:
+			lo := rng.Int63n(n)
+			hi := lo + rng.Int63n(n-lo) + 1
+			a.FillRange(lo, hi)
+			clear(m[lo:hi])
+		case 3:
+			imgs = append(imgs, a.Snapshot())
+			refs = append(refs, append([]byte(nil), m...))
+		case 4:
+			if len(imgs) > 0 {
+				k := rng.Intn(len(imgs))
+				b := NewBytes(n, chunkLen)
+				b.Restore(imgs[k])
+				a = b
+				copy(m, refs[k])
+			}
+		}
+		lo := rng.Int63n(n)
+		hi := lo + rng.Int63n(n-lo) + 1
+		a.CopyOut(lo, hi, got[:hi-lo])
+		for i := lo; i < hi; i++ {
+			if got[i-lo] != m[i] {
+				t.Fatalf("step %d: byte %d = %d, want %d", step, i, got[i-lo], m[i])
+			}
+		}
+	}
+}

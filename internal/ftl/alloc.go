@@ -149,6 +149,22 @@ func (f *FTL) programFailed(pu *puState, op *pageOp, blk int32, gb int64) {
 // commitPage finalizes a completed page program: install mappings, account
 // counters, advance the RAIN stripe, and wake anything waiting on this PU or
 // on global drain.
+//
+// Data and relocation commits run in two passes. Pass 1 gathers every live
+// slot's current l2p entry; pass 2 commits the slots in order against the
+// gathered values. The pass-1 loads are independent of each other and of
+// any store, so a page's l2p cache misses overlap instead of each one
+// waiting behind the previous slot's commit. The gather equals what a
+// one-pass commit would read because:
+//   - a page never carries one LSN twice: writeDirect fills a data page from
+//     one contiguous range, startCacheFlush from distinct dirty entries (the
+//     write cache indexes one entry per LSN), and a relocation page from
+//     distinct live sectors, which the l2p/p2l bijection maps to distinct
+//     LSNs; and
+//   - nothing pass 2 runs rewrites another slot's l2p entry: wakeStarvedPU
+//     defers its kick through the engine, and journal, parity and GC
+//     programs that a commit submits complete (and commit) later, as every
+//     Flash completion does.
 func (f *FTL) commitPage(pu *puState, op *pageOp, ppn int64, gb int64) {
 	f.blockInflight[gb]--
 	base := ppn * int64(f.secPerPage)
@@ -158,6 +174,7 @@ func (f *FTL) commitPage(pu *puState, op *pageOp, ppn int64, gb int64) {
 		if op.slc {
 			f.counters.PSLCPagesProgrammed++
 		}
+		cur := f.gatherL2P(op.lsns, op.oldBuf)
 		for i, lsn := range op.lsns {
 			psn := base + int64(i)
 			if lsn < 0 {
@@ -167,10 +184,10 @@ func (f *FTL) commitPage(pu *puState, op *pageOp, ppn int64, gb int64) {
 			}
 			if op.entries != nil {
 				e := op.entries[i]
-				f.commitCachedSector(e, op, lsn, psn)
+				f.commitCachedSector(e, op, lsn, psn, cur[i])
 				continue
 			}
-			f.commitMapping(lsn, psn)
+			f.commitMapping(lsn, psn, cur[i])
 			if op.slc && f.pslcIndex != nil {
 				f.pslcIndex[lsn] = psn
 			}
@@ -181,6 +198,7 @@ func (f *FTL) commitPage(pu *puState, op *pageOp, ppn int64, gb int64) {
 		} else {
 			f.counters.RefreshPagesProgrammed++
 		}
+		cur := f.gatherL2P(op.lsns, f.gatherBuf)
 		for i, lsn := range op.lsns {
 			psn := base + int64(i)
 			if lsn < 0 {
@@ -188,7 +206,7 @@ func (f *FTL) commitPage(pu *puState, op *pageOp, ppn int64, gb int64) {
 				f.counters.PaddedSectors++
 				continue
 			}
-			if f.l2p.At(lsn) == op.old[i] {
+			if cur[i] == op.old[i] {
 				// Still current: move the mapping.
 				f.p2l.Set(op.old[i], psnFree)
 				*f.blockValid.Ptr(f.blockOfPsn(op.old[i]))--
@@ -250,6 +268,17 @@ func (f *FTL) commitPage(pu *puState, op *pageOp, ppn int64, gb int64) {
 	// queued can reference it (waiters hold distinct ops; entries that were
 	// superseded compare flight against their newer program). Recycle it.
 	f.releaseOp(op)
+}
+
+// gatherL2P loads the l2p entry of every live slot of lsns into buf (pass 1
+// of commitPage) and returns buf. Padding slots are left as they were.
+func (f *FTL) gatherL2P(lsns, buf []int64) []int64 {
+	for i, lsn := range lsns {
+		if lsn >= 0 {
+			buf[i] = f.l2p.At(lsn)
+		}
+	}
+	return buf
 }
 
 // drainPUWaiters issues as many queued page ops as current free space allows.

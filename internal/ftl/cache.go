@@ -258,8 +258,9 @@ func (f *FTL) startCacheFlush() {
 	f.submitPage(op)
 }
 
-// commitCachedSector finalizes one slot of a cache-flush program.
-func (f *FTL) commitCachedSector(e *cacheEntry, op *pageOp, lsn, psn int64) {
+// commitCachedSector finalizes one slot of a cache-flush program; old is
+// the slot's l2p entry as commitPage gathered it.
+func (f *FTL) commitCachedSector(e *cacheEntry, op *pageOp, lsn, psn, old int64) {
 	c := f.cache
 	c.flushingBytes -= c.sector
 	if e.state == entryFlushing && e.flight == op {
@@ -267,7 +268,7 @@ func (f *FTL) commitCachedSector(e *cacheEntry, op *pageOp, lsn, psn int64) {
 		e.state = entryDead
 		e.flight = nil
 		c.entries.del(lsn)
-		f.commitMapping(lsn, psn)
+		f.commitMapping(lsn, psn, old)
 		if op.slc && f.pslcIndex != nil {
 			f.pslcIndex[lsn] = psn
 		}

@@ -97,6 +97,7 @@ type FTL struct {
 
 	secPerPage  int
 	pagesPerBlk int
+	secPerBlk   int64 // secPerPage × pagesPerBlk: blockOfPsn's one divisor
 	blksPerPU   int
 	numPU       int
 
@@ -167,6 +168,9 @@ type FTL struct {
 	// per-request hot path allocates nothing at steady state.
 	opFree      *pageOp
 	readScratch []int64
+	// gatherBuf holds a relocation page's gathered l2p entries (commitPage
+	// pass 1; a relocation op's own oldBuf holds its expected locations).
+	gatherBuf []int64
 	// reqFree / readOpFree recycle the per-request completion counters and
 	// per-page read descriptors (see hostReq/readOp); puWakes holds one
 	// prebuilt starved-PU kick closure per parallel unit; idleTickFn is the
@@ -220,6 +224,8 @@ func New(eng *sim.Engine, flash Flash, cfg Config) *FTL {
 		tr:          cfg.Trace,
 		prof:        cfg.Trace.Prof(),
 	}
+	f.secPerBlk = int64(f.secPerPage) * int64(f.pagesPerBlk)
+	f.gatherBuf = make([]int64, f.secPerPage)
 	f.tflash, _ = flash.(TrackedFlash)
 	f.dims = [4]int{
 		dimC: flash.Channels(),
@@ -551,7 +557,7 @@ func (f *FTL) ppnOf(pu int, blk int32, page int) int64 {
 }
 
 func (f *FTL) blockOfPsn(psn int64) int64 {
-	return psn / int64(f.secPerPage) / int64(f.pagesPerBlk)
+	return psn / f.secPerBlk
 }
 
 func (f *FTL) addrOfPPN(ppn int64) (pu int, a nand.Addr) {
@@ -918,9 +924,10 @@ func (f *FTL) wakeStarvedPU(gb int64) {
 	f.eng.Schedule(0, f.puWakes[puIdx])
 }
 
-// commitMapping installs lsn -> psn, invalidating any prior location.
-func (f *FTL) commitMapping(lsn, psn int64) {
-	if old := f.l2p.At(lsn); old >= 0 {
+// commitMapping installs lsn -> psn, invalidating the prior location old
+// (lsn's current l2p entry, which commitPage gathered before the commit).
+func (f *FTL) commitMapping(lsn, psn, old int64) {
+	if old >= 0 {
 		f.invalidate(old)
 	}
 	f.l2p.Set(lsn, psn)

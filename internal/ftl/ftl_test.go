@@ -564,7 +564,8 @@ func TestOverProvisionSizing(t *testing.T) {
 }
 
 // Property: arbitrary interleavings of writes, trims, reads and flushes
-// preserve all mapping invariants under every GC policy and cache kind.
+// preserve all mapping invariants under every GC policy and cache kind, and
+// no data or relocation page ever carries one LSN twice (opAuditFlash).
 func TestRandomOpsInvariantProperty(t *testing.T) {
 	for _, cache := range []CacheKind{CacheData, CacheMapping, CacheNone} {
 		for _, gc := range []GCPolicy{GCGreedy, GCRandGreedy} {
@@ -580,7 +581,7 @@ func TestRandomOpsInvariantProperty(t *testing.T) {
 				cfg.WearLevelThreshold = 4
 				cfg.IdleGC = true
 				cfg.IdleDelay = int64(20 * sim.Millisecond)
-				eng, _, f := newTestFTL(t, cfg)
+				eng, fl, f := newAuditedFTL(t, cfg)
 				rng := rand.New(rand.NewSource(123))
 				total := f.LogicalSectors()
 				for i := 0; i < 2000; i++ {
@@ -607,6 +608,7 @@ func TestRandomOpsInvariantProperty(t *testing.T) {
 				f.Flush(nil)
 				eng.Run()
 				checkInvariants(t, f)
+				fl.checkAuditCoverage(f)
 			})
 		}
 	}
@@ -697,5 +699,75 @@ func TestStreamSeparationReducesGC(t *testing.T) {
 	wafMix := float64(gcMix) / float64(dataMix)
 	if wafSep >= wafMix {
 		t.Errorf("separation did not reduce GC traffic: separated %.3f vs mixed %.3f gc/data", wafSep, wafMix)
+	}
+}
+
+// opAuditFlash is a fakeFlash that, on every program it is asked to issue,
+// audits every page op the FTL has between submit and commit: no data or
+// relocation page may carry one LSN twice. commitPage gathers a page's old
+// mappings before committing any slot, which is only equivalent to
+// committing slot by slot under that precondition. The audited ops are the
+// FTL's whole descriptor pool, seeded up front; the test fails if the pool
+// ever outgrows the seed, since an op it did not seed would go unaudited.
+type opAuditFlash struct {
+	*fakeFlash
+	t       *testing.T
+	ops     []*pageOp
+	audited map[pageKind]int
+}
+
+func (a *opAuditFlash) Program(ch, chip int, addr nand.Addr, slc, background bool, done func(error)) {
+	for _, op := range a.ops {
+		if op.lsns == nil || (op.kind != kindData && op.kind != kindGC && op.kind != kindRefresh) {
+			continue
+		}
+		a.audited[op.kind]++
+		for i, lsn := range op.lsns {
+			for _, prev := range op.lsns[:i] {
+				if lsn >= 0 && lsn == prev {
+					a.t.Fatalf("page op of kind %d carries lsn %d twice: %v", op.kind, lsn, op.lsns)
+				}
+			}
+		}
+	}
+	a.fakeFlash.Program(ch, chip, addr, slc, background, done)
+}
+
+// newAuditedFTL builds an FTL over an opAuditFlash and seeds the FTL's
+// page-op pool with the ops the flash audits.
+func newAuditedFTL(t *testing.T, cfg Config) (*sim.Engine, *opAuditFlash, *FTL) {
+	t.Helper()
+	const poolSeed = 512
+	eng := sim.NewEngine()
+	fl := &opAuditFlash{
+		fakeFlash: newFakeFlash(t, eng, cfg.Geometry, cfg.Channels, cfg.ChipsPerChannel),
+		t:         t,
+		audited:   map[pageKind]int{},
+	}
+	f := New(eng, fl, cfg)
+	for i := 0; i < poolSeed; i++ {
+		fl.ops = append(fl.ops, f.newPageOp(kindData, 0))
+	}
+	for _, op := range fl.ops {
+		f.releaseOp(op)
+	}
+	return eng, fl, f
+}
+
+// checkAuditCoverage fails unless the audit saw every op the FTL used (the
+// pool never outgrew its seed) and saw data pages and relocation pages
+// with live data.
+func (a *opAuditFlash) checkAuditCoverage(f *FTL) {
+	a.t.Helper()
+	pooled := 0
+	for op := f.opFree; op != nil; op = op.next {
+		pooled++
+	}
+	if pooled != len(a.ops) {
+		a.t.Fatalf("page-op pool holds %d ops, seeded %d: raise the seed so every op is audited", pooled, len(a.ops))
+	}
+	if moved := f.Counters().GCValidMoved; moved == 0 || a.audited[kindGC] == 0 || a.audited[kindData] == 0 {
+		a.t.Fatalf("audited %v (by page kind) and moved %d live sectors; want data and relocation pages with live data",
+			a.audited, moved)
 	}
 }

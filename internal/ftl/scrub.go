@@ -149,8 +149,7 @@ func (f *FTL) retireBlock(pu *puState, blk int32) {
 	}
 	// Relocate surviving live sectors.
 	base := f.ppnOf(pu.index, blk, 0) * int64(f.secPerPage)
-	pages := int64(f.pagesPerBlk) * int64(f.secPerPage)
-	for off := int64(0); off < pages; off += int64(f.secPerPage) {
+	for off := int64(0); off < f.secPerBlk; off += int64(f.secPerPage) {
 		ppn := (base + off) / int64(f.secPerPage)
 		for i := int64(0); i < int64(f.secPerPage); i++ {
 			if f.p2l.At(base+off+i) >= 0 {

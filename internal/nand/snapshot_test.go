@@ -150,3 +150,45 @@ func TestChipRestoreGeometryMismatch(t *testing.T) {
 	}()
 	other.Restore(snap)
 }
+
+// TestNonPowerOfTwoPageSizeRoundTrip pins that the payload store, whose
+// chunk length is 64 pages and so not a power of two when the page size is
+// not, keeps every page's payload across snapshot and restore, including
+// the pages on either side of each chunk boundary.
+func TestNonPowerOfTwoPageSizeRoundTrip(t *testing.T) {
+	g := Geometry{Dies: 1, Planes: 2, BlocksPerPlane: 4, PagesPerBlock: 32, PageSize: 6144}
+	newChip := func() *Chip { return NewChip(ChipConfig{Geometry: g, StoreData: true}) }
+	payload := func(idx int64) []byte {
+		p := make([]byte, g.PageSize)
+		for i := range p {
+			p[i] = byte(int64(i)*7 + idx*13 + 1)
+		}
+		return p
+	}
+	src := newChip()
+	for idx := int64(0); idx < g.Pages(); idx++ {
+		if err := src.Program(g.AddrOf(idx), payload(idx)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := src.Snapshot()
+	// Rewrite one block of the source after the snapshot: the image must
+	// not see it.
+	if err := src.Erase(Addr{Block: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Program(Addr{Block: 2}, make([]byte, g.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	dst := newChip()
+	dst.Restore(snap)
+	buf := make([]byte, g.PageSize)
+	for idx := int64(0); idx < g.Pages(); idx++ {
+		if err := dst.Read(g.AddrOf(idx), buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, payload(idx)) {
+			t.Fatalf("page %d: restored payload differs from the programmed one", idx)
+		}
+	}
+}

@@ -3,7 +3,7 @@ package nand
 import "ssdtp/internal/cow"
 
 // pageStore holds page payloads in lazily allocated fixed-size chunks of
-// contiguous pages (a cow.Array of bytes). Chunking keeps sparse stores
+// contiguous pages (a cow.Bytes store). Chunking keeps sparse stores
 // cheap — untouched regions allocate nothing — while making the dense case
 // (a prefilled drive) a handful of large flat buffers; the COW layer lets a
 // snapshot seal those buffers as a shared image so clones alias them and
@@ -18,13 +18,13 @@ const pagesPerChunk = 64
 
 type pageStore struct {
 	pageSize int
-	arr      *cow.Array[byte]
+	arr      *cow.Bytes
 }
 
 func newPageStore(pageSize int, pages int64) *pageStore {
 	return &pageStore{
 		pageSize: pageSize,
-		arr:      cow.NewArray[byte](pages*int64(pageSize), pagesPerChunk*int64(pageSize), 0),
+		arr:      cow.NewBytes(pages*int64(pageSize), pagesPerChunk*int64(pageSize)),
 	}
 }
 

@@ -64,7 +64,7 @@ type Device struct {
 	prof  *obs.Profiler // latency attribution; nil when tracing is off
 
 	sectorSize int
-	content    *cow.Array[byte] // byte-addressed payload store when StoreContent
+	content    *cow.Bytes // byte-addressed payload store when StoreContent
 
 	// reqFree recycles ioReq descriptors (see pooled.go).
 	reqFree *ioReq
@@ -136,7 +136,7 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 		// snapshot/clone is O(dirty chunks) instead of O(written bytes).
 		// The chunk length is a multiple of the sector size so every
 		// sector-aligned write lands inside one chunk.
-		d.content = cow.NewArray[byte](d.Size(), contentChunkSectors*int64(d.sectorSize), 0)
+		d.content = cow.NewBytes(d.Size(), contentChunkSectors*int64(d.sectorSize))
 	}
 	cfg.Trace.SetTimelineSource(d.FillLogPage)
 	return d
