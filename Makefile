@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all test vet bench bench-diff profile determinism reproduce reproduce-full cover clean
+.PHONY: all test vet bench bench-diff profile determinism outputs-diff reproduce reproduce-full cover clean
 
 all: test vet
 
@@ -37,6 +37,28 @@ determinism:
 			-count=1 || exit 1; \
 		GOMAXPROCS=$$p $(GO) test ./internal/sim/ -run 'TestShardGroup' -count=1 || exit 1; \
 	done
+
+# Byte-identity check against another revision: write every byte-pinned
+# output (scripts/outputs.sh, cmd/reproduce at -parallel 1 and 8) for REV,
+# exported with git archive, and for this checkout, diff the two manifests,
+# then show the diff of each differing file. Exits non-zero when any output
+# differs.
+outputs-diff:
+	@test -n "$(REV)" || { echo "usage: make outputs-diff REV=<rev>" >&2; exit 2; }
+	rm -rf .outputs
+	mkdir -p .outputs/rev-src
+	git archive "$(REV)" | tar -x -C .outputs/rev-src
+	scripts/outputs.sh .outputs/rev .outputs/rev-src
+	scripts/outputs.sh .outputs/head
+	@if diff .outputs/rev/out/MANIFEST .outputs/head/out/MANIFEST; then \
+		echo "outputs byte-identical to $(REV)"; \
+	else \
+		for f in $$(diff .outputs/rev/out/MANIFEST .outputs/head/out/MANIFEST | awk '/^[<>]/ {print $$3}' | sort -u); do \
+			echo "=== $$f"; \
+			diff .outputs/rev/out/$$f .outputs/head/out/$$f | head -n 40; \
+		done; \
+		exit 1; \
+	fi
 
 reproduce:
 	$(GO) run ./cmd/reproduce

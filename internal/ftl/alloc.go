@@ -159,8 +159,8 @@ func (f *FTL) programFailed(pu *puState, op *pageOp, blk int32, gb int64) {
 //   - a page never carries one LSN twice: writeDirect fills a data page from
 //     one contiguous range, startCacheFlush from distinct dirty entries (the
 //     write cache indexes one entry per LSN), and a relocation page from
-//     distinct live sectors, which the l2p/p2l bijection maps to distinct
-//     LSNs; and
+//     distinct live sectors, which live maps to distinct LSNs (each live
+//     sector is its LSN's l2p entry); and
 //   - nothing pass 2 runs rewrites another slot's l2p entry: wakeStarvedPU
 //     defers its kick through the engine, and journal, parity and GC
 //     programs that a commit submits complete (and commit) later, as every
@@ -207,8 +207,8 @@ func (f *FTL) commitPage(pu *puState, op *pageOp, ppn int64, gb int64) {
 				continue
 			}
 			if cur[i] == op.old[i] {
-				// Still current: move the mapping.
-				f.p2l.Set(op.old[i], psnFree)
+				// Still current: move the mapping. The old sector's p2l
+				// entry goes stale once l2p points here (see live).
 				*f.blockValid.Ptr(f.blockOfPsn(op.old[i]))--
 				f.l2p.Set(lsn, psn)
 				f.p2l.Set(psn, lsn)

@@ -11,18 +11,22 @@ import (
 	"ssdtp/internal/sim"
 )
 
-// Sentinel p2l values for physical sectors not holding live host data.
+// Sentinel p2l values for physical sectors that never held host data. A
+// sector that did hold data keeps the LSN its page carried after an
+// overwrite, relocation or TRIM retires it: it is stale, not live, exactly
+// when l2p no longer maps that LSN back to it (see live).
 const (
-	psnFree    int64 = -1 // never written, invalidated, or padding
+	psnFree    int64 = -1 // never written, padding, or dead on arrival
 	psnParity  int64 = -2 // RAIN parity
 	psnMapMeta int64 = -3 // mapping-journal payload
 )
 
 // Chunk lengths for the FTL's COW arrays (DESIGN.md §12). mapChunk is the
 // l2p/p2l chunk: 256 int32 entries, 1 KiB of table. A write to a random LBA
-// touches a random l2p chunk and the p2l chunk of the sector's old location,
-// and a clone copies each on its first write to it; a small chunk keeps that
-// copy, and the clone's dirty set, close to what its tenants actually touch.
+// touches a random l2p chunk, and a clone copies each chunk on its first
+// write to it; a small chunk keeps that copy, and the clone's dirty set,
+// close to what its tenants actually touch. (p2l is written only by the
+// page being committed, whose chunk fills in program order.)
 // blockChunk covers the per-block counters, which are small either way.
 const (
 	mapChunk   = 256
@@ -105,6 +109,7 @@ type FTL struct {
 	orderDims [4]int // dimensions fastest-varying first
 	allocSeq  int64
 	puTotal   int64
+	puOrder   []int // puForSeq over one period, by allocSeq % puTotal
 
 	logicalSectors int64
 	l2p            mapTable
@@ -246,6 +251,10 @@ func New(eng *sim.Engine, flash Flash, cfg Config) *FTL {
 		f.orderDims = [4]int{dimD, dimP, dimC, dimW}
 	default:
 		panic("ftl: unknown allocation order")
+	}
+	f.puOrder = make([]int, f.numPU)
+	for i := range f.puOrder {
+		f.puOrder[i] = f.puForSeq(int64(i))
 	}
 
 	totalPages := int64(f.numPU) * int64(f.blksPerPU) * int64(f.pagesPerBlk)
@@ -531,7 +540,8 @@ func (f *FTL) puIndex(ch, chip, die, plane int) int {
 }
 
 // puForSeq maps an allocation sequence number to a PU per the configured
-// allocation order (fastest-varying dimension first).
+// allocation order (fastest-varying dimension first). New tabulates one
+// period of it into puOrder, which nextPU and Mount read.
 func (f *FTL) puForSeq(seq int64) int {
 	s := seq % f.puTotal
 	var coord [4]int
@@ -542,9 +552,10 @@ func (f *FTL) puForSeq(seq int64) int {
 	return f.puIndex(coord[dimC], coord[dimW], coord[dimD], coord[dimP])
 }
 
-// nextPU advances the striping sequence and returns the PU for the next page.
+// nextPU advances the striping sequence and returns the PU for the next
+// page, from the period New precomputes with puForSeq.
 func (f *FTL) nextPU() int {
-	pu := f.puForSeq(f.allocSeq)
+	pu := f.puOrder[f.allocSeq%f.puTotal]
 	f.allocSeq++
 	return pu
 }
@@ -896,9 +907,11 @@ func (f *FTL) pumpDrain() {
 	}
 }
 
-// invalidate marks a physical sector dead and updates block accounting.
+// invalidate retires a physical sector whose LSN is being remapped or
+// trimmed: block accounting only. Its p2l entry keeps the stale LSN, which
+// live tells apart from a live one through l2p, so forgetting a sector
+// touches no p2l line.
 func (f *FTL) invalidate(psn int64) {
-	f.p2l.Set(psn, psnFree)
 	gb := f.blockOfPsn(psn)
 	*f.blockValid.Ptr(gb)--
 	f.validTotal--
@@ -922,6 +935,23 @@ func (f *FTL) wakeStarvedPU(gb int64) {
 		return
 	}
 	f.eng.Schedule(0, f.puWakes[puIdx])
+}
+
+// live reports whether physical sector psn holds live host data, and the
+// LSN its page carried. It is exact without invalidation writes:
+//   - p2l[psn] is written only when psn's page commits, with the LSN its
+//     slot carried, so whenever l2p[lsn] == psn the commit that set it also
+//     set p2l[psn] = lsn;
+//   - a stale entry is never live: the overwrite, relocation or TRIM that
+//     moved l2p[lsn] away from psn retired the sector, and l2p points at psn
+//     again only after a new program of psn;
+//   - an erased block keeps its stale entries until its pages are programmed
+//     again, and none of them is live: a block is erased only after its live
+//     sectors have moved, and pickVictim takes only blocks with no program
+//     in flight.
+func (f *FTL) live(psn int64) (lsn int64, ok bool) {
+	lsn = f.p2l.At(psn)
+	return lsn, lsn >= 0 && f.l2p.At(lsn) == psn
 }
 
 // commitMapping installs lsn -> psn, invalidating the prior location old

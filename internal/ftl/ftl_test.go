@@ -110,9 +110,12 @@ func newTestFTL(t *testing.T, cfg Config) (*sim.Engine, *fakeFlash, *FTL) {
 	return eng, fl, New(eng, fl, cfg)
 }
 
-// checkInvariants validates the L2P/P2L bijection, block accounting, and
-// the write cache's FIFO: every dirty entry queued there is the index's
-// entry for its LSN (popDirty relies on it).
+// checkInvariants validates the mappings, block accounting, and the write
+// cache's FIFO: every dirty entry queued there is the index's entry for its
+// LSN (popDirty relies on it). Forward, every mapped LSN's sector records
+// that LSN in p2l. Backward, the sectors live reports are exactly the mapped
+// ones: their count per block is blockValid and in total validTotal, and no
+// sector of a free block is live.
 func checkInvariants(t *testing.T, f *FTL) {
 	t.Helper()
 	if c := f.cache; c != nil {
@@ -136,17 +139,13 @@ func checkInvariants(t *testing.T, f *FTL) {
 	back := int64(0)
 	blockCounts := make([]int32, f.blockValid.Len())
 	for psn := int64(0); psn < f.p2l.Len(); psn++ {
-		lsn := f.p2l.At(psn)
-		if lsn >= 0 {
+		if _, ok := f.live(psn); ok {
 			back++
-			if f.l2p.At(lsn) != psn {
-				t.Fatalf("p2l[%d]=%d but l2p[%d]=%d", psn, lsn, lsn, f.l2p.At(lsn))
-			}
 			blockCounts[f.blockOfPsn(psn)]++
 		}
 	}
 	if mapped != back {
-		t.Fatalf("mapping asymmetry: %d forward, %d backward", mapped, back)
+		t.Fatalf("mapping asymmetry: %d forward, %d live backward", mapped, back)
 	}
 	if mapped != f.validTotal {
 		t.Fatalf("validTotal=%d, mapped=%d", f.validTotal, mapped)
@@ -154,6 +153,13 @@ func checkInvariants(t *testing.T, f *FTL) {
 	for b, want := range blockCounts {
 		if f.blockValid.At(int64(b)) != want {
 			t.Fatalf("blockValid[%d]=%d, recount=%d", b, f.blockValid.At(int64(b)), want)
+		}
+	}
+	for i := range f.pus {
+		for _, blk := range f.pus[i].free {
+			if n := blockCounts[f.globalBlock(i, blk)]; n != 0 {
+				t.Fatalf("free block %d of pu %d holds %d live sectors", blk, i, n)
+			}
 		}
 	}
 }
@@ -632,6 +638,13 @@ func TestPUForSeqCoversAllPUs(t *testing.T) {
 		}
 		if len(seen) != f.numPU {
 			t.Errorf("%v: covered %d PUs, want %d", order, len(seen), f.numPU)
+		}
+		// nextPU reads the period New precomputed; over three full wraps it
+		// must agree with puForSeq at every sequence number.
+		for s := int64(0); s < 3*int64(f.numPU); s++ {
+			if got, want := f.nextPU(), f.puForSeq(s); got != want {
+				t.Fatalf("%v: nextPU at seq %d = %d, puForSeq = %d", order, s, got, want)
+			}
 		}
 	}
 }

@@ -188,12 +188,16 @@ func (f *FTL) collectBlock(pu *puState, victim int32) {
 	}
 	pu.spareJob = nil
 	*job = gcJob{victim: victim, moves: job.moves[:0], readPages: job.readPages[:0]}
+	// The scan stops at the victim's live count: blockValid moves with every
+	// l2p update, so once it has found that many live sectors the rest of
+	// the block is stale, and a fully invalid victim is not scanned at all.
 	blockBase := f.ppnOf(pu.index, victim, 0) * int64(f.secPerPage)
-	for p := 0; p < f.pagesPerBlk; p++ {
+	want := int(f.blockValid.At(f.globalBlock(pu.index, victim)))
+	for p := 0; p < f.pagesPerBlk && len(job.moves) < want; p++ {
 		pageLive := false
 		for s := 0; s < f.secPerPage; s++ {
 			psn := blockBase + int64(p*f.secPerPage+s)
-			if lsn := f.p2l.At(psn); lsn >= 0 {
+			if lsn, ok := f.live(psn); ok {
 				job.moves = append(job.moves, gcMove{lsn: lsn, psn: psn})
 				pageLive = true
 			}

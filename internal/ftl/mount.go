@@ -23,7 +23,7 @@ func (f *FTL) Mount(eager bool, done func()) {
 	var pump func()
 	pump = func() {
 		for issued < pages && issued-completed < window {
-			pu := &f.pus[f.puForSeq(issued)]
+			pu := &f.pus[f.puOrder[issued%f.puTotal]]
 			page := int(issued % int64(int64(f.blksPerPU)*int64(f.pagesPerBlk)))
 			addr := nand.Addr{
 				Die:   pu.die,

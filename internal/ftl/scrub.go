@@ -43,7 +43,7 @@ func (f *FTL) refreshPage(ppn int64) {
 	live := 0
 	for i := 0; i < f.secPerPage; i++ {
 		psn := base + int64(i)
-		if lsn := f.p2l.At(psn); lsn >= 0 {
+		if lsn, ok := f.live(psn); ok {
 			lsns[i] = lsn
 			old[i] = psn
 			live++
@@ -98,7 +98,7 @@ func (f *FTL) scrubTick() {
 		base := ppn * int64(f.secPerPage)
 		livePage := false
 		for i := 0; i < f.secPerPage; i++ {
-			if f.p2l.At(base+int64(i)) >= 0 {
+			if _, ok := f.live(base + int64(i)); ok {
 				livePage = true
 				break
 			}
@@ -152,7 +152,7 @@ func (f *FTL) retireBlock(pu *puState, blk int32) {
 	for off := int64(0); off < f.secPerBlk; off += int64(f.secPerPage) {
 		ppn := (base + off) / int64(f.secPerPage)
 		for i := int64(0); i < int64(f.secPerPage); i++ {
-			if f.p2l.At(base+off+i) >= 0 {
+			if _, ok := f.live(base + off + i); ok {
 				f.refreshPage(ppn)
 				break
 			}

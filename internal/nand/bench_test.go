@@ -9,9 +9,9 @@ func benchChip(storeData bool) *Chip {
 	})
 }
 
-// Erase is the hot path the clear()/FillRange rewrite targets: page states
-// collapse whole chunks back to the fill value, and payload chunks drop to
-// nil instead of being zeroed byte by byte.
+// Erase is the hot path the FillRange rewrite targets: payload chunks drop
+// to nil instead of being zeroed byte by byte, and page states, derived from
+// the program cursor, cost one counter reset.
 func BenchmarkChipErase(b *testing.B) {
 	for _, sd := range []struct {
 		name string

@@ -27,11 +27,11 @@ const (
 )
 
 // Chunk lengths for the chip's COW metadata arrays (DESIGN.md §12). A
-// per-page chunk covers 256 pages: 256 B of page state, and 2 KiB of birth
-// stamps when the reliability model keeps them. Pages are programmed in
-// order within a block, so a clone's writes dirty few of them. A per-block
-// chunk covers 64 blocks, 512 B of each counter. A sweep of both at a
-// quarter and four times these lengths moved no benchmark workload.
+// per-page chunk covers 256 pages: 2 KiB of birth stamps when the
+// reliability model keeps them. Pages are programmed in order within a
+// block, so a clone's writes dirty few of them. A per-block chunk covers 64
+// blocks, 512 B of each counter. A sweep of both at a quarter and four times
+// these lengths moved no benchmark workload.
 const (
 	pageMetaChunk  = 256
 	blockMetaChunk = 64
@@ -64,8 +64,10 @@ type ChipConfig struct {
 	ID ChipID
 }
 
-// Chip is the logical state of one NAND package: page states, per-block
-// program cursors and erase counts, and (optionally) page payloads. Chip is
+// Chip is the logical state of one NAND package: per-block program cursors
+// and erase counts, and (optionally) page payloads. A page is programmed
+// exactly when it lies below its block's cursor: Program succeeds only at
+// the cursor and advances it, and Erase resets it to 0. Chip is
 // passive — it has no clock; the onfi.Bus sequences operations in simulated
 // time and invokes these methods at commit points. All bulk state lives in
 // copy-on-write chunked arrays so Snapshot/Restore alias chunks instead of
@@ -73,12 +75,11 @@ type ChipConfig struct {
 type Chip struct {
 	cfg        ChipConfig
 	geom       Geometry
-	state      *cow.Array[PageState] // dense, PageIndex-ordered
-	cursor     *cow.Array[int]       // per block: next programmable page
-	erases     *cow.Array[int]       // per block
-	reads      *cow.Array[int]       // per block: reads since last erase (read disturb)
-	birth      *cow.Array[int64]     // per page: program time (reliability model)
-	data       *pageStore            // nil unless StoreData
+	cursor     *cow.Array[int]   // per block: next programmable page
+	erases     *cow.Array[int]   // per block
+	reads      *cow.Array[int]   // per block: reads since last erase (read disturb)
+	birth      *cow.Array[int64] // per page: program time (reliability model)
+	data       *pageStore        // nil unless StoreData
 	stats      Stats
 	factoryBad bitset.Set // by block index
 }
@@ -97,7 +98,6 @@ func NewChip(cfg ChipConfig) *Chip {
 	c := &Chip{
 		cfg:    cfg,
 		geom:   g,
-		state:  cow.NewArray[PageState](g.Pages(), pageMetaChunk, PageErased),
 		cursor: cow.NewArray[int](int64(g.Blocks()), blockMetaChunk, 0),
 		erases: cow.NewArray[int](int64(g.Blocks()), blockMetaChunk, 0),
 		reads:  cow.NewArray[int](int64(g.Blocks()), blockMetaChunk, 0),
@@ -126,12 +126,11 @@ func (c *Chip) BitErrors(a Addr) int {
 	if !c.cfg.Reliability.Enabled() || !c.geom.Contains(a) {
 		return 0
 	}
-	idx := c.geom.PageIndex(a)
-	if c.state.At(idx) != PageProgrammed {
+	blk := int64(c.geom.BlockIndex(a))
+	if a.Page >= c.cursor.At(blk) {
 		return 0
 	}
-	blk := int64(c.geom.BlockIndex(a))
-	age := c.cfg.Clock() - c.birth.At(idx)
+	age := c.cfg.Clock() - c.birth.At(c.geom.PageIndex(a))
 	return c.cfg.Reliability.BitErrorsRD(c.erases.At(blk), age, c.reads.At(blk))
 }
 
@@ -150,10 +149,9 @@ func (c *Chip) Geometry() Geometry { return c.geom }
 func (c *Chip) Stats() Stats { return c.stats }
 
 // MemStats returns chunk-level memory accounting across the chip's COW
-// arrays (payloads, page states, per-block counters, birth stamps).
+// arrays (payloads, per-block counters, birth stamps).
 func (c *Chip) MemStats() cow.Stats {
 	var st cow.Stats
-	st.Add(c.state.Stats())
 	st.Add(c.cursor.Stats())
 	st.Add(c.erases.Stats())
 	st.Add(c.reads.Stats())
@@ -170,7 +168,6 @@ func (c *Chip) MemStats() cow.Stats {
 // with a comparable identity for cross-drive deduplication (see
 // cow.Array.VisitShared).
 func (c *Chip) VisitSharedChunks(f func(id any, bytes int64)) {
-	c.state.VisitShared(f)
 	c.cursor.VisitShared(f)
 	c.erases.VisitShared(f)
 	c.reads.VisitShared(f)
@@ -187,7 +184,16 @@ func (c *Chip) State(a Addr) (PageState, error) {
 	if !c.geom.Contains(a) {
 		return 0, fmt.Errorf("%w: %v", ErrOutOfRange, a)
 	}
-	return c.state.At(c.geom.PageIndex(a)), nil
+	return c.pageState(a), nil
+}
+
+// pageState derives a page's lifecycle state from its block's program
+// cursor (a must be in range).
+func (c *Chip) pageState(a Addr) PageState {
+	if a.Page < c.cursor.At(int64(c.geom.BlockIndex(a))) {
+		return PageProgrammed
+	}
+	return PageErased
 }
 
 // EraseCount returns how many times the block containing a has been erased.
@@ -208,18 +214,18 @@ func (c *Chip) Program(a Addr, data []byte) error {
 	if data != nil && len(data) != c.geom.PageSize {
 		return fmt.Errorf("%w: got %d, page size %d", ErrSizeMismatch, len(data), c.geom.PageSize)
 	}
-	idx := c.geom.PageIndex(a)
-	if c.state.At(idx) != PageErased {
+	blk := int64(c.geom.BlockIndex(a))
+	cur := c.cursor.At(blk)
+	if a.Page < cur {
 		return fmt.Errorf("%w: %v", ErrOverwrite, a)
 	}
-	blk := int64(c.geom.BlockIndex(a))
 	if c.factoryBad.Get(blk) {
 		return fmt.Errorf("%w: %v (factory bad block)", ErrWornOut, a)
 	}
-	if a.Page != c.cursor.At(blk) {
-		return fmt.Errorf("%w: %v (next programmable page is %d)", ErrOutOfOrder, a, c.cursor.At(blk))
+	if a.Page != cur {
+		return fmt.Errorf("%w: %v (next programmable page is %d)", ErrOutOfOrder, a, cur)
 	}
-	c.state.Set(idx, PageProgrammed)
+	idx := c.geom.PageIndex(a)
 	*c.cursor.Ptr(blk)++
 	if c.birth != nil {
 		c.birth.Set(idx, c.cfg.Clock())
@@ -241,9 +247,9 @@ func (c *Chip) Read(a Addr, buf []byte) error {
 	if buf != nil && len(buf) != c.geom.PageSize {
 		return fmt.Errorf("%w: got %d, page size %d", ErrSizeMismatch, len(buf), c.geom.PageSize)
 	}
-	idx := c.geom.PageIndex(a)
 	if buf != nil {
-		if c.state.At(idx) == PageErased {
+		idx := c.geom.PageIndex(a)
+		if c.pageState(a) == PageErased {
 			for i := range buf {
 				buf[i] = 0xFF
 			}
@@ -271,10 +277,8 @@ func (c *Chip) Erase(a Addr) error {
 	if c.cfg.WearLimit > 0 && c.erases.At(blk) >= c.cfg.WearLimit {
 		return fmt.Errorf("%w: block %v after %d erases", ErrWornOut, a, c.erases.At(blk))
 	}
-	base := c.geom.PageIndex(a)
-	c.state.FillRange(base, base+int64(c.geom.PagesPerBlock))
 	if c.data != nil {
-		c.data.zeroRange(base, int64(c.geom.PagesPerBlock))
+		c.data.zeroRange(c.geom.PageIndex(a), int64(c.geom.PagesPerBlock))
 	}
 	c.cursor.Set(blk, 0)
 	*c.erases.Ptr(blk)++

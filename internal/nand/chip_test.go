@@ -125,6 +125,73 @@ func TestOutOfOrderProgramRejected(t *testing.T) {
 	}
 }
 
+// TestProgramErrorOrder pins which error Program reports on each kind of
+// page, before and after the block is erased: ErrOverwrite below the
+// program cursor, then ErrWornOut on a factory-bad block, then
+// ErrOutOfOrder above the cursor. A page's state is derived from the
+// cursor, so State must agree with the outcome on every case.
+func TestProgramErrorOrder(t *testing.T) {
+	const (
+		blk = 1 // pages 0..2 programmed, then optionally erased
+		bad = 3 // factory bad
+	)
+	setup := func(t *testing.T, erased bool) *Chip {
+		c := NewChip(ChipConfig{Geometry: testGeom()})
+		c.MarkFactoryBad(Addr{Block: bad})
+		for p := 0; p < 3; p++ {
+			if err := c.Program(Addr{Block: blk, Page: p}, nil); err != nil {
+				t.Fatalf("program page %d: %v", p, err)
+			}
+		}
+		if erased {
+			if err := c.Erase(Addr{Block: blk}); err != nil {
+				t.Fatalf("erase: %v", err)
+			}
+			if err := c.Erase(Addr{Block: bad}); !errors.Is(err, ErrWornOut) {
+				t.Fatalf("erase of factory-bad block = %v, want ErrWornOut", err)
+			}
+		}
+		return c
+	}
+	cases := []struct {
+		name   string
+		erased bool
+		a      Addr
+		before PageState
+		want   error
+	}{
+		{"erased at cursor", false, Addr{Block: blk, Page: 3}, PageErased, nil},
+		{"programmed first page", false, Addr{Block: blk, Page: 0}, PageProgrammed, ErrOverwrite},
+		{"programmed last page", false, Addr{Block: blk, Page: 2}, PageProgrammed, ErrOverwrite},
+		{"skipped ahead", false, Addr{Block: blk, Page: 5}, PageErased, ErrOutOfOrder},
+		{"factory-bad at cursor", false, Addr{Block: bad, Page: 0}, PageErased, ErrWornOut},
+		{"factory-bad skipped ahead", false, Addr{Block: bad, Page: 4}, PageErased, ErrWornOut},
+		{"erased at cursor after erase", true, Addr{Block: blk, Page: 0}, PageErased, nil},
+		{"once programmed, skipped ahead after erase", true, Addr{Block: blk, Page: 2}, PageErased, ErrOutOfOrder},
+		{"skipped ahead after erase", true, Addr{Block: blk, Page: 5}, PageErased, ErrOutOfOrder},
+		{"factory-bad after erase", true, Addr{Block: bad, Page: 0}, PageErased, ErrWornOut},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := setup(t, tc.erased)
+			if st, err := c.State(tc.a); err != nil || st != tc.before {
+				t.Fatalf("State before = %v, %v; want %v", st, err, tc.before)
+			}
+			err := c.Program(tc.a, nil)
+			if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("Program = %v, want %v", err, tc.want)
+			}
+			after := tc.before
+			if err == nil {
+				after = PageProgrammed
+			}
+			if st, err := c.State(tc.a); err != nil || st != after {
+				t.Errorf("State after = %v, %v; want %v", st, err, after)
+			}
+		})
+	}
+}
+
 func TestEraseResetsBlock(t *testing.T) {
 	c := NewChip(ChipConfig{Geometry: testGeom(), StoreData: true})
 	a := Addr{Block: 2}

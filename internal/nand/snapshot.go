@@ -5,17 +5,16 @@ import (
 	"ssdtp/internal/cow"
 )
 
-// ChipState is a sealed, immutable image of a Chip's mutable state: page
-// states, program cursors, erase/read-disturb counters, program-time birth
-// stamps, stored payloads, operation statistics, and factory-bad marks. The
-// bulk arrays are cow.Images — Snapshot marks the source chip's chunks
-// shared and aliases them here (O(chunks), no element copies), and Restore
-// aliases them into the target, which copies a chunk only when it first
-// writes it. A ChipState is never written after construction, so any number
-// of chips may restore from it concurrently.
+// ChipState is a sealed, immutable image of a Chip's mutable state: program
+// cursors, erase/read-disturb counters, program-time birth stamps, stored
+// payloads, operation statistics, and factory-bad marks. The bulk arrays are
+// cow.Images — Snapshot marks the source chip's chunks shared and aliases
+// them here (O(chunks), no element copies), and Restore aliases them into
+// the target, which copies a chunk only when it first writes it. A
+// ChipState is never written after construction, so any number of chips may
+// restore from it concurrently.
 type ChipState struct {
 	geom       Geometry
-	state      cow.Image[PageState]
 	cursor     cow.Image[int]
 	erases     cow.Image[int]
 	reads      cow.Image[int]
@@ -35,7 +34,6 @@ type ChipState struct {
 func (c *Chip) Snapshot() *ChipState {
 	s := &ChipState{
 		geom:       c.geom,
-		state:      c.state.Snapshot(),
 		cursor:     c.cursor.Snapshot(),
 		erases:     c.erases.Snapshot(),
 		reads:      c.reads.Snapshot(),
@@ -65,7 +63,6 @@ func (c *Chip) Restore(s *ChipState) {
 	if (c.birth != nil) != s.hasBirth || (c.data != nil) != s.hasData {
 		panic("nand: Restore config mismatch (Reliability/StoreData)")
 	}
-	c.state.Restore(s.state)
 	c.cursor.Restore(s.cursor)
 	c.erases.Restore(s.erases)
 	c.reads.Restore(s.reads)

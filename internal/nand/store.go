@@ -12,8 +12,8 @@ import "ssdtp/internal/cow"
 // A zeroed (or never-allocated) page region is indistinguishable from a
 // programmed page whose payload was not stored: both read as zeros, matching
 // the old map-miss semantics. The erased-page 0xFF pattern is synthesized by
-// Chip.Read from page state before the store is consulted, so the store never
-// needs a presence bit.
+// Chip.Read from the block's program cursor before the store is consulted,
+// so the store never needs a presence bit.
 const pagesPerChunk = 64
 
 type pageStore struct {

@@ -10,10 +10,11 @@ import (
 // TestClonePaysForWhatItTouches pins the per-drive cost of a fleet clone:
 // restored from a prefilled image, one 4 KiB write at a random LBA and the
 // drain after it copy only the few small chunks they touch (one l2p chunk,
-// the p2l chunks of the old and new locations, block counters and page
-// metadata), not a 32 KiB slab of mapping table per touched chunk.
+// the p2l chunk of the new location, block counters and program cursors),
+// not a 32 KiB slab of mapping table per touched chunk. Retiring the old
+// location writes no p2l entry, so its chunk stays shared.
 func TestClonePaysForWhatItTouches(t *testing.T) {
-	const bound = 8 << 10
+	const bound = 6 << 10
 	cfg := MQSimBase()
 	cfg.FTL.Seed = 1
 	src := SyncDev{NewDevice(sim.NewEngine(), cfg)}

@@ -12,7 +12,7 @@ import (
 
 // Device snapshot/clone (DESIGN.md §8). A snapshot deep-copies every layer
 // of a drained device — FTL tables and in-flight background ops, per-channel
-// bus accounting, every chip's page states, wear, disturb counters and
+// bus accounting, every chip's program cursors, wear, disturb counters and
 // payloads, host byte totals — so that an expensive preconditioning run can
 // be performed once and stamped onto fresh devices. A restored clone is
 // observationally identical to the source at capture time: same tables, same
