@@ -43,7 +43,8 @@ type Scheme interface {
 	// Name returns the scheme identifier.
 	Name() string
 	// WriteSector records an overwrite of logical sector id whose contents
-	// compress to ratio (0..1] of their size.
+	// compress to ratio (0..1] of their size. Ids are non-negative and
+	// dense, like LBAs: a scheme's memory is O(largest id written).
 	WriteSector(id int64, ratio float64)
 	// Append records a log-style append (redo records) of n bytes with the
 	// given compressibility; appends are never overwritten in place.
@@ -53,8 +54,12 @@ type Scheme interface {
 	PagesWritten() int64
 }
 
-// New constructs a scheme by name over the given flash page size.
+// New constructs a scheme by name over the given flash page size, which
+// must be positive.
 func New(name string, pageSize int) (Scheme, error) {
+	if pageSize <= 0 {
+		return nil, fmt.Errorf("compress: page size %d must be positive", pageSize)
+	}
 	switch name {
 	case "none":
 		return newPacked(name, pageSize, packedOpts{bucket: SectorSize, incompressible: true, headroom: 0.28}), nil
@@ -177,6 +182,31 @@ func (l *logAccount) maybeClean() {
 	}
 }
 
+// sizeTable holds the live stored size per id (sector or chunk), indexed
+// directly by the id. 0 means absent, which is unambiguous because every
+// stored size includes the blob header. The table doubles when a higher id
+// is first written.
+type sizeTable []int32
+
+// get returns the size stored for id, or 0 if there is none.
+func (t sizeTable) get(id int64) int {
+	if id < int64(len(t)) {
+		return int(t[id])
+	}
+	return 0
+}
+
+// set stores size s for id; s = 0 removes the entry.
+func (t *sizeTable) set(id int64, s int) {
+	if id >= int64(len(*t)) {
+		n := max(2*int64(len(*t)), id+1)
+		grown := make(sizeTable, n)
+		copy(grown, *t)
+		*t = grown
+	}
+	(*t)[id] = int32(s)
+}
+
 // packedOpts parameterize byte/bucket-packed schemes.
 type packedOpts struct {
 	bucket          int  // round stored blobs up to this granularity (1 = tight)
@@ -191,7 +221,7 @@ type packed struct {
 	name string
 	opts packedOpts
 	log  logAccount
-	size map[int64]int // live stored size per sector id
+	size sizeTable // live stored size per sector id
 }
 
 func newPacked(name string, pageSize int, o packedOpts) *packed {
@@ -202,7 +232,6 @@ func newPacked(name string, pageSize int, o packedOpts) *packed {
 		name: name,
 		opts: o,
 		log:  logAccount{pageSize: pageSize, headroom: o.headroom, recompressClean: o.recompressClean},
-		size: make(map[int64]int),
 	}
 }
 
@@ -219,11 +248,11 @@ func (p *packed) stored(n int, ratio float64) int {
 
 // WriteSector implements Scheme.
 func (p *packed) WriteSector(id int64, ratio float64) {
-	if old, ok := p.size[id]; ok {
+	if old := p.size.get(id); old != 0 {
 		p.log.invalidateBytes(old)
 	}
 	s := p.stored(SectorSize, ratio)
-	p.size[id] = s
+	p.size.set(id, s)
 	p.log.appendBytes(s)
 }
 
@@ -247,8 +276,8 @@ type chunked struct {
 	name string
 	k    int
 	log  logAccount
-	size map[int64]int // live stored size per chunk id
-	solo map[int64]int // live stored size per individually-stored sector
+	size sizeTable // live stored size per chunk id
+	solo sizeTable // live stored size per individually-stored sector
 }
 
 func newChunked(name string, pageSize, k int) *chunked {
@@ -256,8 +285,6 @@ func newChunked(name string, pageSize, k int) *chunked {
 		name: name,
 		k:    k,
 		log:  logAccount{pageSize: pageSize, headroom: 0.28},
-		size: make(map[int64]int),
-		solo: make(map[int64]int),
 	}
 }
 
@@ -268,26 +295,26 @@ func (c *chunked) Name() string { return c.name }
 func (c *chunked) WriteSector(id int64, ratio float64) {
 	per := compressedSize(SectorSize, ratio)
 	if per > fallbackThreshold {
-		if old, ok := c.solo[id]; ok {
+		if old := c.solo.get(id); old != 0 {
 			c.log.invalidateBytes(old)
 		}
-		c.solo[id] = per
+		c.solo.set(id, per)
 		c.log.appendBytes(per)
 		return
 	}
 	chunk := id / int64(c.k)
-	if old, ok := c.size[chunk]; ok {
+	if old := c.size.get(chunk); old != 0 {
 		c.log.invalidateBytes(old)
 	}
 	// Any individually stored siblings fold into the new chunk blob.
 	for s := chunk * int64(c.k); s < (chunk+1)*int64(c.k); s++ {
-		if old, ok := c.solo[s]; ok {
+		if old := c.solo.get(s); old != 0 {
 			c.log.invalidateBytes(old)
-			delete(c.solo, s)
+			c.solo.set(s, 0)
 		}
 	}
 	s := compressedSize(c.k*SectorSize, JointRatio(ratio, c.k))
-	c.size[chunk] = s
+	c.size.set(chunk, s)
 	c.log.appendBytes(s)
 }
 

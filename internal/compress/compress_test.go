@@ -23,6 +23,18 @@ func TestNewKnownSchemes(t *testing.T) {
 	}
 }
 
+func TestNewRejectsBadPageSize(t *testing.T) {
+	// A page size of zero or less would make the first write loop forever
+	// emitting empty pages; New must refuse it for every scheme.
+	for _, name := range SchemeNames {
+		for _, ps := range []int{0, -1, -16384} {
+			if s, err := New(name, ps); err == nil {
+				t.Errorf("New(%q, %d) = %v, want an error", name, ps, s.Name())
+			}
+		}
+	}
+}
+
 func TestNoneWritesFullSectors(t *testing.T) {
 	s, _ := New("none", page)
 	// 4 sectors fill one 16KB page exactly.
@@ -154,5 +166,156 @@ func TestAccountingInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refScheme is the part of Scheme the reference implementations provide.
+type refScheme interface {
+	WriteSector(id int64, ratio float64)
+	Append(n int, ratio float64)
+}
+
+// mapPacked and mapChunked are packed and chunked with the map-backed size
+// tables that sizeTable replaced, kept as the reference
+// TestSchemesMatchMapReference checks the schemes against.
+type mapPacked struct {
+	opts packedOpts
+	log  logAccount
+	size map[int64]int
+}
+
+func (p *mapPacked) stored(n int, ratio float64) int {
+	if p.opts.incompressible {
+		return n
+	}
+	s := compressedSize(n, ratio)
+	b := p.opts.bucket
+	return (s + b - 1) / b * b
+}
+
+func (p *mapPacked) WriteSector(id int64, ratio float64) {
+	if old, ok := p.size[id]; ok {
+		p.log.invalidateBytes(old)
+	}
+	s := p.stored(SectorSize, ratio)
+	p.size[id] = s
+	p.log.appendBytes(s)
+}
+
+func (p *mapPacked) Append(n int, ratio float64) {
+	p.log.appendBytes(p.stored(n, ratio))
+}
+
+type mapChunked struct {
+	k    int
+	log  logAccount
+	size map[int64]int
+	solo map[int64]int
+}
+
+func (c *mapChunked) WriteSector(id int64, ratio float64) {
+	per := compressedSize(SectorSize, ratio)
+	if per > fallbackThreshold {
+		if old, ok := c.solo[id]; ok {
+			c.log.invalidateBytes(old)
+		}
+		c.solo[id] = per
+		c.log.appendBytes(per)
+		return
+	}
+	chunk := id / int64(c.k)
+	if old, ok := c.size[chunk]; ok {
+		c.log.invalidateBytes(old)
+	}
+	for s := chunk * int64(c.k); s < (chunk+1)*int64(c.k); s++ {
+		if old, ok := c.solo[s]; ok {
+			c.log.invalidateBytes(old)
+			delete(c.solo, s)
+		}
+	}
+	s := compressedSize(c.k*SectorSize, JointRatio(ratio, c.k))
+	c.size[chunk] = s
+	c.log.appendBytes(s)
+}
+
+func (c *mapChunked) Append(n int, ratio float64) {
+	c.log.appendBytes(compressedSize(n, ratio))
+}
+
+// sameEntries reports whether a dense table and a map hold the same
+// entries.
+func sameEntries(dense sizeTable, ref map[int64]int) bool {
+	n := 0
+	for id, s := range dense {
+		if s != 0 {
+			n++
+			if ref[int64(id)] != int(s) {
+				return false
+			}
+		}
+	}
+	return n == len(ref)
+}
+
+// Every scheme accounts exactly as its map-backed reference, op for op, on
+// random streams of writes and appends: ids spread log-uniformly so they
+// cross the table's doubling steps, ratios on both sides of the chunked
+// schemes' solo fallback, and a small hot range where solo sectors are
+// later folded into a chunk.
+func TestSchemesMatchMapReference(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, name := range SchemeNames {
+			s, err := New(name, page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				log, rlog *logAccount
+				ref       refScheme
+			)
+			switch v := s.(type) {
+			case *packed:
+				o := &mapPacked{opts: v.opts, log: v.log, size: map[int64]int{}}
+				log, ref, rlog = &v.log, o, &o.log
+			case *chunked:
+				o := &mapChunked{k: v.k, log: v.log, size: map[int64]int{}, solo: map[int64]int{}}
+				log, ref, rlog = &v.log, o, &o.log
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for op := 0; op < 20000; op++ {
+				ratio := 0.05 + 0.95*rng.Float64()
+				switch r := rng.Intn(8); {
+				case r == 0:
+					n := rng.Intn(3*SectorSize) + 1
+					s.Append(n, ratio)
+					ref.Append(n, ratio)
+				case r < 4:
+					id := rng.Int63n(64)
+					s.WriteSector(id, ratio)
+					ref.WriteSector(id, ratio)
+				default:
+					id := rng.Int63n(1 << rng.Intn(14))
+					s.WriteSector(id, ratio)
+					ref.WriteSector(id, ratio)
+				}
+				if *log != *rlog {
+					t.Fatalf("%s seed %d op %d: log %+v, reference %+v", name, seed, op, *log, *rlog)
+				}
+			}
+			switch v := s.(type) {
+			case *packed:
+				if !sameEntries(v.size, ref.(*mapPacked).size) {
+					t.Errorf("%s seed %d: size table differs from reference", name, seed)
+				}
+			case *chunked:
+				o := ref.(*mapChunked)
+				if !sameEntries(v.size, o.size) || !sameEntries(v.solo, o.solo) {
+					t.Errorf("%s seed %d: size tables differ from reference", name, seed)
+				}
+				if len(o.solo) == 0 {
+					t.Errorf("%s seed %d: stream stored no sector solo", name, seed)
+				}
+			}
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package jtag
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -95,6 +97,103 @@ func TestStateTransitionTableTotal(t *testing.T) {
 			n := NextState(s, tms)
 			if n < TestLogicReset || n > UpdateIR {
 				t.Errorf("NextState(%v,%v) = %v out of range", s, tms, n)
+			}
+		}
+	}
+}
+
+// TestNextStateMatchesDiagram pins every edge of the IEEE 1149.1 TAP
+// controller state diagram, written as the standard draws it:
+// each state with its TMS=0 and TMS=1 successor.
+func TestNextStateMatchesDiagram(t *testing.T) {
+	diagram := []struct {
+		from, tms0, tms1 string
+	}{
+		{"Test-Logic-Reset", "Run-Test/Idle", "Test-Logic-Reset"},
+		{"Run-Test/Idle", "Run-Test/Idle", "Select-DR-Scan"},
+		{"Select-DR-Scan", "Capture-DR", "Select-IR-Scan"},
+		{"Capture-DR", "Shift-DR", "Exit1-DR"},
+		{"Shift-DR", "Shift-DR", "Exit1-DR"},
+		{"Exit1-DR", "Pause-DR", "Update-DR"},
+		{"Pause-DR", "Pause-DR", "Exit2-DR"},
+		{"Exit2-DR", "Shift-DR", "Update-DR"},
+		{"Update-DR", "Run-Test/Idle", "Select-DR-Scan"},
+		{"Select-IR-Scan", "Capture-IR", "Test-Logic-Reset"},
+		{"Capture-IR", "Shift-IR", "Exit1-IR"},
+		{"Shift-IR", "Shift-IR", "Exit1-IR"},
+		{"Exit1-IR", "Pause-IR", "Update-IR"},
+		{"Pause-IR", "Pause-IR", "Exit2-IR"},
+		{"Exit2-IR", "Shift-IR", "Update-IR"},
+		{"Update-IR", "Run-Test/Idle", "Select-DR-Scan"},
+	}
+	if len(diagram) != int(UpdateIR)+1 {
+		t.Fatalf("diagram has %d states, want %d", len(diagram), int(UpdateIR)+1)
+	}
+	for i, e := range diagram {
+		s := State(i)
+		if s.String() != e.from {
+			t.Fatalf("diagram row %d is %s, want %v", i, e.from, s)
+		}
+		if got := NextState(s, false).String(); got != e.tms0 {
+			t.Errorf("NextState(%v, TMS=0) = %v, want %v", s, got, e.tms0)
+		}
+		if got := NextState(s, true).String(); got != e.tms1 {
+			t.Errorf("NextState(%v, TMS=1) = %v, want %v", s, got, e.tms1)
+		}
+	}
+}
+
+// countingTarget counts IRWidth calls.
+type countingTarget struct {
+	*fakeTarget
+	irWidthCalls int
+}
+
+func (c *countingTarget) IRWidth() int {
+	c.irWidthCalls++
+	return c.fakeTarget.IRWidth()
+}
+
+// The TAP reads the IR width once, in NewTAP: shifts, updates and resets
+// make no IRWidth call.
+func TestTAPReadsIRWidthOnce(t *testing.T) {
+	ct := &countingTarget{fakeTarget: newFakeTarget()}
+	probe := NewProbe(NewPins(NewTAP(ct)))
+	d := NewDebugger(probe, 4)
+	for i := 0; i < 3; i++ {
+		d.Reset()
+		if got := d.IDCode(); got != ct.idcode {
+			t.Fatalf("IDCode = %#x, want %#x", got, ct.idcode)
+		}
+		d.WriteWord(0x100, 0xCAFE)
+		d.ReadWord(0x100)
+	}
+	if ct.irWidthCalls != 1 {
+		t.Errorf("IRWidth called %d times, want 1", ct.irWidthCalls)
+	}
+}
+
+// A scan width outside 1..64 panics, naming the width, before any edge is
+// driven, so the probe stays in Run-Test/Idle and keeps working.
+func TestShiftWidthOutOfRangePanics(t *testing.T) {
+	ft, d := rig()
+	p := d.probe
+	for _, w := range []int{0, 65} {
+		for _, sc := range []struct {
+			name  string
+			shift func(uint64, int) uint64
+		}{{"ShiftIR", p.ShiftIR}, {"ShiftDR", p.ShiftDR}} {
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil || !strings.Contains(fmt.Sprint(r), fmt.Sprint(w)) {
+						t.Errorf("%s(width %d): recovered %v, want a panic naming the width", sc.name, w, r)
+					}
+				}()
+				sc.shift(0, w)
+			}()
+			if got := d.IDCode(); got != ft.idcode {
+				t.Errorf("after %s(width %d): IDCode = %#x, want %#x", sc.name, w, got, ft.idcode)
 			}
 		}
 	}

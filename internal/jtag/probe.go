@@ -1,5 +1,7 @@
 package jtag
 
+import "fmt"
+
 // Pins is the GPIO bit-bang adapter: four wires to the TAP, driven the way
 // a Linux pinctrl client toggles header pins. TDO updates on each TCK
 // rising edge.
@@ -61,8 +63,13 @@ func (p *Probe) Reset() {
 
 // shift moves from Run-Test/Idle through Capture/Shift of the selected
 // register, shifting n bits of `out` LSB-first, and returns the captured
-// bits; it exits via Update back to Run-Test/Idle.
+// bits; it exits via Update back to Run-Test/Idle. n must be 1 to 64: no
+// caller scans an empty or wider register, and either would leave the TAP
+// off Run-Test/Idle or drop bits.
 func (p *Probe) shift(ir bool, out uint64, n int) uint64 {
+	if n < 1 || n > 64 {
+		panic(fmt.Sprintf("jtag: scan width %d outside 1..64", n))
+	}
 	// Run-Test/Idle -> Select-DR-Scan (-> Select-IR-Scan if IR)
 	p.pins.Pulse(true, false)
 	if ir {
@@ -88,12 +95,14 @@ func (p *Probe) shift(ir bool, out uint64, n int) uint64 {
 	return in
 }
 
-// ShiftIR latches an instruction and returns the captured IR bits.
+// ShiftIR latches an instruction and returns the captured IR bits. It
+// panics unless 1 <= width <= 64.
 func (p *Probe) ShiftIR(instr uint64, width int) uint64 {
 	return p.shift(true, instr, width)
 }
 
 // ShiftDR exchanges a data register value and returns the captured bits.
+// It panics unless 1 <= width <= 64.
 func (p *Probe) ShiftDR(value uint64, width int) uint64 {
 	return p.shift(false, value, width)
 }

@@ -48,61 +48,41 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
+// nextState is the IEEE 1149.1 state diagram: nextState[s][tms] is the
+// state after one TCK rising edge from s with TMS at level tms.
+var nextState = [16][2]State{
+	TestLogicReset: {RunTestIdle, TestLogicReset},
+	RunTestIdle:    {RunTestIdle, SelectDRScan},
+	SelectDRScan:   {CaptureDR, SelectIRScan},
+	CaptureDR:      {ShiftDR, Exit1DR},
+	ShiftDR:        {ShiftDR, Exit1DR},
+	Exit1DR:        {PauseDR, UpdateDR},
+	PauseDR:        {PauseDR, Exit2DR},
+	Exit2DR:        {ShiftDR, UpdateDR},
+	UpdateDR:       {RunTestIdle, SelectDRScan},
+	SelectIRScan:   {CaptureIR, TestLogicReset},
+	CaptureIR:      {ShiftIR, Exit1IR},
+	ShiftIR:        {ShiftIR, Exit1IR},
+	Exit1IR:        {PauseIR, UpdateIR},
+	PauseIR:        {PauseIR, Exit2IR},
+	Exit2IR:        {ShiftIR, UpdateIR},
+	UpdateIR:       {RunTestIdle, SelectDRScan},
+}
+
 // NextState returns the TAP state after one TCK rising edge with the given
 // TMS level, per the IEEE 1149.1 state diagram.
 func NextState(s State, tms bool) State {
 	if tms {
-		switch s {
-		case TestLogicReset:
-			return TestLogicReset
-		case RunTestIdle, UpdateDR, UpdateIR:
-			return SelectDRScan
-		case SelectDRScan:
-			return SelectIRScan
-		case CaptureDR, ShiftDR:
-			return Exit1DR
-		case Exit1DR, Exit2DR:
-			return UpdateDR
-		case PauseDR:
-			return Exit2DR
-		case SelectIRScan:
-			return TestLogicReset
-		case CaptureIR, ShiftIR:
-			return Exit1IR
-		case Exit1IR, Exit2IR:
-			return UpdateIR
-		case PauseIR:
-			return Exit2IR
-		}
-	} else {
-		switch s {
-		case TestLogicReset, RunTestIdle, UpdateDR, UpdateIR:
-			return RunTestIdle
-		case SelectDRScan:
-			return CaptureDR
-		case CaptureDR, ShiftDR:
-			return ShiftDR
-		case Exit1DR, PauseDR:
-			return PauseDR
-		case Exit2DR:
-			return ShiftDR
-		case SelectIRScan:
-			return CaptureIR
-		case CaptureIR, ShiftIR:
-			return ShiftIR
-		case Exit1IR, PauseIR:
-			return PauseIR
-		case Exit2IR:
-			return ShiftIR
-		}
+		return nextState[s][1]
 	}
-	panic("jtag: unreachable state transition")
+	return nextState[s][0]
 }
 
 // Target is the chip behind the TAP: it defines the instruction register
 // width and the data register behaviour per instruction.
 type Target interface {
-	// IRWidth returns the instruction register width in bits.
+	// IRWidth returns the instruction register width in bits, 1 to 64. It
+	// must be constant: NewTAP reads it once.
 	IRWidth() int
 	// CaptureDR returns the value parallel-loaded into the DR shift chain
 	// when Capture-DR passes with the given latched instruction.
@@ -122,21 +102,22 @@ func IRBypass(width int) uint64 { return (1 << uint(width)) - 1 }
 // TAP is the state machine plus shift registers, clocked one TCK edge at a
 // time.
 type TAP struct {
-	target Target
+	target  Target
+	irWidth int    // Target.IRWidth, read once
+	irMask  uint64 // IRBypass(irWidth)
 
 	state   State
 	ir      uint64 // latched instruction
 	shiftIR uint64
-	irCount int
 	shiftDR uint64
-	drCount int
 	drWidth int
 }
 
 // NewTAP wires a TAP to its target, starting in Test-Logic-Reset.
 func NewTAP(t Target) *TAP {
-	tap := &TAP{target: t, state: TestLogicReset}
-	tap.ir = IRBypass(t.IRWidth()) // 1149.1: reset latches IDCODE or BYPASS
+	w := t.IRWidth()
+	tap := &TAP{target: t, irWidth: w, irMask: IRBypass(w), state: TestLogicReset}
+	tap.ir = tap.irMask // 1149.1: reset latches IDCODE or BYPASS
 	t.ResetTAP()
 	return tap
 }
@@ -155,35 +136,29 @@ func (t *TAP) Clock(tms, tdi bool) (tdo bool) {
 	switch t.state {
 	case ShiftIR:
 		tdo = t.shiftIR&1 != 0
-		w := t.target.IRWidth()
 		t.shiftIR >>= 1
 		if tdi {
-			t.shiftIR |= 1 << uint(w-1)
+			t.shiftIR |= 1 << uint(t.irWidth-1)
 		}
-		t.irCount++
 	case ShiftDR:
 		tdo = t.shiftDR&1 != 0
-		w := t.drWidth
 		t.shiftDR >>= 1
 		if tdi {
-			t.shiftDR |= 1 << uint(w-1)
+			t.shiftDR |= 1 << uint(t.drWidth-1)
 		}
-		t.drCount++
 	}
 	next := NextState(t.state, tms)
 	switch next {
 	case TestLogicReset:
-		t.ir = IRBypass(t.target.IRWidth())
+		t.ir = t.irMask
 		t.target.ResetTAP()
 	case CaptureIR:
 		t.shiftIR = 0b01 // 1149.1 mandates xxxx01 in Capture-IR
-		t.irCount = 0
 	case UpdateIR:
-		t.ir = t.shiftIR & IRBypass(t.target.IRWidth())
+		t.ir = t.shiftIR & t.irMask
 	case CaptureDR:
 		t.drWidth = t.target.DRWidth(t.ir)
 		t.shiftDR = t.target.CaptureDR(t.ir)
-		t.drCount = 0
 	case UpdateDR:
 		t.target.UpdateDR(t.ir, t.shiftDR)
 	}

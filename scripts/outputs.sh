@@ -3,8 +3,8 @@
 # directory, with a sha256sum manifest, so two builds can be compared file
 # by file (make outputs-diff REV=<rev> does exactly that).
 #
-# It builds cmd/reproduce and cmd/ssdfio from SRC (default: this checkout)
-# and writes:
+# It builds cmd/reproduce, cmd/ssdfio, cmd/jtagprobe and
+# examples/compression-study from SRC (default: this checkout) and writes:
 #   reproduce.pN.stdout, reproduce.pN.trace.jsonl, reproduce.pN.perfetto.json,
 #   reproduce.pN.metrics, reproduce.pN.telemetry.jsonl,
 #   reproduce.pN.timeline.csv, reproduce.pN.csv/*
@@ -14,6 +14,11 @@
 #   ssdfio.timeline.csv, ssdfio.metrics
 #       cmd/ssdfio -fleet 16 -prefill -pattern hotspot -read 0.3
 #       -placement hash -shard 1
+#   jtagprobe.stdout, jtagprobe.pc.stdout
+#       cmd/jtagprobe (the Fig. 6 exploration, ending with the TCK edge
+#       count) and cmd/jtagprobe -pc
+#   compression-study.stdout
+#       examples/compression-study (Fig. 2's scheme table)
 #   MANIFEST
 #       sha256sum of every file above
 # Progress and wall-clock timings go to stderr and are not recorded.
@@ -34,6 +39,8 @@ mkdir -p "$bin"
 echo ">> building $src" >&2
 go -C "$src" build -o "$bin/reproduce" ./cmd/reproduce
 go -C "$src" build -o "$bin/ssdfio" ./cmd/ssdfio
+go -C "$src" build -o "$bin/jtagprobe" ./cmd/jtagprobe
+go -C "$src" build -o "$bin/compression-study" ./examples/compression-study
 
 # Paths are relative to out/, so outputs that name their files (the -csv
 # notes on stdout) do not depend on where DIR is.
@@ -61,6 +68,11 @@ echo ">> cmd/ssdfio -fleet 16" >&2
 	-telemetry ssdfio.telemetry.jsonl \
 	-timeline ssdfio.timeline.csv \
 	-metrics ssdfio.metrics >ssdfio.stdout
+
+echo ">> cmd/jtagprobe, examples/compression-study" >&2
+"$bin/jtagprobe" >jtagprobe.stdout
+"$bin/jtagprobe" -pc >jtagprobe.pc.stdout
+"$bin/compression-study" >compression-study.stdout
 
 find . -type f ! -name MANIFEST | LC_ALL=C sort | xargs sha256sum >MANIFEST
 echo ">> wrote $out/MANIFEST" >&2
