@@ -13,6 +13,7 @@ import (
 	"ssdtp/internal/obs"
 	"ssdtp/internal/runner"
 	"ssdtp/internal/sim"
+	"ssdtp/internal/smart"
 	"ssdtp/internal/ssd"
 	"ssdtp/internal/telemetry"
 	"ssdtp/internal/workload"
@@ -102,9 +103,9 @@ func BenchmarkFig3Telemetry(b *testing.B) {
 func BenchmarkTransparency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiments.Transparency(experiments.Quick, int64(i)+1)
-		tel, smart := res.MeanF1()
+		tel, smartF1, _ := res.MeanF1()
 		b.ReportMetric(tel, "telemetry-F1")
-		b.ReportMetric(smart, "smart-F1")
+		b.ReportMetric(smartF1, "smart-F1")
 	}
 }
 
@@ -216,7 +217,8 @@ func BenchmarkAblationRAINStripe(b *testing.B) {
 				dev := ssd.NewDevice(sim.NewEngine(), cfg)
 				spec := workload.Spec{Name: "seq", Pattern: workload.Sequential, RequestBytes: 1 << 20, SyncEvery: 1}
 				workload.Run(dev, spec, workload.Options{MaxRequests: 32})
-				ticks := dev.NANDPageTicks()
+				tab := dev.SMART()
+				ticks := tab.Value(smart.AttrHostProgramPageCount) + tab.Value(smart.AttrFTLProgramPageCount)
 				if ticks > 0 {
 					b.ReportMetric(float64(dev.HostBytesWritten())/float64(ticks)/1024, "KB-per-page")
 				}

@@ -13,6 +13,7 @@ import (
 	"os"
 	"strconv"
 
+	"ssdtp/internal/cliutil"
 	"ssdtp/internal/core"
 	"ssdtp/internal/firmware"
 	"ssdtp/internal/jtag"
@@ -36,8 +37,10 @@ func main() {
 	if *dump != "" {
 		addr, err := strconv.ParseUint(*dump, 0, 32)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad address %q: %v\n", *dump, err)
-			os.Exit(2)
+			cliutil.Failf("dump", "bad address %q: %v", *dump, err)
+		}
+		if err := checkDump(addr, *count); err != nil {
+			cliutil.Failf("count", "%v", err)
 		}
 		words := dbg.ReadBlock(uint32(addr), *count)
 		for i, w := range words {

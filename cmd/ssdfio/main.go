@@ -24,8 +24,11 @@
 //
 // All output-file flags are opened and validated before the simulation
 // starts, as are the sampling intervals (-timeline-ms must not be negative,
-// -telemetry-ms must be positive when used), and write failures are
-// reported with the flag and path they belong to.
+// -telemetry-ms must be positive when used) and the workload's shape (-size
+// a positive multiple of the sector, -ms positive, -read within 0..1,
+// -interval-us not negative, -stripe-kb a positive multiple of the sector in
+// fleet mode). Write failures are reported with the flag and path they
+// belong to.
 package main
 
 import (
@@ -82,6 +85,13 @@ func main() {
 	// fails here, flag-attributed, not after the run has burned its CPU time.
 	// Reject intervals that would sample nothing before creating any file
 	// (-timeline-ms 0 selects the CSV's 10 ms default).
+	wf := workloadFlags{
+		size: *size, sector: cfg.FTL.SectorSize, ms: *ms, readFrac: *readFrac,
+		intervalUS: *intervalUS, fleet: *fleetN > 0 || *drivesN > 0, stripeKB: *stripeKB,
+	}
+	if name, err := wf.check(); err != nil {
+		cliutil.Failf(name, "%v", err)
+	}
 	cliutil.MustInterval("timeline-ms", *timelineMS, 0)
 	if *telemetryFile != "" || *httpAddr != "" {
 		cliutil.MustInterval("telemetry-ms", *telemetryMS, 1)

@@ -30,9 +30,6 @@ func main() {
 			}
 			fmt.Printf("  %-8s %.4f flash pages/txn\n", name, w)
 		}
-		for _, name := range compress.SchemeNames {
-			_ = name
-		}
 		fmt.Printf("  (spread vs re-bp32 baseline %.4f shown by cmd/reproduce -run fig2)\n\n", base)
 	}
 	fmt.Println("same host workload, same drive interface — yet flash wear varies by")

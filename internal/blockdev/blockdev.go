@@ -48,8 +48,9 @@ func CheckAccess(size int64, sector int, off, n int64) error {
 }
 
 // RAMDisk is a sparse in-memory Device, the baseline "ideal device" against
-// which simulated SSD behaviour is compared and a correctness oracle in
-// tests.
+// which simulated SSD behaviour is compared. No experiment runs on it: it is
+// the reference a simulated drive's reads can be checked against, byte for
+// byte.
 type RAMDisk struct {
 	size    int64
 	sector  int
@@ -117,7 +118,3 @@ func (d *RAMDisk) Trim(off, length int64) error {
 
 // Flush implements Device (RAM is always "durable" here).
 func (d *RAMDisk) Flush() error { return nil }
-
-// PopulatedSectors returns how many sectors hold data, for tests asserting
-// TRIM behaviour.
-func (d *RAMDisk) PopulatedSectors() int { return len(d.sectors) }

@@ -57,13 +57,13 @@ func TestTrim(t *testing.T) {
 	if err := d.WriteAt(bytes.Repeat([]byte{1}, 2048), 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.PopulatedSectors(); got != 4 {
+	if got := len(d.sectors); got != 4 {
 		t.Fatalf("populated = %d, want 4", got)
 	}
 	if err := d.Trim(512, 1024); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.PopulatedSectors(); got != 2 {
+	if got := len(d.sectors); got != 2 {
 		t.Errorf("populated after trim = %d, want 2", got)
 	}
 	buf := make([]byte, 512)

@@ -43,12 +43,11 @@ import (
 var deepCopy bool
 
 // SetDeepCopy selects the deep-copy reference path for all subsequent
-// Snapshot/Restore calls (tests and benchmarks only; results are identical
-// either way). Not safe to toggle concurrently with snapshot activity.
+// Snapshot/Restore calls. Results are identical either way: it exists so
+// tests here and in internal/nand can compare chunk sharing against the deep
+// copy, and so BenchmarkDriveClone can time the deep copy as its baseline.
+// Not safe to toggle concurrently with snapshot activity.
 func SetDeepCopy(on bool) { deepCopy = on }
-
-// DeepCopy reports whether the deep-copy reference path is selected.
-func DeepCopy() bool { return deepCopy }
 
 // table is the chunk store behind Array and Bytes: the chunks, their share
 // bits, and every operation that addresses a range of elements rather than

@@ -50,28 +50,23 @@ type TransparencyResult struct {
 	Rows []TransparencyRow
 }
 
-// meanF1 averages a selector's F1 across configurations that saw any cliff.
-func (r TransparencyResult) meanF1(sel func(TransparencyRow) telemetry.Score) (float64, int) {
-	sum, n := 0.0, 0
+// MeanF1 returns the headline comparison: the mean F1 of the log-page
+// forecaster and of the SMART-only baseline over the configurations that saw
+// any cliff, and how many configurations those were (all zero when none
+// did).
+func (r TransparencyResult) MeanF1() (telemetryF1, smartF1 float64, configs int) {
 	for _, row := range r.Rows {
 		if row.Cliffs == 0 {
 			continue
 		}
-		sum += sel(row).F1()
-		n++
+		telemetryF1 += row.Telemetry.F1()
+		smartF1 += row.SMART.F1()
+		configs++
 	}
-	if n == 0 {
-		return 0, 0
+	if configs == 0 {
+		return 0, 0, 0
 	}
-	return sum / float64(n), n
-}
-
-// MeanF1 returns the headline comparison: mean F1 across cliff-bearing
-// configurations for the log-page forecaster and the SMART-only baseline.
-func (r TransparencyResult) MeanF1() (telemetryF1, smartF1 float64) {
-	telemetryF1, _ = r.meanF1(func(row TransparencyRow) telemetry.Score { return row.Telemetry })
-	smartF1, _ = r.meanF1(func(row TransparencyRow) telemetry.Score { return row.SMART })
-	return telemetryF1, smartF1
+	return telemetryF1 / float64(configs), smartF1 / float64(configs), configs
 }
 
 // Table renders the per-configuration scores plus the headline comparison.
@@ -88,9 +83,7 @@ func (r TransparencyResult) Table() string {
 			fmt.Sprintf("%.2f", row.SMART.F1()))
 	}
 	out := t.String()
-	tf, n := r.meanF1(func(row TransparencyRow) telemetry.Score { return row.Telemetry })
-	sf, _ := r.meanF1(func(row TransparencyRow) telemetry.Score { return row.SMART })
-	if n > 0 {
+	if tf, sf, n := r.MeanF1(); n > 0 {
 		out += fmt.Sprintf(
 			"next-window GC-cliff forecast, mean F1 over %d configs: %.2f from the disclosed log page vs %.2f from SMART alone\n",
 			n, tf, sf)

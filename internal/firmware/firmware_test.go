@@ -186,7 +186,7 @@ func TestHaltFreezesPC(t *testing.T) {
 	fw, d, _ := evoRig(t)
 	fw.NoteHostAccess(2)
 	d.Halt(1)
-	if !d.Halted(1) {
+	if d.Status()&(1<<1) == 0 {
 		t.Fatal("core 1 not halted")
 	}
 	pc1 := d.PC(1)
@@ -195,7 +195,7 @@ func TestHaltFreezesPC(t *testing.T) {
 		t.Errorf("halted PC moved: %#x -> %#x", pc1, pc2)
 	}
 	d.Resume(1)
-	if d.Halted(1) {
+	if d.Status()&(1<<1) != 0 {
 		t.Error("core 1 still halted after resume")
 	}
 }
@@ -316,7 +316,7 @@ func TestSingleStepAdvancesHaltedPC(t *testing.T) {
 	// Step on a running core is a no-op.
 	d.Resume(1)
 	d.Step(1)
-	if d.Halted(1) {
+	if d.Status()&(1<<1) != 0 {
 		t.Error("step halted a running core")
 	}
 }
@@ -330,7 +330,7 @@ func TestPSLCIndexThroughJTAG(t *testing.T) {
 	done := false
 	dev.FlushAsync(func() { done = true })
 	dev.Engine().RunWhile(func() bool { return !done })
-	if dev.FTL().PSLCResident() == 0 {
+	if len(dev.FTL().PSLCSnapshot(nil)) == 0 {
 		t.Fatal("no pSLC-resident data to index")
 	}
 	// Scan the hashed index: used buckets must appear, tagged with the

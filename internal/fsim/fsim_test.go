@@ -136,7 +136,7 @@ func TestLogFSCleanerReclaims(t *testing.T) {
 			t.Fatalf("overwrite %d: %v", i, err)
 		}
 	}
-	if fs.FreeSegments() == 0 {
+	if len(fs.freeSegs) == 0 {
 		t.Error("no free segments after sustained overwrite")
 	}
 	if d.Trims == 0 {

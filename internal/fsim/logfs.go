@@ -41,11 +41,10 @@ type LogFS struct {
 		fb  int64
 	} // device block -> (file, file block), for cleaning
 
-	files      map[string]*logInode
-	usedBytes  int64
-	nodeOps    int64 // node blocks appended
-	cleanMoves int64
-	cleaning   bool
+	files     map[string]*logInode
+	usedBytes int64
+	nodeOps   int64 // node blocks appended
+	cleaning  bool
 
 	// dirtyNodes batches inode/node updates in memory until Sync, as F2FS
 	// does: repeated operations on the same file cost one node write per
@@ -99,12 +98,6 @@ func (fs *LogFS) CapacityBytes() int64 {
 
 // UsedBytes implements FS.
 func (fs *LogFS) UsedBytes() int64 { return fs.usedBytes }
-
-// FreeSegments returns the free segment count.
-func (fs *LogFS) FreeSegments() int64 { return int64(len(fs.freeSegs)) }
-
-// CleanMoves returns live blocks relocated by the cleaner so far.
-func (fs *LogFS) CleanMoves() int64 { return fs.cleanMoves }
 
 func (fs *LogFS) popFree(kind uint8) int64 {
 	if len(fs.freeSegs) == 0 {
@@ -295,7 +288,6 @@ func (fs *LogFS) cleanSegment(victim int64) {
 			fs.invalidate(b)
 			nb := fs.appendData(own.ino, own.fb)
 			own.ino.blocks[own.fb] = nb
-			fs.cleanMoves++
 		}
 	}
 	fs.segType[victim] = 0

@@ -251,17 +251,6 @@ func (f *FTL) commitPage(pu *puState, op *pageOp, ppn int64, gb int64) {
 	if !pu.gcRunning && len(pu.free) < f.cfg.GCLowWater {
 		f.maybeStartGC(pu, false)
 	}
-	// When a yielding FTL's foreground queue drains, parked collection
-	// work resumes and due parallel units restart.
-	if f.cfg.GCYield && !f.hostActive() {
-		f.resumeYieldedGC()
-		for i := range f.pus {
-			p := &f.pus[i]
-			if len(p.free) < f.cfg.GCHighWater {
-				f.maybeStartGC(p, true)
-			}
-		}
-	}
 	f.drainPUWaiters(pu)
 	f.pumpDrain()
 	// The op is fully retired: every slot committed, done ran, and nothing

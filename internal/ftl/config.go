@@ -215,14 +215,6 @@ type Config struct {
 	// open-channel device.
 	GCSuspend bool
 
-	// GCYield makes garbage collection defer to foreground traffic unless
-	// free space is critical — the scheduling discipline a host with full
-	// FTL knowledge achieves on an open-channel SSD (§1: open-channel
-	// exposure yields "highly predictable I/O performance with perfect
-	// scheduling decisions, presenting an upper bound"). Conventional
-	// drives cannot do this: their FTL lacks the host's context.
-	GCYield bool
-
 	// Seed feeds the FTL's private RNG (randomized-greedy sampling).
 	Seed int64
 

@@ -152,9 +152,6 @@ type FTL struct {
 	refreshing bitset.Set // by ppn: refresh in flight
 	badBlocks  bitset.Set // by global block: retired
 
-	// yieldedGC holds parked collection continuations (GCYield mode).
-	yieldedGC []func()
-
 	// Per-PU garbage-collection callbacks and tracked-op tags, built once at
 	// construction. Sharing one closure per (PU, role) keeps the steady-state
 	// GC loop allocation-free, and — because the callbacks read their
@@ -163,8 +160,6 @@ type FTL struct {
 	gcReadDones  []func(int, error)
 	gcEraseDones []func(error)
 	gcWriteDones []func()
-	gcReadConts  []func()
-	gcWriteConts []func()
 	gcReadTags   []any
 	gcEraseTags  []any
 
@@ -291,8 +286,6 @@ func New(eng *sim.Engine, flash Flash, cfg Config) *FTL {
 	f.gcReadDones = make([]func(int, error), f.numPU)
 	f.gcEraseDones = make([]func(error), f.numPU)
 	f.gcWriteDones = make([]func(), f.numPU)
-	f.gcReadConts = make([]func(), f.numPU)
-	f.gcWriteConts = make([]func(), f.numPU)
 	f.gcReadTags = make([]any, f.numPU)
 	f.gcEraseTags = make([]any, f.numPU)
 	for i := range f.pus {
@@ -300,8 +293,6 @@ func New(eng *sim.Engine, flash Flash, cfg Config) *FTL {
 		f.gcReadDones[i] = func(int, error) { pu.job.next++; f.gcReadNext(pu) }
 		f.gcEraseDones[i] = func(err error) { f.gcEraseDone(pu, err) }
 		f.gcWriteDones[i] = func() { pu.job.next++; f.gcWriteNext(pu) }
-		f.gcReadConts[i] = func() { f.gcReadNext(pu) }
-		f.gcWriteConts[i] = func() { f.gcWriteNext(pu) }
 		f.gcReadTags[i] = gcReadTag{pu: i}
 		f.gcEraseTags[i] = gcEraseTag{pu: i}
 	}
@@ -383,9 +374,6 @@ func (f *FTL) MapEntry(lsn int64) int64 {
 	}
 	return f.l2p.At(lsn)
 }
-
-// PSLCResident returns how many logical sectors are indexed as pSLC-resident.
-func (f *FTL) PSLCResident() int { return len(f.pslcIndex) }
 
 // PSLCSnapshot copies the pSLC residency index (lsn -> psn) into dst and
 // returns it; a nil dst is allocated, a non-nil dst is cleared first so the
@@ -681,9 +669,6 @@ func (f *FTL) newReadOp(ppn int64, req *hostReq) *readOp {
 			f := ro.f
 			f.inflightReads--
 			f.applyReadHealth(ro.ppn, bits)
-			if f.cfg.GCYield && f.inflightReads == 0 {
-				f.resumeYieldedGC()
-			}
 			req := ro.req
 			ro.req = nil
 			ro.next = f.readOpFree

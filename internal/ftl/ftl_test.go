@@ -517,8 +517,8 @@ func TestPSLCCreditsAndIndex(t *testing.T) {
 	if c.PSLCPagesProgrammed != 2 {
 		t.Errorf("PSLCPagesProgrammed = %d, want 2", c.PSLCPagesProgrammed)
 	}
-	if f.PSLCResident() != 8 {
-		t.Errorf("PSLCResident = %d, want 8", f.PSLCResident())
+	if len(f.pslcIndex) != 8 {
+		t.Errorf("pSLC-resident sectors = %d, want 8", len(f.pslcIndex))
 	}
 	checkInvariants(t, f)
 }

@@ -15,48 +15,8 @@ func (f *FTL) maybeStartGC(pu *puState, force bool) {
 	if !force && len(pu.free) >= f.cfg.GCLowWater {
 		return
 	}
-	// Open-channel-style hosts schedule collection around foreground work;
-	// only an empty free list overrides the yield.
-	if f.cfg.GCYield && !force && f.hostActive() && len(pu.free) > hostReserveBlocks {
-		return
-	}
 	f.setGCRunning(pu, true)
 	f.gcStep(pu)
-}
-
-// hostActive reports whether latency-critical foreground work is pending —
-// the signal a host-side FTL has and a device-side one lacks. That means
-// host reads (which block the application) and stalled write admissions;
-// buffered writeback is itself background work and does not count.
-func (f *FTL) hostActive() bool {
-	if f.inflightReads > 0 {
-		return true
-	}
-	return f.cache != nil && len(f.cache.admitWaiters) > 0
-}
-
-// gcYieldPoint parks cont and reports true when a yielding FTL should step
-// aside for foreground traffic. Parked continuations resume from
-// resumeYieldedGC once the queue drains.
-func (f *FTL) gcYieldPoint(pu *puState, cont func()) bool {
-	if !f.cfg.GCYield || !f.hostActive() || len(pu.free) <= hostReserveBlocks {
-		return false
-	}
-	f.yieldedGC = append(f.yieldedGC, cont)
-	return true
-}
-
-// resumeYieldedGC re-dispatches parked collection work (each continuation
-// re-checks the yield condition itself).
-func (f *FTL) resumeYieldedGC() {
-	if len(f.yieldedGC) == 0 {
-		return
-	}
-	conts := f.yieldedGC
-	f.yieldedGC = nil
-	for _, c := range conts {
-		c()
-	}
 }
 
 // gcStep collects one victim block, then re-evaluates. The loop ends when
@@ -64,12 +24,6 @@ func (f *FTL) resumeYieldedGC() {
 // busy or none closed yet — commits re-arm collection).
 func (f *FTL) gcStep(pu *puState) {
 	if len(pu.free) >= f.cfg.GCHighWater {
-		f.setGCRunning(pu, false)
-		return
-	}
-	// A yielding (host-scheduled) FTL pauses between victims as soon as
-	// foreground work appears; it resumes when the queue drains.
-	if f.cfg.GCYield && f.hostActive() && len(pu.free) > hostReserveBlocks {
 		f.setGCRunning(pu, false)
 		return
 	}
@@ -230,7 +184,7 @@ func (f *FTL) collectBlock(pu *puState, victim int32) {
 
 // gcReadNext issues the relocation read at job.next, or moves on to the
 // write phase when the reads are done. Reads chain strictly one at a time —
-// job.next advances in the completion callback (gcConts) — so host
+// job.next advances in the completion callback (gcReadDones) — so host
 // operations interleave on the die between them.
 func (f *FTL) gcReadNext(pu *puState) {
 	job := pu.job
@@ -238,9 +192,6 @@ func (f *FTL) gcReadNext(pu *puState) {
 		job.phase = jobWriting
 		job.next = 0
 		f.gcWriteNext(pu)
-		return
-	}
-	if f.gcYieldPoint(pu, f.gcReadConts[pu.index]) {
 		return
 	}
 	addr := nand.Addr{Die: pu.die, Plane: pu.plane, Block: int(job.victim), Page: job.readPages[job.next]}
@@ -262,9 +213,6 @@ func (f *FTL) gcWriteNext(pu *puState) {
 	job := pu.job
 	if job.next == job.nPages {
 		f.gcEraseVictim(pu)
-		return
-	}
-	if f.gcYieldPoint(pu, f.gcWriteConts[pu.index]) {
 		return
 	}
 	op := f.newPageOp(kindGC, pu.index)

@@ -66,7 +66,9 @@ func (d *Debugger) SelectCore(n int) {
 	d.probe.ShiftDR(uint64(n)&CtrlCoreMask, 8)
 }
 
-// Halt stops the selected core.
+// Halt stops the selected core. The §3.2 exploration only samples running
+// cores; the firmware package's tests halt one to check that its PC freezes
+// and single-steps.
 func (d *Debugger) Halt(core int) {
 	d.probe.ShiftIR(IRDbgCtrl, d.irWidth)
 	d.probe.ShiftDR(uint64(core)&CtrlCoreMask|CtrlHaltBit, 8)
@@ -88,11 +90,6 @@ func (d *Debugger) Step(core int) {
 func (d *Debugger) Status() uint8 {
 	d.probe.ShiftIR(IRDbgCtrl, d.irWidth)
 	return uint8(d.probe.ShiftDR(0, 8))
-}
-
-// Halted reports whether core n is halted.
-func (d *Debugger) Halted(core int) bool {
-	return d.Status()&(1<<uint(core)) != 0
 }
 
 // FlashControllerPowered reports the flash controller power rail state —

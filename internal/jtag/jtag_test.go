@@ -234,7 +234,7 @@ func TestReadBlockAutoIncrement(t *testing.T) {
 func TestHaltStatusAndPC(t *testing.T) {
 	_, d := rig()
 	d.Halt(2)
-	if !d.Halted(2) {
+	if d.Status()&(1<<2) == 0 {
 		t.Error("core 2 not halted")
 	}
 	if pc := d.PC(2); pc != 0x1200 {
@@ -292,7 +292,7 @@ func TestRandomTMSNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 10000; i++ {
 		pins.Pulse(rng.Intn(2) == 0, rng.Intn(2) == 0)
-		if s := tap.StateName(); s < TestLogicReset || s > UpdateIR {
+		if s := tap.state; s < TestLogicReset || s > UpdateIR {
 			t.Fatalf("undefined state %v", s)
 		}
 	}

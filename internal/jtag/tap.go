@@ -122,9 +122,6 @@ func NewTAP(t Target) *TAP {
 	return tap
 }
 
-// StateName returns the current controller state.
-func (t *TAP) StateName() State { return t.state }
-
 // IR returns the latched instruction.
 func (t *TAP) IR() uint64 { return t.ir }
 

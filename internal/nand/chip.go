@@ -112,7 +112,9 @@ func NewChip(cfg ChipConfig) *Chip {
 }
 
 // MarkFactoryBad records a factory bad block: erase and program operations
-// on it fail, as shipped-bad blocks do on real parts.
+// on it fail, as shipped-bad blocks do on real parts. No shipped model marks
+// any; the ftl package's tests use it to inject a bad block and check
+// retirement.
 func (c *Chip) MarkFactoryBad(a Addr) {
 	a.Page = 0
 	if c.geom.Contains(a) {
@@ -132,14 +134,6 @@ func (c *Chip) BitErrors(a Addr) int {
 	}
 	age := c.cfg.Clock() - c.birth.At(c.geom.PageIndex(a))
 	return c.cfg.Reliability.BitErrorsRD(c.erases.At(blk), age, c.reads.At(blk))
-}
-
-// BlockReads returns reads of the block containing a since its last erase.
-func (c *Chip) BlockReads(a Addr) int {
-	if !c.geom.Contains(Addr{Die: a.Die, Plane: a.Plane, Block: a.Block}) {
-		return 0
-	}
-	return c.reads.At(int64(c.geom.BlockIndex(a)))
 }
 
 // Geometry returns the chip's layout.

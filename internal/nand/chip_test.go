@@ -36,8 +36,8 @@ func TestGeometryCounts(t *testing.T) {
 	if got, want := g.Blocks(), int64(2*2*8); got != want {
 		t.Errorf("Blocks = %d, want %d", got, want)
 	}
-	if got, want := g.Capacity(), int64(2*2*8*16*512); got != want {
-		t.Errorf("Capacity = %d, want %d", got, want)
+	if got, want := g.Pages()*int64(g.PageSize), int64(2*2*8*16*512); got != want {
+		t.Errorf("data bytes = %d, want %d", got, want)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestRowAddressRoundTripProperty(t *testing.T) {
 	g := testGeom()
 	f := func(raw uint32) bool {
 		row := raw % uint32(g.Pages())
-		return g.RowAddress(g.AddrOfRow(row)) == row
+		return g.RowAddress(g.AddrOf(int64(row))) == row
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

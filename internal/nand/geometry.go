@@ -70,11 +70,6 @@ func (g Geometry) Blocks() int64 {
 	return int64(g.Dies) * int64(g.Planes) * int64(g.BlocksPerPlane)
 }
 
-// Capacity returns total data bytes (excluding OOB).
-func (g Geometry) Capacity() int64 {
-	return g.Pages() * int64(g.PageSize)
-}
-
 // PageIndex maps an address to a dense linear page index within the package.
 // The layout is die-major: ((die*planes+plane)*blocksPerPlane+block)*pagesPerBlock+page.
 func (g Geometry) PageIndex(a Addr) int64 {
@@ -119,9 +114,4 @@ func (g Geometry) Contains(a Addr) bool {
 // address cycles on the bus. The column address is carried separately.
 func (g Geometry) RowAddress(a Addr) uint32 {
 	return uint32(g.PageIndex(a))
-}
-
-// AddrOfRow inverts RowAddress.
-func (g Geometry) AddrOfRow(row uint32) Addr {
-	return g.AddrOf(int64(row))
 }

@@ -8,6 +8,14 @@ import (
 	"ssdtp/internal/sim"
 )
 
+// BlockReads returns reads of the block containing a since its last erase.
+func (c *Chip) BlockReads(a Addr) int {
+	if !c.geom.Contains(Addr{Die: a.Die, Plane: a.Plane, Block: a.Block}) {
+		return 0
+	}
+	return c.reads.At(int64(c.geom.BlockIndex(a)))
+}
+
 func TestBitErrorsGrowWithWearAndAge(t *testing.T) {
 	r := TLCReliability()
 	fresh := r.BitErrors(0, 0)

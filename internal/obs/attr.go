@@ -118,9 +118,9 @@ func (a *ReqAttr) MarkCarved(carvePhase Phase, carve sim.Time, next Phase) {
 	a.cur = next
 }
 
-// End charges the final interval, records the request's row and per-phase
-// histogram samples, and recycles the ReqAttr. The caller must not use it
-// afterward.
+// End charges the final interval, adds the request's phases to the totals,
+// hands its row to the sink or retains it, and recycles the ReqAttr. The
+// caller must not use it afterward.
 func (a *ReqAttr) End() {
 	if a == nil {
 		return
@@ -142,11 +142,6 @@ func (a *ReqAttr) End() {
 		p.droppedRows++
 	} else {
 		p.rows = append(p.rows, row)
-		for i := 0; i < NumPhases; i++ {
-			if row.Phases[i] > 0 {
-				p.phaseLat(Phase(i)).Record(row.Phases[i])
-			}
-		}
 	}
 	*a = ReqAttr{next: p.free, stallIdx: -1}
 	p.free = a
@@ -165,7 +160,6 @@ type Profiler struct {
 	rowCap      int
 	droppedRows int64
 	totals      [NumPhases]sim.Time
-	lat         [NumPhases]*stats.LatencyRecorder
 	requests    int64
 	sink        func(AttrRow) // when non-nil, receives rows instead of retention
 	free        *ReqAttr
@@ -188,22 +182,14 @@ func (t *Tracer) Prof() *Profiler {
 	return t.prof
 }
 
-// phaseLat returns (lazily creating) the per-phase latency recorder.
-func (p *Profiler) phaseLat(ph Phase) *stats.LatencyRecorder {
-	if p.lat[ph] == nil {
-		p.lat[ph] = stats.NewLatencyRecorder()
-	}
-	return p.lat[ph]
-}
-
 // SetRowSink diverts each completed request's AttrRow to fn at End time
-// instead of retaining it (and its per-phase histogram samples) in the
-// profiler. Phase totals and the request count still accumulate. The fleet
-// layer installs a sink on every drive's profiler so a thousands-of-drives
-// run consumes each row at completion — attributing it to the issuing
-// tenant — without holding per-request state anywhere. The sink runs inside
-// ReqAttr.End, before the request's completion callback, so a caller whose
-// completion fires immediately after can observe "its" row from the sink.
+// instead of retaining it in the profiler. Phase totals and the request
+// count still accumulate. The fleet layer installs a sink on every drive's
+// profiler so a thousands-of-drives run consumes each row at completion —
+// attributing it to the issuing tenant — without holding per-request state
+// anywhere. The sink runs inside ReqAttr.End, before the request's
+// completion callback, so a caller whose completion fires immediately after
+// can observe "its" row from the sink.
 // Passing nil restores row retention.
 func (p *Profiler) SetRowSink(fn func(AttrRow)) {
 	if p != nil {
@@ -367,24 +353,6 @@ func (p *Profiler) Requests() int64 {
 		return 0
 	}
 	return p.requests
-}
-
-// PhaseTotal returns the cumulative time charged to ph across all completed
-// requests.
-func (p *Profiler) PhaseTotal(ph Phase) sim.Time {
-	if p == nil {
-		return 0
-	}
-	return p.totals[ph]
-}
-
-// PhaseLatency returns the recorder of per-request time charged to ph (only
-// requests with a nonzero charge are recorded), or nil when none were.
-func (p *Profiler) PhaseLatency(ph Phase) *stats.LatencyRecorder {
-	if p == nil {
-		return nil
-	}
-	return p.lat[ph]
 }
 
 // Rows returns the retained per-request rows (up to the row cap), in

@@ -176,8 +176,8 @@ func TestAttrRowCap(t *testing.T) {
 	if p.Requests() != 5 {
 		t.Fatalf("requests = %d, want 5", p.Requests())
 	}
-	if p.PhaseTotal(PhaseNAND) != 5*sim.Microsecond {
-		t.Fatalf("nand total = %d, want 5µs", p.PhaseTotal(PhaseNAND))
+	if p.totals[PhaseNAND] != 5*sim.Microsecond {
+		t.Fatalf("nand total = %d, want 5µs", p.totals[PhaseNAND])
 	}
 	var sb strings.Builder
 	if err := tr.WriteMetrics(&sb); err != nil {

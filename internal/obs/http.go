@@ -21,9 +21,8 @@ import (
 // already published by completed cells (e.g. a telemetry Set's done cells) —
 // never a running engine's.
 type View struct {
-	Path        string // e.g. "/telemetry"
-	ContentType string // defaults to text/plain
-	Write       func(w io.Writer) error
+	Path  string // e.g. "/telemetry"
+	Write func(w io.Writer) error
 }
 
 // ServeOps starts an HTTP server on addr (e.g. ":6060"; ":0" picks a free
@@ -63,13 +62,8 @@ func ServeOps(addr string, col *Collector, progress func() any, views ...View) (
 	})
 	index := "ssdtp ops endpoint\n\n/debug/pprof/\n/debug/vars\n/metrics\n/progress\n"
 	for _, v := range views {
-		v := v
-		ct := v.ContentType
-		if ct == "" {
-			ct = "text/plain"
-		}
 		mux.HandleFunc(v.Path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", ct)
+			w.Header().Set("Content-Type", "text/plain")
 			_ = v.Write(w)
 		})
 		index += v.Path + "\n"

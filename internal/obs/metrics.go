@@ -53,19 +53,6 @@ func (m *Metrics) Len() int {
 	return len(m.vals)
 }
 
-// Names returns the metric names in sorted order.
-func (m *Metrics) Names() []string {
-	if m == nil {
-		return nil
-	}
-	names := make([]string, 0, len(m.vals))
-	for n := range m.vals {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // sealEngineMetrics folds the tracer's engine observations into its metric
 // set just before export.
 func (t *Tracer) sealEngineMetrics() {

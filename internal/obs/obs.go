@@ -111,6 +111,9 @@ func (t *Tracer) SetRecordCap(n int) {
 }
 
 // DroppedRecords returns the number of records discarded by the record cap.
+// Exports carry the same count as a metric; this accessor lets the ssd
+// package's zero-allocation tests check that a capped tracer still counts
+// what it drops.
 func (t *Tracer) DroppedRecords() int64 {
 	if t == nil {
 		return 0
@@ -256,7 +259,9 @@ func (t *Tracer) Metrics() *Metrics {
 	return &t.met
 }
 
-// Records returns the number of buffered trace records.
+// Records returns the number of buffered trace records. The ssd package's
+// zero-allocation tests read it to check that a capped tracer keeps nothing
+// past its cap.
 func (t *Tracer) Records() int {
 	if t == nil {
 		return 0

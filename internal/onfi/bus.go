@@ -99,9 +99,6 @@ func (b *Bus) dieWaitPhase(chip, die int) obs.Phase {
 // ID returns the channel index.
 func (b *Bus) ID() int { return b.id }
 
-// Chips returns the chips on this channel.
-func (b *Bus) Chips() []*nand.Chip { return b.chips }
-
 // Timing returns the channel timing parameters.
 func (b *Bus) Timing() nand.Timing { return b.timing }
 

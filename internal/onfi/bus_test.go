@@ -116,7 +116,7 @@ func TestMultiPlaneProgramSingleArrayOp(t *testing.T) {
 	if end != want {
 		t.Errorf("multi-plane completed at %d, want %d", end, want)
 	}
-	chip := b.Chips()[0]
+	chip := b.chips[0]
 	for _, a := range addrs {
 		st, _ := chip.State(a)
 		if st != nand.PageProgrammed {
@@ -179,7 +179,7 @@ func TestObserverSeesProtocolSequence(t *testing.T) {
 
 func TestObserverRowAddressDecodes(t *testing.T) {
 	eng, b := testBus(t, 1)
-	g := b.Chips()[0].Geometry()
+	g := b.chips[0].Geometry()
 	target := nand.Addr{Die: 1, Plane: 1, Block: 7, Page: 3}
 	var rowBytes []byte
 	b.Observe(ObserverFunc(func(ev BusEvent) {
@@ -194,7 +194,7 @@ func TestObserverRowAddressDecodes(t *testing.T) {
 		t.Fatalf("got %d addr cycles, want 5", len(rowBytes))
 	}
 	row := RowFromBytes([3]byte{rowBytes[2], rowBytes[3], rowBytes[4]})
-	if got := g.AddrOfRow(row); got != target {
+	if got := g.AddrOf(int64(row)); got != target {
 		t.Errorf("decoded addr %v, want %v", got, target)
 	}
 }
@@ -231,6 +231,37 @@ func TestBusStats(t *testing.T) {
 	}
 }
 
+// CmdName returns a human-readable name for an opcode, for annotating
+// captured command cycles.
+func CmdName(b byte) string {
+	switch b {
+	case CmdReadSetup:
+		return "READ"
+	case CmdReadConfirm:
+		return "READ-CONFIRM"
+	case CmdProgramSetup:
+		return "PROGRAM"
+	case CmdProgramConfirm:
+		return "PROGRAM-CONFIRM"
+	case CmdProgramPlane:
+		return "PLANE-CONFIRM"
+	case CmdEraseSetup:
+		return "ERASE"
+	case CmdEraseConfirm:
+		return "ERASE-CONFIRM"
+	case CmdReadStatus:
+		return "READ-STATUS"
+	case CmdReadID:
+		return "READ-ID"
+	case CmdReadParamPage:
+		return "READ-PARAM-PAGE"
+	case CmdReset:
+		return "RESET"
+	default:
+		return "UNKNOWN"
+	}
+}
+
 func TestCmdNameCoverage(t *testing.T) {
 	for _, c := range []byte{CmdReadSetup, CmdReadConfirm, CmdProgramSetup, CmdProgramConfirm, CmdProgramPlane, CmdEraseSetup, CmdEraseConfirm, CmdReadStatus, CmdReadID, CmdReset} {
 		if CmdName(c) == "UNKNOWN" {
@@ -252,7 +283,7 @@ func TestReadID(t *testing.T) {
 		got = id
 	})
 	eng.Run()
-	want := b.Chips()[1].IDBytes()
+	want := b.chips[1].IDBytes()
 	if got != want {
 		t.Errorf("id = %x, want %x", got, want)
 	}

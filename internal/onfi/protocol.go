@@ -25,37 +25,6 @@ const (
 	CmdReset          byte = 0xFF
 )
 
-// CmdName returns a human-readable name for an opcode, for decoders and
-// waveform annotation.
-func CmdName(b byte) string {
-	switch b {
-	case CmdReadSetup:
-		return "READ"
-	case CmdReadConfirm:
-		return "READ-CONFIRM"
-	case CmdProgramSetup:
-		return "PROGRAM"
-	case CmdProgramConfirm:
-		return "PROGRAM-CONFIRM"
-	case CmdProgramPlane:
-		return "PLANE-CONFIRM"
-	case CmdEraseSetup:
-		return "ERASE"
-	case CmdEraseConfirm:
-		return "ERASE-CONFIRM"
-	case CmdReadStatus:
-		return "READ-STATUS"
-	case CmdReadID:
-		return "READ-ID"
-	case CmdReadParamPage:
-		return "READ-PARAM-PAGE"
-	case CmdReset:
-		return "RESET"
-	default:
-		return "UNKNOWN"
-	}
-}
-
 // Address cycle counts per ONFI 2.x: 2 column bytes + 3 row bytes for page
 // operations; erase sends only the 3 row bytes.
 const (

@@ -98,7 +98,7 @@ func (b *Bus) ResumeOp(st OpState, readDone func(bitErrors int, err error), eras
 	if !r.Busy() {
 		panic("onfi: ResumeOp queue phase on an idle resource")
 	}
-	// AcquireSince keeps the resource's wait accounting identical to a
+	// AcquireSinceArg keeps the resource's wait accounting identical to a
 	// from-scratch run: the wait charged at grant spans from the op's
 	// original enqueue time, not from the restore instant.
 	r.AcquireSinceArg(st.EnqueuedAt, stage, op)

@@ -156,14 +156,14 @@ func TestTrackedSnapshotResumeSweep(t *testing.T) {
 		// Capture everything, then clone onto a fresh engine/bus.
 		busSnap := b.Snapshot()
 		opSnaps := b.SnapshotOps()
-		chipSnaps := make([]*nand.ChipState, len(b.Chips()))
-		for i, c := range b.Chips() {
+		chipSnaps := make([]*nand.ChipState, len(b.chips))
+		for i, c := range b.chips {
 			chipSnaps[i] = c.Snapshot()
 		}
 
 		ceng, cb := testBus(t, 2)
 		ceng.Rebase(eng.Now())
-		for i, c := range cb.Chips() {
+		for i, c := range cb.chips {
 			c.Restore(chipSnaps[i])
 		}
 		cb.Restore(busSnap)
@@ -190,8 +190,8 @@ func TestTrackedSnapshotResumeSweep(t *testing.T) {
 		if cb.Utilization() != refBus.Utilization() {
 			t.Fatalf("k=%d: utilization diverges", k)
 		}
-		for i, c := range cb.Chips() {
-			if c.Stats() != refBus.Chips()[i].Stats() {
+		for i, c := range cb.chips {
+			if c.Stats() != refBus.chips[i].Stats() {
 				t.Fatalf("k=%d: chip %d stats diverge", k, i)
 			}
 		}

@@ -99,9 +99,6 @@ func (a *Analyzer) Arm() { a.armed = true }
 // Stop ends capturing.
 func (a *Analyzer) Stop() { a.armed = false }
 
-// Truncated reports whether the capture buffer overflowed.
-func (a *Analyzer) Truncated() bool { return a.truncated }
-
 // Events returns the captured events in time order.
 func (a *Analyzer) Events() []onfi.BusEvent { return a.events }
 

@@ -12,11 +12,13 @@ import (
 	"ssdtp/internal/sim"
 )
 
+// rigGeom is probeRig's chip geometry.
+var rigGeom = nand.Geometry{Dies: 2, Planes: 2, BlocksPerPlane: 8, PagesPerBlock: 16, PageSize: 4096, OOBSize: 128}
+
 func probeRig(t *testing.T) (*sim.Engine, *onfi.Bus, *Analyzer) {
 	t.Helper()
 	eng := sim.NewEngine()
-	g := nand.Geometry{Dies: 2, Planes: 2, BlocksPerPlane: 8, PagesPerBlock: 16, PageSize: 4096, OOBSize: 128}
-	chip := nand.NewChip(nand.ChipConfig{Geometry: g})
+	chip := nand.NewChip(nand.ChipConfig{Geometry: rigGeom})
 	bus := onfi.NewBus(eng, 0, nand.ONFI2MLC(), chip)
 	an := Attach(bus, 0)
 	an.Arm()
@@ -25,7 +27,7 @@ func probeRig(t *testing.T) (*sim.Engine, *onfi.Bus, *Analyzer) {
 
 func TestDecodeProgram(t *testing.T) {
 	eng, bus, an := probeRig(t)
-	g := bus.Chips()[0].Geometry()
+	g := rigGeom
 	target := nand.Addr{Die: 1, Plane: 0, Block: 3, Page: 0}
 	bus.Program(0, target, nil, nil)
 	eng.Run()
@@ -43,7 +45,7 @@ func TestDecodeProgram(t *testing.T) {
 	if op.Die != 1 || op.Planes != 1 {
 		t.Errorf("die=%d planes=%d", op.Die, op.Planes)
 	}
-	if len(op.Rows) != 1 || g.AddrOfRow(op.Rows[0]) != target {
+	if len(op.Rows) != 1 || g.AddrOf(int64(op.Rows[0])) != target {
 		t.Errorf("decoded row %v does not map back to %v", op.Rows, target)
 	}
 	if op.BusyTime != nand.ONFI2MLC().ProgramPage {
@@ -141,7 +143,7 @@ func TestBufferLimitTruncates(t *testing.T) {
 	an.Arm()
 	bus.Program(0, nand.Addr{}, nil, nil)
 	eng.Run()
-	if !an.Truncated() {
+	if !an.truncated {
 		t.Error("tiny buffer did not truncate")
 	}
 	if len(an.Events()) != 5 {

@@ -33,23 +33,19 @@ const (
 // they are never returned to callers directly — Event handles carry a
 // generation so a stale handle to a recycled node is inert.
 type node struct {
-	// The first eight fields fit one cache line: everything the heap's
+	// The first seven fields fit one cache line: everything the heap's
 	// sift/compare loops and the plain-Schedule fire path touch. The
-	// closure-free callback form's fields (argFn/arg) spill onto the second
-	// line and are only read on the AtArg dispatch path.
+	// closure-free callback form's fields (argFn/arg) follow and are only
+	// read on the AtArg dispatch path.
 	time  Time
 	seq   uint64
 	fn    func()
 	index int32 // heap index; -1 when not queued
 	// gen increments every time the node leaves the queue (fire or cancel),
 	// invalidating all handles minted for the previous tenancy.
-	gen uint64
-	// canceledGen records the gen the node held when it was last canceled,
-	// so a handle can distinguish "canceled" from "fired" after release.
-	// Initialized to an impossible gen on fresh nodes.
-	canceledGen uint64
-	eng         *Engine
-	next        *node // freelist link
+	gen  uint64
+	eng  *Engine
+	next *node // freelist link
 	// argFn/arg are the closure-free callback form (AtArg): argFn is a
 	// top-level function and arg a pooled descriptor, so hot paths schedule
 	// continuations without materializing a fresh closure per event. Exactly
@@ -76,15 +72,6 @@ func (ev Event) live() bool { return ev.n != nil && ev.n.gen == ev.gen }
 // canceled).
 func (ev Event) Pending() bool { return ev.live() }
 
-// Canceled reports whether this event was canceled before it could fire; a
-// fired event reports false. (Handles are weak: if the engine recycles the
-// slot and the new tenant is canceled too, an old canceled handle reverts to
-// false. Callers in this repository query Canceled only while they still own
-// the timer, where the answer is exact.)
-func (ev Event) Canceled() bool {
-	return ev.n != nil && ev.n.gen != ev.gen && ev.n.canceledGen == ev.gen
-}
-
 // Time returns the simulated time a pending event fires at, or 0 once the
 // event has fired or been canceled.
 func (ev Event) Time() Time {
@@ -107,7 +94,6 @@ func (ev Event) Cancel() {
 	}
 	e := n.eng
 	e.remove(int(n.index))
-	n.canceledGen = n.gen
 	if n.argFn != nil {
 		n.argFn = nil
 		n.arg = nil
@@ -190,7 +176,7 @@ func (e *Engine) At(t Time, fn func()) Event {
 		e.free = n.next
 		n.next = nil
 	} else {
-		n = &node{eng: e, canceledGen: ^uint64(0)}
+		n = &node{eng: e}
 	}
 	n.time = t
 	n.seq = e.seq
@@ -223,7 +209,7 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) Event {
 		e.free = n.next
 		n.next = nil
 	} else {
-		n = &node{eng: e, canceledGen: ^uint64(0)}
+		n = &node{eng: e}
 	}
 	n.time = t
 	n.seq = e.seq

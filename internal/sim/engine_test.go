@@ -52,8 +52,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Error("canceled event fired")
 	}
-	if !ev.Canceled() {
-		t.Error("Canceled() = false after Cancel")
+	if ev.Pending() || ev.Time() != 0 {
+		t.Error("canceled handle still reports a pending event")
 	}
 }
 
@@ -242,13 +242,29 @@ func TestFireOrderIsSortedProperty(t *testing.T) {
 	}
 }
 
+// use holds r for d: it acquires r, runs start (which may be nil), releases
+// r d later and then runs done (which may be nil).
+func use(r *Resource, d Time, start, done func()) {
+	r.Acquire(func() {
+		if start != nil {
+			start()
+		}
+		r.eng.Schedule(d, func() {
+			r.Release()
+			if done != nil {
+				done()
+			}
+		})
+	})
+}
+
 func TestResourceFIFO(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e)
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		r.Use(10, func() { order = append(order, i) }, nil)
+		use(r, 10, func() { order = append(order, i) }, nil)
 	}
 	e.Run()
 	for i, v := range order {
@@ -269,7 +285,7 @@ func TestResourceSerializes(t *testing.T) {
 	r := NewResource(e)
 	var ends []Time
 	for i := 0; i < 3; i++ {
-		r.Use(100, nil, func() { ends = append(ends, e.Now()) })
+		use(r, 100, nil, func() { ends = append(ends, e.Now()) })
 	}
 	e.Run()
 	want := []Time{100, 200, 300}
@@ -349,8 +365,8 @@ func TestResourceDeepQueueIterativeHandoff(t *testing.T) {
 			r.Release()
 		})
 	}
-	if got := r.QueueLen(); got != depth {
-		t.Fatalf("QueueLen = %d, want %d", got, depth)
+	if got := len(r.waiters) - r.head; got != depth {
+		t.Fatalf("queue length = %d, want %d", got, depth)
 	}
 	r.Release() // triggers the full synchronous chain
 	if granted != depth {
@@ -359,8 +375,8 @@ func TestResourceDeepQueueIterativeHandoff(t *testing.T) {
 	if !lastInOrder {
 		t.Fatal("waiters granted out of FIFO order")
 	}
-	if r.Busy() || r.QueueLen() != 0 {
-		t.Fatalf("resource not idle after drain: busy=%v queue=%d", r.Busy(), r.QueueLen())
+	if r.Busy() || len(r.waiters) != r.head {
+		t.Fatalf("resource not idle after drain: busy=%v queue=%d", r.Busy(), len(r.waiters)-r.head)
 	}
 	if stackAtLast >= 256<<10 {
 		t.Fatalf("stack trace at depth %d filled %d-byte buffer: hand-off is recursing", depth, stackAtLast)

@@ -25,8 +25,11 @@ func ExampleResource() {
 	bus := sim.NewResource(eng)
 	for i := 0; i < 2; i++ {
 		i := i
-		bus.Use(10*sim.Microsecond, nil, func() {
-			fmt.Printf("transfer %d done at %dµs\n", i, eng.Now()/sim.Microsecond)
+		bus.Acquire(func() {
+			eng.Schedule(10*sim.Microsecond, func() {
+				bus.Release()
+				fmt.Printf("transfer %d done at %dµs\n", i, eng.Now()/sim.Microsecond)
+			})
 		})
 	}
 	eng.Run()

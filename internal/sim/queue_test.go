@@ -149,32 +149,35 @@ func TestDoubleCancelAcrossReuse(t *testing.T) {
 	}
 }
 
-// Handle state across generations: Pending/Canceled/Time track exactly one
-// tenancy of the underlying slot.
+// Handle state across generations: Pending/Time track exactly one tenancy of
+// the underlying slot, and a stale handle cannot touch the next tenant.
 func TestHandleGenerations(t *testing.T) {
 	e := NewEngine()
 	a := e.Schedule(10, func() {})
-	if !a.Pending() || a.Canceled() || a.Time() != 10 {
-		t.Fatalf("pending handle: Pending=%v Canceled=%v Time=%d", a.Pending(), a.Canceled(), a.Time())
+	if !a.Pending() || a.Time() != 10 {
+		t.Fatalf("pending handle: Pending=%v Time=%d", a.Pending(), a.Time())
 	}
 	a.Cancel()
-	if a.Pending() || !a.Canceled() || a.Time() != 0 {
-		t.Fatalf("canceled handle: Pending=%v Canceled=%v Time=%d", a.Pending(), a.Canceled(), a.Time())
+	if a.Pending() || a.Time() != 0 {
+		t.Fatalf("canceled handle: Pending=%v Time=%d", a.Pending(), a.Time())
 	}
-	b := e.Schedule(20, func() {}) // reuses a's node, next generation
-	if !b.Pending() || b.Canceled() {
-		t.Fatalf("reused handle: Pending=%v Canceled=%v", b.Pending(), b.Canceled())
+	fired := false
+	b := e.Schedule(20, func() { fired = true }) // reuses a's node, next generation
+	if !b.Pending() || b.Time() != 20 {
+		t.Fatalf("reused handle: Pending=%v Time=%d", b.Pending(), b.Time())
 	}
-	if !a.Canceled() {
-		t.Fatal("canceled handle lost its Canceled status when its slot was reused")
+	a.Cancel() // stale handle: must not cancel b
+	if a.Pending() || a.Time() != 0 || !b.Pending() {
+		t.Fatalf("stale handle reached the slot's next tenant: a.Pending=%v a.Time=%d b.Pending=%v",
+			a.Pending(), a.Time(), b.Pending())
 	}
 	e.Run()
-	if b.Pending() || b.Canceled() {
-		t.Fatalf("fired handle: Pending=%v Canceled=%v, want false/false", b.Pending(), b.Canceled())
+	if !fired || b.Pending() || b.Time() != 0 {
+		t.Fatalf("fired handle: fired=%v Pending=%v Time=%d", fired, b.Pending(), b.Time())
 	}
 	var zero Event
 	zero.Cancel() // zero handle: all methods no-ops
-	if zero.Pending() || zero.Canceled() || zero.Time() != 0 {
+	if zero.Pending() || zero.Time() != 0 {
 		t.Fatal("zero Event is not inert")
 	}
 }
@@ -271,8 +274,8 @@ func TestScheduleArgCancel(t *testing.T) {
 	fired := false
 	ev := e.ScheduleArg(Second, func(any) { fired = true }, 7)
 	ev.Cancel()
-	if !ev.Canceled() {
-		t.Fatal("canceled ScheduleArg event does not report Canceled")
+	if ev.Pending() || e.Pending() != 0 {
+		t.Fatal("canceled ScheduleArg event is still pending")
 	}
 	ran := false
 	e.Schedule(Second, func() { ran = true }) // reuses the freed node

@@ -43,9 +43,6 @@ func NewResource(eng *Engine) *Resource {
 // Busy reports whether the resource is currently held.
 func (r *Resource) Busy() bool { return r.busy }
 
-// QueueLen returns the number of waiters (excluding the current holder).
-func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
-
 // BusyTime returns the cumulative simulated time the resource has been held.
 func (r *Resource) BusyTime() Time { return r.busyTotal }
 
@@ -61,15 +58,6 @@ func (r *Resource) Waits() int64 { return r.waits }
 // Acquire runs fn as soon as the resource is free (immediately if idle).
 // fn runs synchronously when the resource is granted; do not block in it.
 func (r *Resource) Acquire(fn func()) {
-	r.AcquireSince(r.eng.Now(), fn)
-}
-
-// AcquireSince is Acquire with an explicit queue-entry time for wait
-// accounting. Restore paths use it to reinstate waiters captured in a
-// snapshot with their original enqueue time, so WaitTime matches a
-// from-scratch run; everything else should use Acquire. If the grant is
-// immediate, since is irrelevant (no wait is charged).
-func (r *Resource) AcquireSince(since Time, fn func()) {
 	// Grant immediately only when nothing is queued ahead; an idle resource
 	// with waiters exists transiently inside Release's hand-off loop, and
 	// jumping the queue there would break FIFO order.
@@ -79,7 +67,7 @@ func (r *Resource) AcquireSince(since Time, fn func()) {
 		fn()
 		return
 	}
-	r.waiters = append(r.waiters, waiter{fn: fn, since: since})
+	r.waiters = append(r.waiters, waiter{fn: fn, since: r.eng.Now()})
 }
 
 // AcquireArg is the closure-free twin of Acquire (see Engine.ScheduleArg):
@@ -91,7 +79,10 @@ func (r *Resource) AcquireArg(fn func(any), arg any) {
 }
 
 // AcquireSinceArg is AcquireArg with an explicit queue-entry time for wait
-// accounting (see AcquireSince).
+// accounting. Restore paths use it to reinstate waiters captured in a
+// snapshot with their original enqueue time, so WaitTime matches a
+// from-scratch run; everything else should use AcquireArg. If the grant is
+// immediate, since is irrelevant (no wait is charged).
 func (r *Resource) AcquireSinceArg(since Time, fn func(any), arg any) {
 	if !r.busy && r.head == len(r.waiters) {
 		r.busy = true
@@ -139,21 +130,4 @@ func (r *Resource) Release() {
 		}
 	}
 	r.granting = false
-}
-
-// Use is a convenience for the common hold-for-a-duration pattern: it
-// acquires the resource, runs start (which may be nil), holds the resource
-// for d, then releases and runs done (which may be nil).
-func (r *Resource) Use(d Time, start, done func()) {
-	r.Acquire(func() {
-		if start != nil {
-			start()
-		}
-		r.eng.Schedule(d, func() {
-			r.Release()
-			if done != nil {
-				done()
-			}
-		})
-	})
 }

@@ -140,14 +140,6 @@ func (g *ShardGroup) Attach(eng *Engine, base Time, floor FloorFunc) int {
 	return i
 }
 
-// SetBase re-declares shard i's clock offset. Needed after rebasing an empty
-// shard engine (snapshot restore moves the local clock without firing
-// events); the caller owns keeping base consistent with the engine's clock.
-func (g *ShardGroup) SetBase(i int, base Time) {
-	g.shards[i].base = base
-	g.rekey(i)
-}
-
 // Touch re-keys shard i after code outside the group scheduled onto or
 // canceled from its engine. It is a no-op while an AdvanceBefore window is
 // open: window events must stay inside their own shard, and the window

@@ -169,6 +169,15 @@ func (b *realBackend) schedule(shard int, delay Time, fn func()) func() {
 func (b *realBackend) runShard(shard int, t Time)  { b.group.RunShard(shard, t) }
 func (b *realBackend) localNow(shard int) Time     { return b.engs[shard].Now() }
 func (b *realBackend) pendingEmpty(shard int) bool { return b.engs[shard].Pending() == 0 }
+
+// SetBase re-declares shard i's clock offset. Needed after rebasing an empty
+// shard engine (snapshot restore moves the local clock without firing
+// events); the caller owns keeping base consistent with the engine's clock.
+func (g *ShardGroup) SetBase(i int, base Time) {
+	g.shards[i].base = base
+	g.rekey(i)
+}
+
 func (b *realBackend) rebase(shard int, delta Time) {
 	e := b.engs[shard]
 	e.Rebase(e.Now() + delta)

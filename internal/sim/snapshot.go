@@ -41,7 +41,7 @@ func (ev Event) Seq() uint64 {
 // that, and the cumulative wait accounting. It is a restore-time primitive
 // only — the resource must have no holder and no waiters, i.e. be freshly
 // constructed. The caller re-acquires on behalf of the restored holders
-// afterward (via AcquireSince, so the waits they complete after restore are
+// afterward (via AcquireSinceArg, so the waits they complete after restore are
 // charged from their original enqueue times), which overwrites BusySince with
 // the (identical) grant time; RestoreUsage(busy=true, ...) exists for
 // completeness when a holder is reinstated out-of-band.

@@ -111,14 +111,3 @@ func (t *Table) String() string {
 
 // Snapshot is a point-in-time copy of attribute values.
 type Snapshot map[AttrID]int64
-
-// Delta returns, per attribute, how much this snapshot grew relative to an
-// earlier one. Attributes absent from either side contribute their present
-// value (or zero).
-func (s Snapshot) Delta(earlier Snapshot) Snapshot {
-	d := make(Snapshot, len(s))
-	for id, v := range s {
-		d[id] = v - earlier[id]
-	}
-	return d
-}

@@ -35,7 +35,6 @@ type ArrayConfig struct {
 	ChipsPerChannel int
 	Geometry        nand.Geometry
 	Timing          nand.Timing
-	StoreData       bool
 	ID              nand.ChipID
 	Reliability     nand.Reliability
 	WearLimit       int
@@ -56,7 +55,6 @@ func NewArray(eng *sim.Engine, cfg ArrayConfig) *Array {
 		for w := 0; w < cfg.ChipsPerChannel; w++ {
 			a.chips[ch][w] = nand.NewChip(nand.ChipConfig{
 				Geometry:    cfg.Geometry,
-				StoreData:   cfg.StoreData,
 				ID:          cfg.ID,
 				Reliability: cfg.Reliability,
 				Clock:       clock,

@@ -33,8 +33,10 @@ type Config struct {
 	// HostOverhead is per-request interface/firmware processing time.
 	HostOverhead sim.Time
 
-	// StoreContent retains write payloads so reads return real data
-	// (needed by the file-system experiments; off for pure timing runs).
+	// StoreContent keeps write payloads in a side store beside the FTL, so
+	// reads return the bytes last written. No experiment, CLI or benchmark
+	// turns it on (the file-system model passes nil buffers); only the ssd
+	// package's own tests do.
 	StoreContent bool
 
 	// ChipID identifies the flash parts (READ ID / parameter page).
@@ -372,8 +374,6 @@ func (d *Device) PublishMetrics(tr *obs.Tracer) {
 	}
 }
 
-// NANDPageTicks returns the combined host+FTL "NAND Pages" counter, the
-// quantity Figure 4 divides host bytes by.
 // MemStats returns chunk-level memory accounting summed over the drive's
 // COW-backed state: every chip's arrays plus the FTL's mapping tables. A
 // freshly cloned drive reports all-shared (it owns nothing yet); OwnedBytes
@@ -405,11 +405,4 @@ func (d *Device) VisitSharedChunks(f func(id any, bytes int64)) {
 	if d.content != nil {
 		d.content.VisitShared(f)
 	}
-}
-
-func (d *Device) NANDPageTicks() int64 {
-	c := d.fl.Counters()
-	page := int64(d.cfg.Geometry.PageSize)
-	unit := int64(d.cfg.CounterUnitBytes)
-	return c.PagesProgrammed() * page / unit
 }

@@ -158,7 +158,9 @@ func TestSMARTCounterUnits(t *testing.T) {
 	}
 }
 
-func TestNANDPageTicksMatchesCounters(t *testing.T) {
+// The "NAND Pages" attributes Fig. 4a divides host bytes by: 247 counts host
+// data pages and 248 the FTL's own (GC, map, parity), in CounterUnitBytes.
+func TestSMARTPageCountsMatchCounters(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := MX500()
 	cfg.Geometry.BlocksPerPlane = 8
@@ -171,9 +173,16 @@ func TestNANDPageTicksMatchesCounters(t *testing.T) {
 	d.FlushAsync(nil)
 	eng.Run()
 	c := d.FTL().Counters()
-	want := c.PagesProgrammed() * 16384 / 32768
-	if got := d.NANDPageTicks(); got != want {
-		t.Errorf("NANDPageTicks = %d, want %d", got, want)
+	tab := d.SMART()
+	if c.DataPagesProgrammed == 0 {
+		t.Fatal("no data pages programmed")
+	}
+	if got, want := tab.Value(smart.AttrHostProgramPageCount), c.DataPagesProgrammed*16384/32768; got != want {
+		t.Errorf("attribute 247 = %d, want %d", got, want)
+	}
+	ftlPages := c.GCPagesProgrammed + c.MapPagesProgrammed + c.ParityPagesProgrammed
+	if got, want := tab.Value(smart.AttrFTLProgramPageCount), ftlPages*16384/32768; got != want {
+		t.Errorf("attribute 248 = %d, want %d", got, want)
 	}
 }
 
@@ -238,7 +247,7 @@ func TestEVO840UsesPSLC(t *testing.T) {
 	if d.FTL().Counters().PSLCPagesProgrammed == 0 {
 		t.Error("EVO840 wrote nothing through the pSLC buffer")
 	}
-	if d.FTL().PSLCResident() == 0 {
+	if len(d.FTL().PSLCSnapshot(nil)) == 0 {
 		t.Error("pSLC index empty")
 	}
 }

@@ -94,8 +94,8 @@ func TestRecorderRadixEquivalence(t *testing.T) {
 				t.Fatalf("round %d: Percentile(%v) = %d, want %d", round, p, got, want[rank-1])
 			}
 		}
-		if r.Min() != want[0] || r.Max() != want[len(want)-1] {
-			t.Fatalf("round %d: Min/Max = %d/%d, want %d/%d", round, r.Min(), r.Max(), want[0], want[len(want)-1])
+		if r.Percentile(0) != want[0] || r.Max() != want[len(want)-1] {
+			t.Fatalf("round %d: Min/Max = %d/%d, want %d/%d", round, r.Percentile(0), r.Max(), want[0], want[len(want)-1])
 		}
 	}
 }

@@ -87,15 +87,6 @@ func (r *LatencyRecorder) Max() sim.Time {
 	return r.samples[len(r.samples)-1]
 }
 
-// Min returns the smallest sample, or 0 with none.
-func (r *LatencyRecorder) Min() sim.Time {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	r.ensureSorted()
-	return r.samples[0]
-}
-
 // TopK returns the k largest samples in ascending order (fewer if the
 // recorder holds fewer; empty for k <= 0). This is the "requests ordered
 // by latency" series of the paper's Figure 3.

@@ -65,7 +65,7 @@ func TestPercentileDomainClamped(t *testing.T) {
 
 func TestRecorderEmpty(t *testing.T) {
 	r := NewLatencyRecorder()
-	if r.Percentile(99) != 0 || r.Mean() != 0 || r.Max() != 0 || r.Min() != 0 {
+	if r.Percentile(99) != 0 || r.Mean() != 0 || r.Max() != 0 || r.Percentile(0) != 0 {
 		t.Error("empty recorder should return zeros")
 	}
 }
@@ -78,8 +78,8 @@ func TestMeanMinMax(t *testing.T) {
 	if r.Mean() != 20 {
 		t.Errorf("Mean = %v, want 20", r.Mean())
 	}
-	if r.Min() != 10 || r.Max() != 30 {
-		t.Errorf("Min/Max = %d/%d", r.Min(), r.Max())
+	if r.Percentile(0) != 10 || r.Max() != 30 {
+		t.Errorf("Min/Max = %d/%d", r.Percentile(0), r.Max())
 	}
 	if r.Count() != 3 {
 		t.Errorf("Count = %d", r.Count())
@@ -141,7 +141,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		prev := sim.Time(0)
 		for p := 1.0; p <= 100; p++ {
 			v := r.Percentile(p)
-			if v < prev || v < r.Min() || v > r.Max() {
+			if v < prev || v < r.Percentile(0) || v > r.Max() {
 				return false
 			}
 			prev = v

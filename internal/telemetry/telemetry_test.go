@@ -166,6 +166,25 @@ func TestSetOrderingAndDone(t *testing.T) {
 	}
 }
 
+// wafSaturated is the windowed-WAF value reported when NAND programs happened
+// in a window with zero host programs (pure background work).
+const wafSaturated = int64(1_000_000)
+
+// WindowWAFMilli returns the in-window write amplification ×1000 between two
+// consecutive pages: Δtotal NAND programs / Δhost programs. Returns 0 for an
+// idle window and wafSaturated when only background programs ran.
+func WindowWAFMilli(cur, prev *Page) int64 {
+	hostDelta := cur.HostPagesProgrammed - prev.HostPagesProgrammed
+	nandDelta := cur.PagesProgrammed - prev.PagesProgrammed
+	if hostDelta <= 0 {
+		if nandDelta > 0 {
+			return wafSaturated
+		}
+		return 0
+	}
+	return nandDelta * 1000 / hostDelta
+}
+
 func TestWindowWAFMilli(t *testing.T) {
 	prev := Page{HostPagesProgrammed: 100, PagesProgrammed: 150}
 	cur := Page{HostPagesProgrammed: 200, PagesProgrammed: 400}

@@ -21,7 +21,8 @@ import (
 // what a blkparse-style post-processor or the blockdev.Tracer dump
 // produces, so traces move between tools as plain text.
 
-// WriteTrace serializes ops in the text format.
+// WriteTrace serializes ops in the text format. It is ParseTrace's inverse,
+// which the trace fuzzer round-trips through.
 func WriteTrace(w io.Writer, ops []blockdev.Op) error {
 	bw := bufio.NewWriter(w)
 	for _, op := range ops {
