@@ -15,7 +15,6 @@ import (
 	"ssdtp/internal/sim"
 	"ssdtp/internal/smart"
 	"ssdtp/internal/ssd"
-	"ssdtp/internal/telemetry"
 	"ssdtp/internal/workload"
 )
 
@@ -81,15 +80,13 @@ func BenchmarkFig3Telemetry(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		col := obs.NewCollector()
 		col.SetTimeline(10 * sim.Millisecond)
+		col.SetTelemetry(sim.Millisecond)
 		experiments.SetObserver(col)
-		ts := telemetry.NewSet(sim.Millisecond)
-		experiments.SetTelemetry(ts)
 		res := experiments.Fig3TailLatency(experiments.Quick, int64(i)+1)
-		experiments.SetTelemetry(nil)
 		experiments.SetObserver(nil)
 		rows := 0
 		var sb strings.Builder
-		if err := ts.WriteJSONL(&sb); err == nil {
+		if err := col.WriteTelemetryJSONL(&sb); err == nil {
 			rows = strings.Count(sb.String(), "\n")
 		}
 		b.ReportMetric(res.P99Spread(), "p99-spread")

@@ -6,18 +6,19 @@
 // -parallel value; progress lines and per-cell wall-clock timings go to
 // stderr so redirected output stays clean.
 //
-// With -trace FILE the traced experiments (fig3, fleet, tabS3, tabS4) also
-// emit a
-// JSONL span stream, with -trace-perfetto FILE a Chrome trace-event JSON
-// document loadable in Perfetto/chrome://tracing, with -telemetry FILE a
-// JSONL stream of transparency log pages (the host-visible disclosure
-// interface of DESIGN.md §14, sampled every -telemetry-ms), with -timeline
-// FILE the same log page as CSV (columns cell,t_ns then the JSONL fields,
-// sampled every -timeline-ms; it also covers the traced tabS3 and tabS4
-// cells), and with -metrics FILE a Prometheus-style text dump of
-// per-cell counters. All are timestamped with the simulated clock and
-// ordered by cell label, so they too are byte-identical for any -parallel
-// value.
+// With -trace FILE the traced experiments (fig3, fleet, transparency, tabS3,
+// tabS4) also emit a JSONL span stream, with -trace-perfetto FILE a Chrome
+// trace-event JSON document loadable in Perfetto/chrome://tracing, with
+// -telemetry FILE a JSONL stream of transparency log pages (the
+// host-visible disclosure interface of DESIGN.md §14, sampled every
+// -telemetry-ms), with -timeline FILE the same log page as CSV (columns
+// cell,t_ns then the JSONL fields, sampled every -timeline-ms), and with
+// -metrics FILE a Prometheus-style text dump of per-cell counters. Each
+// traced cell records its log page once, at the greatest common divisor of
+// the two intervals, and -telemetry and -timeline render the rows on their
+// own grids, so both cover the same cells. All are timestamped with the
+// simulated clock and ordered by cell label, so they too are byte-identical
+// for any -parallel value.
 //
 // -http ADDR serves a live ops endpoint while the run is in flight:
 // net/http/pprof and expvar, a /metrics snapshot of completed cells, a
@@ -47,7 +48,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -59,7 +59,6 @@ import (
 	"ssdtp/internal/obs"
 	"ssdtp/internal/runner"
 	"ssdtp/internal/sim"
-	"ssdtp/internal/telemetry"
 )
 
 func main() {
@@ -128,17 +127,16 @@ func main() {
 		if *traceCap != 0 {
 			col.SetRecordCap(*traceCap)
 		}
+		// Each traced cell samples its log page once, at the GCD of these
+		// intervals; -timeline and -telemetry (and /telemetry) each render
+		// the rows on their own grid.
 		if timelineOut.Enabled() {
 			col.SetTimeline(sim.Time(*timelineMS) * sim.Millisecond)
 		}
+		if telemetryOut.Enabled() || *httpAddr != "" {
+			col.SetTelemetry(sim.Time(*telemetryMS) * sim.Millisecond)
+		}
 		experiments.SetObserver(col)
-	}
-	// The telemetry set needs the collector: log-page sampling rides each
-	// cell tracer's aux window, so cells must be traced for streams to exist.
-	var ts *telemetry.Set
-	if telemetryOut.Enabled() || *httpAddr != "" {
-		ts = telemetry.NewSet(sim.Time(*telemetryMS) * sim.Millisecond)
-		experiments.SetTelemetry(ts)
 	}
 	if *httpAddr != "" {
 		// /progress reports run progress plus, once a fleet cell has
@@ -154,9 +152,7 @@ func main() {
 				}{s, mem.Policy, mem.Report}
 			}
 			return s
-		}, obs.View{Path: "/telemetry", Write: func(w io.Writer) error {
-			return ts.WriteJSONLDone(w)
-		}})
+		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -178,7 +174,7 @@ func main() {
 		writeObs(traceOut, func(f *os.File) error { return col.WriteJSONL(f) })
 		writeObs(perfettoOut, func(f *os.File) error { return col.WritePerfetto(f) })
 		writeObs(timelineOut, func(f *os.File) error { return col.WriteTimelineCSV(f) })
-		writeObs(telemetryOut, func(f *os.File) error { return ts.WriteJSONL(f) })
+		writeObs(telemetryOut, func(f *os.File) error { return col.WriteTelemetryJSONL(f) })
 		writeObs(metricsOut, func(f *os.File) error { return col.WriteMetrics(f) })
 	}
 

@@ -44,7 +44,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "channel %d out of range (device has %d)\n", *channel, dev.Array().Channels())
 		os.Exit(2)
 	}
-	an := sigtrace.Attach(dev.Array().Bus(*channel), 0)
+	an := sigtrace.Attach(dev.Array().Bus(*channel))
 	an.Arm()
 
 	switch *wl {

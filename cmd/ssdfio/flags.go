@@ -11,6 +11,7 @@ import (
 type workloadFlags struct {
 	size       int   // -size, bytes
 	sector     int   // the model's logical sector size
+	qd         int   // -qd
 	ms         int64 // -ms
 	readFrac   float64
 	intervalUS int64
@@ -25,6 +26,8 @@ func (w workloadFlags) check() (string, error) {
 	switch {
 	case w.size <= 0 || w.size%w.sector != 0:
 		return "size", fmt.Errorf("request size %d is not a positive multiple of the %d-byte sector", w.size, w.sector)
+	case w.qd < 1:
+		return "qd", fmt.Errorf("queue depth %d must be at least 1", w.qd)
 	case w.ms <= 0 || w.ms > math.MaxInt64/int64(sim.Millisecond):
 		return "ms", fmt.Errorf("run length %d ms must be positive and fit the simulated clock", w.ms)
 	case !(w.readFrac >= 0 && w.readFrac <= 1):
@@ -35,4 +38,15 @@ func (w workloadFlags) check() (string, error) {
 		return "stripe-kb", fmt.Errorf("stripe %d KiB is not a positive multiple of the %d-byte sector", w.stripeKB, w.sector)
 	}
 	return "", nil
+}
+
+// checkFits rejects a -size larger than the target the workload runs
+// against: the device in single-drive mode, a tenant volume in fleet mode.
+// The target's size is known only once the model is built, so check cannot
+// see it.
+func checkFits(size int, target string, targetBytes int64) error {
+	if int64(size) > targetBytes {
+		return fmt.Errorf("request size %d exceeds the %d-byte %s", size, targetBytes, target)
+	}
+	return nil
 }

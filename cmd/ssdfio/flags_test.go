@@ -1,12 +1,26 @@
 package main
 
 import (
+	"errors"
 	"math"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 )
 
+// TestMain runs the command itself when SSDFIO_RUN_MAIN is set, so tests can
+// check what a flag does end to end in a child process.
+func TestMain(m *testing.M) {
+	if os.Getenv("SSDFIO_RUN_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
 func TestWorkloadFlagsCheck(t *testing.T) {
-	ok := workloadFlags{size: 4096, sector: 4096, ms: 500, fleet: true, stripeKB: 256}
+	ok := workloadFlags{size: 4096, sector: 4096, qd: 1, ms: 500, fleet: true, stripeKB: 256}
 	cases := []struct {
 		name string
 		edit func(*workloadFlags)
@@ -18,6 +32,8 @@ func TestWorkloadFlagsCheck(t *testing.T) {
 		{"size 0", func(w *workloadFlags) { w.size = 0 }, "size"},
 		{"size unaligned", func(w *workloadFlags) { w.size = 1000 }, "size"},
 		{"size negative", func(w *workloadFlags) { w.size = -4096 }, "size"},
+		{"qd 0", func(w *workloadFlags) { w.qd = 0 }, "qd"},
+		{"qd -1", func(w *workloadFlags) { w.qd = -1 }, "qd"},
 		{"ms 0", func(w *workloadFlags) { w.ms = 0 }, "ms"},
 		{"ms -1", func(w *workloadFlags) { w.ms = -1 }, "ms"},
 		{"ms overflows clock", func(w *workloadFlags) { w.ms = math.MaxInt64 }, "ms"},
@@ -37,5 +53,29 @@ func TestWorkloadFlagsCheck(t *testing.T) {
 		if flag != c.flag || (err != nil) != (c.flag != "") {
 			t.Errorf("%s: check() = %q, %v; want flag %q", c.name, flag, err, c.flag)
 		}
+	}
+}
+
+// A -size larger than the workload's target is a -size flag error in both
+// modes — the device in single-drive mode, a tenant volume in fleet mode —
+// where it used to panic inside the workload generator.
+func TestOversizeRequestIsFlagError(t *testing.T) {
+	const tib = "1099511627776" // a sector multiple larger than any model
+	for _, args := range [][]string{
+		{"-size", tib, "-ms", "1"},
+		{"-fleet", "2", "-size", tib, "-ms", "1"},
+		{"-fleet", "2", "-prefill", "-size", tib, "-ms", "1"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "SSDFIO_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+			!strings.HasPrefix(string(out), "-size: request size "+tib+" exceeds the ") {
+			t.Errorf("ssdfio %s: %v, output %q; want exit 2 with a -size error", strings.Join(args, " "), err, out)
+		}
+	}
+	if err := checkFits(4096, "device", 4096); err != nil {
+		t.Errorf("a request as large as its target: %v", err)
 	}
 }

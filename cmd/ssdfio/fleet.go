@@ -12,7 +12,6 @@ import (
 	"ssdtp/internal/sim"
 	"ssdtp/internal/ssd"
 	"ssdtp/internal/stats"
-	"ssdtp/internal/telemetry"
 	"ssdtp/internal/workload"
 )
 
@@ -44,7 +43,6 @@ type fleetOpts struct {
 	prefill    bool
 
 	col                                                          *obs.Collector
-	ts                                                           *telemetry.Set
 	traceOut, perfettoOut, timelineOut, telemetryOut, metricsOut *cliutil.Out
 	showSMART                                                    bool
 }
@@ -79,6 +77,19 @@ func runFleet(cfg ssd.Config, o fleetOpts) {
 	label := fmt.Sprintf("fleet/%s/%dd", pl.Name(), o.drives)
 	if o.col != nil {
 		tr = o.col.Cell(label)
+	}
+
+	// Size the tenant volumes before any drive is prefilled: a request
+	// larger than a volume is a -size error, not a panic mid-run. Every
+	// drive of the tier has the model's size.
+	groups := make([][]int, o.tenants)
+	for t := range groups {
+		groups[t] = pl.Group(t)
+	}
+	driveSize := ssd.NewDevice(sim.NewEngine(), cfg).Size()
+	volBytes := fleetVolBytes(driveSize, groups, o.drives, stripe)
+	if err := checkFits(o.size, "tenant volume", volBytes); err != nil {
+		cliutil.Failf("size", "%v", err)
 	}
 
 	host := sim.NewEngine()
@@ -135,17 +146,11 @@ func runFleet(cfg ssd.Config, o fleetOpts) {
 	f := fleet.New(host, devs, stripe)
 	f.SetParallel(o.shard)
 	if tr != nil {
+		// Binds the tier-level log page, summed across drives on host-clock
+		// boundaries, to the tracer's page recorder.
 		f.BindObs(tr)
-		// Tier-level log-page stream, summed across drives on host-clock
-		// boundaries (needs the bound tracer's engine hook).
-		f.AttachTelemetry(o.ts.Cell(label))
 	}
 
-	groups := make([][]int, o.tenants)
-	for t := range groups {
-		groups[t] = pl.Group(t)
-	}
-	volBytes := fleetVolBytes(devs[0].Size(), groups, o.drives, stripe)
 	vols := make([]*fleet.Volume, o.tenants)
 	targets := make([]workload.Target, o.tenants)
 	specs := make([]workload.Spec, o.tenants)
@@ -206,11 +211,10 @@ func runFleet(cfg ssd.Config, o fleetOpts) {
 	if tr != nil {
 		f.PublishMetrics(tr)
 		o.col.MarkDone(label)
-		o.ts.MarkDone(label)
 		writeObsFile(o.traceOut, func(w *os.File) error { return tr.WriteJSONL(w) })
 		writeObsFile(o.perfettoOut, func(w *os.File) error { return tr.WritePerfetto(w) })
-		writeObsFile(o.timelineOut, func(w *os.File) error { return tr.WriteTimelineCSV(w) })
-		writeObsFile(o.telemetryOut, func(w *os.File) error { return o.ts.WriteJSONL(w) })
+		writeObsFile(o.timelineOut, func(w *os.File) error { return o.col.WriteTimelineCSV(w) })
+		writeObsFile(o.telemetryOut, func(w *os.File) error { return o.col.WriteTelemetryJSONL(w) })
 		writeObsFile(o.metricsOut, func(w *os.File) error { return tr.WriteMetrics(w) })
 	}
 }

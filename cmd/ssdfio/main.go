@@ -18,23 +18,27 @@
 //
 //	ssdfio -fleet 64 -tenants 4 -placement hash -model mqsim-base -ms 200 [-shard N]
 //
-// -timeline FILE writes the transparency log page as CSV (columns cell,t_ns
-// then the -telemetry JSONL fields), sampled every -timeline-ms (default
-// 10 ms when the flag is 0).
+// -telemetry FILE writes the transparency log page as JSONL, sampled every
+// -telemetry-ms, and -timeline FILE the same rows as CSV (columns cell,t_ns
+// then the JSONL fields), sampled every -timeline-ms (default 10 ms when the
+// flag is 0). The run records its log page once, at the greatest common
+// divisor of the two intervals, and each export renders the rows on its own
+// grid; -http serves the finished run's rows at /telemetry.
 //
 // All output-file flags are opened and validated before the simulation
 // starts, as are the sampling intervals (-timeline-ms must not be negative,
 // -telemetry-ms must be positive when used) and the workload's shape (-size
-// a positive multiple of the sector, -ms positive, -read within 0..1,
-// -interval-us not negative, -stripe-kb a positive multiple of the sector in
-// fleet mode). Write failures are reported with the flag and path they
+// a positive multiple of the sector, -qd at least 1, -ms positive, -read
+// within 0..1, -interval-us not negative, -stripe-kb a positive multiple of
+// the sector in fleet mode). A -size larger than the device, or in fleet
+// mode than a tenant volume, is rejected once the model is built, before
+// any prefill. Write failures are reported with the flag and path they
 // belong to.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 
@@ -43,7 +47,6 @@ import (
 	"ssdtp/internal/obs"
 	"ssdtp/internal/sim"
 	"ssdtp/internal/ssd"
-	"ssdtp/internal/telemetry"
 	"ssdtp/internal/workload"
 )
 
@@ -86,7 +89,7 @@ func main() {
 	// Reject intervals that would sample nothing before creating any file
 	// (-timeline-ms 0 selects the CSV's 10 ms default).
 	wf := workloadFlags{
-		size: *size, sector: cfg.FTL.SectorSize, ms: *ms, readFrac: *readFrac,
+		size: *size, sector: cfg.FTL.SectorSize, qd: *qd, ms: *ms, readFrac: *readFrac,
 		intervalUS: *intervalUS, fleet: *fleetN > 0 || *drivesN > 0, stripeKB: *stripeKB,
 	}
 	if name, err := wf.check(); err != nil {
@@ -108,6 +111,9 @@ func main() {
 		if *traceCap != 0 {
 			col.SetRecordCap(*traceCap)
 		}
+		// The traced cell samples its log page once, at the GCD of these
+		// intervals; -timeline and -telemetry (and /telemetry) each render
+		// the rows on their own grid.
 		if timelineOut.Enabled() {
 			itv := *timelineMS
 			if itv <= 0 {
@@ -115,12 +121,9 @@ func main() {
 			}
 			col.SetTimeline(sim.Time(itv) * sim.Millisecond)
 		}
-	}
-	// Log-page sampling rides the tracer's aux window, so the telemetry set
-	// exists only when a collector does (the condition above covers both).
-	var ts *telemetry.Set
-	if telemetryOut.Enabled() || *httpAddr != "" {
-		ts = telemetry.NewSet(sim.Time(*telemetryMS) * sim.Millisecond)
+		if telemetryOut.Enabled() || *httpAddr != "" {
+			col.SetTelemetry(sim.Time(*telemetryMS) * sim.Millisecond)
+		}
 	}
 	if *httpAddr != "" {
 		// In fleet mode /progress carries the tier's COW image residency,
@@ -133,9 +136,7 @@ func main() {
 				}{m}
 			}
 			return nil
-		}, obs.View{Path: "/telemetry", Write: func(w io.Writer) error {
-			return ts.WriteJSONLDone(w)
-		}})
+		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -180,7 +181,7 @@ func main() {
 			shard:   *shard,
 			pattern: pat, size: *size, qd: *qd, intervalUS: *intervalUS,
 			readFrac: *readFrac, seed: *seed, ms: *ms, prefill: *prefill,
-			col: col, ts: ts, traceOut: traceOut, perfettoOut: perfettoOut,
+			col: col, traceOut: traceOut, perfettoOut: perfettoOut,
 			timelineOut: timelineOut, telemetryOut: telemetryOut,
 			metricsOut: metricsOut, showSMART: *showSMART,
 		})
@@ -191,10 +192,15 @@ func main() {
 		tr = col.Cell(*model)
 		cfg.Trace = tr
 	}
+	// The device binds its log page to the tracer's page recorder, whose
+	// engine hook is gated on the tracer, so the prefill below (suspended)
+	// stays out of the stream.
 	dev := ssd.NewDevice(sim.NewEngine(), cfg)
-	// Stream the transparency log page; the window's engine hook is gated on
-	// the tracer, so the prefill below (suspended) stays out of the stream.
-	dev.AttachTelemetry(ts.Cell(*model))
+	if *replayFile == "" {
+		if err := checkFits(*size, "device", dev.Size()); err != nil {
+			cliutil.Failf("size", "%v", err)
+		}
+	}
 
 	if *prefill {
 		// The prefill is priming, not the measured workload; keep it out of
@@ -210,11 +216,10 @@ func main() {
 	flushObs := func() {
 		dev.PublishMetrics(tr)
 		col.MarkDone(*model)
-		ts.MarkDone(*model)
 		writeObsFile(traceOut, func(f *os.File) error { return tr.WriteJSONL(f) })
 		writeObsFile(perfettoOut, func(f *os.File) error { return tr.WritePerfetto(f) })
-		writeObsFile(timelineOut, func(f *os.File) error { return tr.WriteTimelineCSV(f) })
-		writeObsFile(telemetryOut, func(f *os.File) error { return ts.WriteJSONL(f) })
+		writeObsFile(timelineOut, func(f *os.File) error { return col.WriteTimelineCSV(f) })
+		writeObsFile(telemetryOut, func(f *os.File) error { return col.WriteTelemetryJSONL(f) })
 		writeObsFile(metricsOut, func(f *os.File) error { return tr.WriteMetrics(f) })
 	}
 

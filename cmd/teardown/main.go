@@ -40,7 +40,7 @@ func main() {
 	// identify themselves.
 	analyzers := make([]*sigtrace.Analyzer, dev.Array().Channels())
 	for ch := range analyzers {
-		analyzers[ch] = sigtrace.Attach(dev.Array().Bus(ch), 0)
+		analyzers[ch] = sigtrace.Attach(dev.Array().Bus(ch))
 		analyzers[ch].Arm()
 	}
 	booted := false

@@ -49,7 +49,7 @@ type probeRig struct {
 func attachProbes(dev *ssd.Device) *probeRig {
 	r := &probeRig{dev: dev}
 	for ch := 0; ch < dev.Array().Channels(); ch++ {
-		r.analyzers = append(r.analyzers, sigtrace.Attach(dev.Array().Bus(ch), 0))
+		r.analyzers = append(r.analyzers, sigtrace.Attach(dev.Array().Bus(ch)))
 	}
 	return r
 }

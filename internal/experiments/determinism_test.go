@@ -145,13 +145,10 @@ func TestShardByteIdenticalAcrossWorkers(t *testing.T) {
 	render := func(workers int) export {
 		col := obs.NewCollector()
 		col.SetTimeline(sim.Millisecond)
+		col.SetTelemetry(sim.Millisecond)
 		prev := observer()
 		SetObserver(col)
 		defer SetObserver(prev)
-		ts := telemetry.NewSet(sim.Millisecond)
-		prevTS := telemetrySet()
-		SetTelemetry(ts)
-		defer SetTelemetry(prevTS)
 		var table string
 		withShard(workers, func() { table = FleetTail(Quick, 42).Table() })
 		var tb, mb, pb, lb, xb strings.Builder
@@ -167,7 +164,7 @@ func TestShardByteIdenticalAcrossWorkers(t *testing.T) {
 		if err := col.WriteTimelineCSV(&lb); err != nil {
 			t.Fatal(err)
 		}
-		if err := ts.WriteJSONL(&xb); err != nil {
+		if err := col.WriteTelemetryJSONL(&xb); err != nil {
 			t.Fatal(err)
 		}
 		return export{table, tb.String(), mb.String(), pb.String(), lb.String(), xb.String()}
@@ -200,18 +197,15 @@ func TestTelemetryByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 	render := func(workers int, cache bool) string {
 		col := obs.NewCollector()
+		col.SetTelemetry(sim.Millisecond)
 		prev := observer()
 		SetObserver(col)
 		defer SetObserver(prev)
-		ts := telemetry.NewSet(sim.Millisecond)
-		prevTS := telemetrySet()
-		SetTelemetry(ts)
-		defer SetTelemetry(prevTS)
 		SetSnapshotCache(cache)
 		defer SetSnapshotCache(true)
 		withPool(&runner.Pool{Workers: workers}, func() { Fig3TailLatency(Quick, 42) })
 		var b strings.Builder
-		if err := ts.WriteJSONL(&b); err != nil {
+		if err := col.WriteTelemetryJSONL(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()

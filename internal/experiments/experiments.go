@@ -17,7 +17,6 @@ import (
 
 	"ssdtp/internal/obs"
 	"ssdtp/internal/runner"
-	"ssdtp/internal/telemetry"
 )
 
 // cellPool holds the orchestrator grid experiments fan out on. The default
@@ -60,32 +59,16 @@ func shardWorkers() int {
 // every instrumentation site reduces to one pointer check.
 var observerCol atomic.Pointer[obs.Collector]
 
-// SetObserver installs a collector that receives per-cell trace spans and
-// metric snapshots from the experiments that support it (fig3, tabS3, tabS4).
-// Like SetPool, it does not affect results: spans are timestamped with each
-// cell's simulated clock and keyed by cell label, so the collected streams
-// are byte-identical for any worker count. Passing nil disables tracing.
+// SetObserver installs a collector that receives per-cell trace spans,
+// metric snapshots and log-page rows from the traced experiments (fig3,
+// fleet, transparency, tabS3, tabS4). Like SetPool, it does not affect
+// results: spans and rows are timestamped with each cell's simulated clock
+// and keyed by cell label, so the collected streams are byte-identical for
+// any worker count. Passing nil disables tracing.
 func SetObserver(col *obs.Collector) { observerCol.Store(col) }
 
 // observer returns the installed collector (possibly nil).
 func observer() *obs.Collector { return observerCol.Load() }
-
-// telemetryCells holds the telemetry set the device/fleet experiments stream
-// transparency log pages into. Nil (the default) disables telemetry at zero
-// cost: cells attach a nil recorder, which is a no-op end to end.
-var telemetryCells atomic.Pointer[telemetry.Set]
-
-// SetTelemetry installs a set that receives per-cell transparency log-page
-// streams from the experiments that support it (fig3, fleet, transparency).
-// Telemetry sampling rides each cell tracer's aux window, so an observer
-// collector must also be installed for streams to be captured (cells without
-// a tracer cannot sample). Does not affect results: rows are read-only
-// snapshots on aligned simulated-clock boundaries, byte-identical for any
-// worker or shard count. Passing nil disables telemetry.
-func SetTelemetry(ts *telemetry.Set) { telemetryCells.Store(ts) }
-
-// telemetrySet returns the installed set (possibly nil).
-func telemetrySet() *telemetry.Set { return telemetryCells.Load() }
 
 // Scale trades fidelity for runtime. Full is what EXPERIMENTS.md reports;
 // Quick is for benchmarks and smoke tests.

@@ -125,10 +125,6 @@ func Fig3TailLatency(scale Scale, seed int64) Fig3Result {
 			cells = append(cells, runner.TracedCell(observer(), label,
 				func(tr *obs.Tracer) Fig3Series {
 					dev := fig3Device(cfg.Mutate, seed, tr)
-					if ts := telemetrySet(); ts != nil {
-						dev.AttachTelemetry(ts.Cell(label))
-						defer ts.MarkDone(label)
-					}
 					res := workload.Run(dev, workload.Spec{
 						Name:         cfg.Name,
 						Pattern:      workload.Uniform,

@@ -80,7 +80,7 @@ func Fig5SignalTrace(scale Scale, seed int64) Fig5Result {
 	cfg := ssd.Vertex2()
 	cfg.FTL.Seed = seed
 	dev := ssd.NewDevice(sim.NewEngine(), cfg)
-	an := sigtrace.Attach(dev.Array().Bus(0), 0)
+	an := sigtrace.Attach(dev.Array().Bus(0))
 	an.Arm()
 	ntfsFormat(dev)
 	an.Stop()

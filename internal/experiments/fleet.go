@@ -265,10 +265,6 @@ func FleetTail(scale Scale, seed int64) FleetResult {
 				f := fleet.New(host, devs, fleetStripe)
 				f.SetParallel(shardWorkers())
 				f.BindObs(tr)
-				if ts := telemetrySet(); ts != nil {
-					f.AttachTelemetry(ts.Cell(label))
-					defer ts.MarkDone(label)
-				}
 
 				groups := make([][]int, fleetTenants)
 				for t := range groups {

@@ -63,7 +63,7 @@ func TabS2ProbeRate(scale Scale, seed int64) TabS2Result {
 		cfg := ssd.Vertex2()
 		cfg.FTL.Seed = seed
 		dev := ssd.NewDevice(sim.NewEngine(), cfg)
-		an := sigtrace.AttachRate(dev.Array().Bus(0), 0, resolution)
+		an := sigtrace.AttachRate(dev.Array().Bus(0), resolution)
 		an.Arm()
 		workload.Run(dev, workload.Spec{
 			Name: "probe-load", Pattern: workload.Sequential, RequestBytes: 16384, SyncEvery: 1,

@@ -14,25 +14,21 @@ import (
 	"ssdtp/internal/obs"
 	"ssdtp/internal/runner"
 	"ssdtp/internal/sim"
-	"ssdtp/internal/telemetry"
 )
 
-// fig3Exports runs fig3 at Quick scale with a collector and a telemetry set
-// installed, the collector sampling a timeline every timelineMS (0 = none)
-// and the set every telemetryMS of simulated time.
-func fig3Exports(t *testing.T, timelineMS, telemetryMS sim.Time) (*obs.Collector, *telemetry.Set) {
+// fig3Exports runs fig3 at Quick scale with a collector installed whose
+// -timeline export samples every timelineMS and -telemetry export every
+// telemetryMS of simulated time (0 = that export off).
+func fig3Exports(t *testing.T, timelineMS, telemetryMS sim.Time) *obs.Collector {
 	t.Helper()
 	col := obs.NewCollector()
 	col.SetTimeline(timelineMS * sim.Millisecond)
+	col.SetTelemetry(telemetryMS * sim.Millisecond)
 	prev := observer()
 	SetObserver(col)
 	defer SetObserver(prev)
-	ts := telemetry.NewSet(telemetryMS * sim.Millisecond)
-	prevTS := telemetrySet()
-	SetTelemetry(ts)
-	defer SetTelemetry(prevTS)
 	withPool(&runner.Pool{Workers: 2}, func() { Fig3TailLatency(Quick, 42) })
-	return col, ts
+	return col
 }
 
 func sha256Hex(b []byte) string {
@@ -52,10 +48,15 @@ func TestFig3CellExportsPinned(t *testing.T) {
 		wantTele    = "5acfc3299cb4556311b0d5e27f84a34a821ac7a076776213560de1b1f4925856"
 		wantMetrics = "005caf27d9aacde0a6b77132e0c27c95646c8068e508ee21dc2a76ce8eddec41"
 	)
-	col, ts := fig3Exports(t, 0, 1)
-	var tb, mb bytes.Buffer
-	if err := ts.Cell(label).WriteJSONL(&tb); err != nil {
+	col := fig3Exports(t, 0, 1)
+	var all, tb, mb bytes.Buffer
+	if err := col.WriteTelemetryJSONL(&all); err != nil {
 		t.Fatal(err)
+	}
+	for _, line := range bytes.SplitAfter(all.Bytes(), []byte("\n")) {
+		if bytes.HasPrefix(line, []byte(`{"cell":"`+label+`",`)) {
+			tb.Write(line)
+		}
 	}
 	if err := col.Cell(label).WriteMetrics(&mb); err != nil {
 		t.Fatal(err)
@@ -75,6 +76,7 @@ func TestFig3CellExportsPinned(t *testing.T) {
 // and every other column rendered as text.
 type pageRow struct {
 	key    string
+	cell   string
 	t      sim.Time
 	fields map[string]string
 }
@@ -100,7 +102,7 @@ func timelineRows(t *testing.T, col *obs.Collector) []pageRow {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := pageRow{key: rec[0] + "@" + rec[1], t: at, fields: map[string]string{}}
+		r := pageRow{key: rec[0] + "@" + rec[1], cell: rec[0], t: at, fields: map[string]string{}}
 		for i := 2; i < len(rec); i++ {
 			r.fields[header[i]] = rec[i]
 		}
@@ -109,11 +111,11 @@ func timelineRows(t *testing.T, col *obs.Collector) []pageRow {
 	return rows
 }
 
-// telemetryRows parses the set's JSONL stream.
-func telemetryRows(t *testing.T, ts *telemetry.Set) []pageRow {
+// telemetryRows parses the collector's -telemetry JSONL stream.
+func telemetryRows(t *testing.T, col *obs.Collector) []pageRow {
 	t.Helper()
 	var b strings.Builder
-	if err := ts.WriteJSONL(&b); err != nil {
+	if err := col.WriteTelemetryJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
 	var rows []pageRow
@@ -128,7 +130,8 @@ func telemetryRows(t *testing.T, ts *telemetry.Set) []pageRow {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := pageRow{key: fmt.Sprintf("%s@%d", obj["cell"], at), t: at, fields: map[string]string{}}
+		cell := fmt.Sprint(obj["cell"])
+		r := pageRow{key: fmt.Sprintf("%s@%d", cell, at), cell: cell, t: at, fields: map[string]string{}}
 		for k, v := range obj {
 			if k != "cell" && k != "t" {
 				r.fields[k] = fmt.Sprint(v)
@@ -160,33 +163,95 @@ func equalRows(got, want []pageRow) error {
 	return nil
 }
 
-// The -timeline CSV is a view of the transparency log page: at equal
-// intervals its rows are the JSONL rows, and at a coarser interval they are
-// exactly the JSONL rows that fall on its boundaries.
+// onGrid returns the rows whose timestamps are multiples of every ms.
+func onGrid(rows []pageRow, every sim.Time) []pageRow {
+	var out []pageRow
+	for _, r := range rows {
+		if r.t%(every*sim.Millisecond) == 0 {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// cellsOf returns the distinct cells of rows, in order of appearance.
+func cellsOf(rows []pageRow) []string {
+	var cells []string
+	for _, r := range rows {
+		if len(cells) == 0 || cells[len(cells)-1] != r.cell {
+			cells = append(cells, r.cell)
+		}
+	}
+	return cells
+}
+
+// The -timeline CSV and the -telemetry JSONL are two renderings of one
+// per-cell log-page recorder: they list the same cells, and at any pair of
+// intervals — equal, one a multiple of the other, or neither, with a common
+// divisor of 1 ms or 2 ms — each is exactly the subset of a 1 ms stream that
+// falls on its own grid.
 func TestTimelineCSVMatchesTelemetryJSONL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig3 grid regeneration")
 	}
-	col, ts := fig3Exports(t, 1, 1)
-	csvRows, jsonRows := timelineRows(t, col), telemetryRows(t, ts)
-	if len(csvRows) == 0 {
-		t.Fatal("no timeline rows")
-	}
-	if err := equalRows(csvRows, jsonRows); err != nil {
-		t.Errorf("1 ms timeline vs 1 ms telemetry: %v", err)
-	}
-
-	col, ts = fig3Exports(t, 10, 1)
-	var onGrid []pageRow
-	for _, r := range telemetryRows(t, ts) {
-		if r.t%(10*sim.Millisecond) == 0 {
-			onGrid = append(onGrid, r)
+	var ref []pageRow // the 1 ms stream, from the first case
+	for _, c := range []struct{ timeline, telemetry sim.Time }{{1, 1}, {10, 1}, {3, 2}, {4, 6}} {
+		col := fig3Exports(t, c.timeline, c.telemetry)
+		csvRows, jsonRows := timelineRows(t, col), telemetryRows(t, col)
+		if ref == nil {
+			ref = jsonRows
+		}
+		name := fmt.Sprintf("%d ms timeline, %d ms telemetry", c.timeline, c.telemetry)
+		if len(csvRows) == 0 || len(jsonRows) == 0 {
+			t.Fatalf("%s: %d timeline rows, %d telemetry rows", name, len(csvRows), len(jsonRows))
+		}
+		if got, want := cellsOf(csvRows), cellsOf(jsonRows); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: timeline cells %v, telemetry cells %v", name, got, want)
+		}
+		if err := equalRows(csvRows, onGrid(ref, c.timeline)); err != nil {
+			t.Errorf("%s: timeline vs the 1 ms stream on its grid: %v", name, err)
+		}
+		if err := equalRows(jsonRows, onGrid(ref, c.telemetry)); err != nil {
+			t.Errorf("%s: telemetry vs the 1 ms stream on its grid: %v", name, err)
 		}
 	}
-	if len(onGrid) == 0 {
-		t.Fatal("no telemetry rows on the 10 ms grid")
+}
+
+// The transparency experiment forecasts from its own 1 ms recorder, but its
+// exported -telemetry rows come from the cell tracer's page recorder like
+// every other cell's, so they follow the collector's interval; the table is
+// unaffected either way.
+func TestTransparencyTelemetryFollowsCollector(t *testing.T) {
+	if testing.Short() {
+		t.Skip("transparency grid regeneration")
 	}
-	if err := equalRows(timelineRows(t, col), onGrid); err != nil {
-		t.Errorf("10 ms timeline vs 1 ms telemetry on the 10 ms grid: %v", err)
+	var plain string
+	withPool(&runner.Pool{Workers: 2}, func() { plain = Transparency(Quick, 42).Table() })
+
+	col := obs.NewCollector()
+	col.SetTelemetry(3 * sim.Millisecond)
+	prev := observer()
+	SetObserver(col)
+	defer SetObserver(prev)
+	var traced string
+	withPool(&runner.Pool{Workers: 2}, func() { traced = Transparency(Quick, 42).Table() })
+	if traced != plain {
+		t.Errorf("table changed under a collector:\n%s\nwant\n%s", traced, plain)
+	}
+
+	rows := telemetryRows(t, col)
+	if got, want := len(cellsOf(rows)), len(Fig3Configs()); got != want {
+		t.Fatalf("telemetry lists %d cells, want one per config (%d)", got, want)
+	}
+	for i, r := range rows {
+		if !strings.HasPrefix(r.cell, "transparency/") {
+			t.Fatalf("row %s is not a transparency cell's", r.key)
+		}
+		if r.t%(3*sim.Millisecond) != 0 {
+			t.Fatalf("row %s is off the collector's 3 ms grid", r.key)
+		}
+		if i > 0 && rows[i-1].cell == r.cell && r.t-rows[i-1].t != 3*sim.Millisecond {
+			t.Fatalf("rows %s and %s are not 3 ms apart", rows[i-1].key, r.key)
+		}
 	}
 }

@@ -123,13 +123,12 @@ func Transparency(scale Scale, seed int64) TransparencyResult {
 				}
 				dev := fig3Device(cfg.Mutate, seed, tr)
 
-				// The disclosed stream: one log page per boundary.
-				rec := telemetry.NewRecorder(label, transparencyWindow)
+				// The disclosed stream: one log page per boundary. This is
+				// the forecaster's private input, sampled on its own window;
+				// the cell's exported rows come from its tracer's page
+				// recorder like every other traced cell's.
+				rec := telemetry.NewRecorder(label)
 				rec.SetSource(dev.FillLogPage)
-				if ts := telemetrySet(); ts != nil {
-					ts.Adopt(rec)
-					defer ts.MarkDone(label)
-				}
 				// The black-box stream: SMART at the same boundaries.
 				var smarts []int64
 				tr.SetWindow(transparencyWindow, func(at sim.Time) {

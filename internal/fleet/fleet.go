@@ -706,12 +706,12 @@ func (r MemReport) String() string {
 // the tracer's engine metrics, tenant requests open fleet.write/read/trim
 // spans (the drives' own spans stay on their private capped tracers — at
 // fleet scale the tenant-level stream is the one worth exporting), and, when
-// the tracer has a timeline configured, rows are sampled on host-clock
-// boundaries from the tier's log page (FillLogPage).
+// the tracer samples pages, rows are sampled on host-clock boundaries from
+// the tier's log page (FillLogPage).
 func (f *Fleet) BindObs(tr *obs.Tracer) {
 	f.tr = tr
 	tr.BindEngine(f.eng)
-	tr.SetTimelineSource(f.FillLogPage)
+	tr.SetPageSource(f.FillLogPage)
 }
 
 // PublishMetrics snapshots tier-level aggregates and per-tenant summaries

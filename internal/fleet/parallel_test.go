@@ -20,8 +20,9 @@ func gcFleetRun(t *testing.T, workers int) (reports [2]TenantReport, jsonl, time
 	t.Helper()
 	f = testFleet(t, 3, 256*1024)
 	f.SetParallel(workers)
-	tr := obs.NewTracer("cell")
-	tr.SetTimeline(2 * sim.Millisecond)
+	col := obs.NewCollector()
+	col.SetTimeline(2 * sim.Millisecond)
+	tr := col.Cell("cell")
 	f.BindObs(tr)
 
 	perVol := f.drives[0].dev.Size() * 85 / 100 * 3 / 2 // 2 tenants over 3 drives
@@ -50,7 +51,7 @@ func gcFleetRun(t *testing.T, workers int) (reports [2]TenantReport, jsonl, time
 	if err := tr.WriteJSONL(&bj); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteTimelineCSV(&bt); err != nil {
+	if err := col.WriteTimelineCSV(&bt); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.WriteMetrics(&bm); err != nil {

@@ -20,19 +20,6 @@ func (f *Fleet) FillLogPage(p *telemetry.Page) {
 	}
 }
 
-// AttachTelemetry streams the fleet-level log page into rec on the host
-// clock's aligned boundaries. Call after BindObs (the window rides the cell
-// tracer's engine hook; the shard pump's lookahead already respects it via
-// NextTimelineBoundary). A nil recorder detaches.
-func (f *Fleet) AttachTelemetry(rec *telemetry.Recorder) {
-	if rec == nil {
-		f.tr.SetWindow(0, nil)
-		return
-	}
-	rec.SetSource(f.FillLogPage)
-	f.tr.SetWindow(rec.Interval(), rec.Observe)
-}
-
 // TenantTelemetry is one tenant's disclosed state joined with its GC
 // attribution: the log page aggregated over the drives backing the volume,
 // plus the tail shares only the simulator's profiler can measure.

@@ -221,19 +221,19 @@ func TestAttrDisabledZeroAlloc(t *testing.T) {
 }
 
 // The engine hook runs on every fired event of a traced cell. With no
-// sampling window, and with a timeline configured but no page source bound
+// sampling window, and with a page recorder enabled but no page source bound
 // (a cell whose device never binds one), it must not allocate.
 func TestEngineHookZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not stable under the race detector")
 	}
 	for _, tc := range []struct {
-		name     string
-		timeline sim.Time
-	}{{"no windows", 0}, {"timeline without source", sim.Microsecond}} {
+		name  string
+		pages sim.Time
+	}{{"no windows", 0}, {"page recorder without source", sim.Microsecond}} {
 		eng := sim.NewEngine()
 		tr := NewTracer("hook")
-		tr.SetTimeline(tc.timeline)
+		tr.SamplePages(tc.pages)
 		tr.BindEngine(eng)
 		var tick func()
 		tick = func() { eng.Schedule(100, tick) }

@@ -20,11 +20,12 @@ import (
 // byte-identical at any worker count. A nil *Collector hands out nil tracers,
 // keeping the whole observability layer disabled by default.
 type Collector struct {
-	mu         sync.Mutex
-	cells      map[string]*Tracer
-	done       map[string]bool
-	recordCap  int      // 0 = tracer default; applied to cells at creation
-	tlInterval sim.Time // timeline sampling interval applied at creation
+	mu        sync.Mutex
+	cells     map[string]*Tracer
+	done      map[string]bool
+	recordCap int      // 0 = tracer default; applied to cells at creation
+	timeline  sim.Time // -timeline export interval (0 = off)
+	telemetry sim.Time // -telemetry export interval (0 = off)
 }
 
 // NewCollector returns an empty collector.
@@ -46,15 +47,44 @@ func (c *Collector) SetRecordCap(n int) {
 	}
 }
 
-// SetTimeline configures timeline sampling (see Tracer.SetTimeline) on every
-// cell created afterward.
+// SetTimeline enables the -timeline CSV export at the given interval for
+// every cell created afterward; interval <= 0 disables it.
 func (c *Collector) SetTimeline(interval sim.Time) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tlInterval = interval
+	c.timeline = max(interval, 0)
+}
+
+// SetTelemetry enables the -telemetry JSONL export (and the ops endpoint's
+// /telemetry view) at the given interval for every cell created afterward;
+// interval <= 0 disables it.
+func (c *Collector) SetTelemetry(interval sim.Time) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.telemetry = max(interval, 0)
+}
+
+// pageInterval is the one interval each cell's page recorder samples at:
+// the greatest common divisor of the enabled exports' intervals (0 when
+// none is enabled). Each export renders the recorded rows on its own grid
+// (telemetry.WriteCSV, WriteJSONL). That is exact, not approximate: an
+// export's interval is a multiple of the recorder's, both grids anchor just
+// past the same first observation, and every boundary a hook call crosses
+// fires in that call, so the rows on an export's grid are exactly the rows
+// a window of the export's interval would have fired, read from the same
+// state. Caller holds c.mu.
+func (c *Collector) pageInterval() sim.Time {
+	a, b := c.timeline, c.telemetry
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // Cell returns the tracer for label, creating it on first use. Repeated
@@ -72,9 +102,7 @@ func (c *Collector) Cell(label string) *Tracer {
 		if c.recordCap != 0 {
 			t.SetRecordCap(c.recordCap)
 		}
-		if c.tlInterval > 0 {
-			t.SetTimeline(c.tlInterval)
-		}
+		t.SamplePages(c.pageInterval())
 		c.cells[label] = t
 	}
 	return t
@@ -170,16 +198,40 @@ func (c *Collector) WritePerfetto(w io.Writer) error {
 	return writePerfetto(w, c.tracers())
 }
 
-// WriteTimelineCSV renders every cell's timeline rows as one CSV stream,
-// cells in label order under a single header.
+// WriteTimelineCSV renders every cell's log-page rows on the -timeline grid
+// as one CSV stream, cells in label order under a single header (header only
+// when the timeline is off).
 func (c *Collector) WriteTimelineCSV(w io.Writer) error {
 	if c == nil {
 		return nil
 	}
-	tracers := c.tracers()
+	return telemetry.WriteCSV(w, c.timeline, pageRecorders(c.tracers())...)
+}
+
+// WriteTelemetryJSONL renders every cell's log-page rows on the -telemetry
+// grid, one JSON object per line, cells in label order (nothing when
+// telemetry is off).
+func (c *Collector) WriteTelemetryJSONL(w io.Writer) error {
+	if c == nil {
+		return nil
+	}
+	return telemetry.WriteJSONL(w, c.telemetry, pageRecorders(c.tracers())...)
+}
+
+// WriteTelemetryJSONLDone is WriteTelemetryJSONL over completed cells only;
+// safe while a run is still in flight (the ops endpoint's /telemetry view).
+func (c *Collector) WriteTelemetryJSONLDone(w io.Writer) error {
+	if c == nil {
+		return nil
+	}
+	return telemetry.WriteJSONL(w, c.telemetry, pageRecorders(c.doneTracers())...)
+}
+
+// pageRecorders returns the tracers' page recorders, in order.
+func pageRecorders(tracers []*Tracer) []*telemetry.Recorder {
 	recs := make([]*telemetry.Recorder, len(tracers))
 	for i, t := range tracers {
-		recs[i] = t.tlRec
+		recs[i] = t.pages
 	}
-	return telemetry.WriteCSV(w, recs...)
+	return recs
 }

@@ -6,6 +6,9 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"ssdtp/internal/sim"
+	"ssdtp/internal/telemetry"
 )
 
 // The ops endpoint must serve the live views over plain HTTP: a metrics
@@ -13,11 +16,16 @@ import (
 // index. Listens on a kernel-assigned port so tests never collide.
 func TestServeOpsSmoke(t *testing.T) {
 	col := NewCollector()
+	col.SetTelemetry(sim.Millisecond)
 	done := col.Cell("grid/done")
 	done.Metrics().Set("ssdtp_x", 7)
+	done.SetPageSource(func(p *telemetry.Page) { p.Drives = 1 })
+	done.pages.Observe(sim.Millisecond)
 	col.MarkDone("grid/done")
 	running := col.Cell("grid/running")
 	running.Metrics().Set("ssdtp_x", 9)
+	running.SetPageSource(func(p *telemetry.Page) { p.Drives = 1 })
+	running.pages.Observe(sim.Millisecond)
 
 	addr, shutdown, err := ServeOps("127.0.0.1:0", col, func() any {
 		return map[string]int{"done": 1}
@@ -51,6 +59,14 @@ func TestServeOpsSmoke(t *testing.T) {
 	// touch them.
 	if strings.Contains(body, "grid/running") {
 		t.Fatalf("/metrics leaked an in-flight cell:\n%s", body)
+	}
+
+	code, body = get("/telemetry")
+	if code != http.StatusOK {
+		t.Fatalf("/telemetry status %d", code)
+	}
+	if !strings.HasPrefix(body, `{"cell":"grid/done","t":1000000,`) || strings.Count(body, "\n") != 1 {
+		t.Fatalf("/telemetry = %q, want the done cell's one row", body)
 	}
 
 	code, body = get("/progress")

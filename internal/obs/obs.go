@@ -83,8 +83,8 @@ type Tracer struct {
 	droppedRecs int64
 
 	prof  *Profiler           // latency attribution (lazily created by Prof)
-	tl    *window             // timeline window (nil unless SetTimeline configured)
-	tlRec *telemetry.Recorder // the timeline's log-page rows
+	page  *window             // page-recorder window (nil unless SamplePages enabled it)
+	pages *telemetry.Recorder // the cell's log-page rows
 	win   *window             // aux sampling window (nil unless SetWindow configured)
 
 	// Engine observation (installed by BindEngine).
@@ -187,8 +187,8 @@ func (t *Tracer) BindEngine(eng *sim.Engine) {
 			if pending > t.pendingHigh {
 				t.pendingHigh = pending
 			}
-			if t.tl != nil && !t.suspended {
-				t.tl.observe(now)
+			if t.page != nil && !t.suspended {
+				t.page.observe(now)
 			}
 			if t.win != nil && !t.suspended {
 				t.win.observe(now)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -200,10 +201,11 @@ func TestRecordCapDropsCounted(t *testing.T) {
 // values read through the bound log-page source at the boundary crossing.
 func TestTimelineSampling(t *testing.T) {
 	eng := sim.NewEngine()
-	tr := NewTracer("c")
-	tr.SetTimeline(10 * sim.Microsecond)
+	col := NewCollector()
+	col.SetTimeline(10 * sim.Microsecond)
+	tr := col.Cell("c")
 	var written int64
-	tr.SetTimelineSource(func(p *telemetry.Page) { p.Drives, p.HostSectorsWritten = 1, written })
+	tr.SetPageSource(func(p *telemetry.Page) { p.Drives, p.HostSectorsWritten = 1, written })
 	tr.BindEngine(eng)
 
 	// Events at 1µs (anchors the first boundary), then past two boundaries.
@@ -213,7 +215,7 @@ func TestTimelineSampling(t *testing.T) {
 	eng.Run()
 
 	var sb strings.Builder
-	if err := tr.WriteTimelineCSV(&sb); err != nil {
+	if err := col.WriteTimelineCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
@@ -234,20 +236,94 @@ func TestTimelineSampling(t *testing.T) {
 	}
 }
 
-// The lookahead cap is the earliest boundary over both windows; a timeline
-// without a bound source does not count, and an unanchored window reports
-// (0, true).
+// One page recorder serves both exports: the collector samples at the GCD of
+// the enabled intervals, and each export renders the rows on its own grid —
+// exactly the rows a window of its interval would have recorded. Cells
+// render in label order, and the done-only view skips running cells.
+func TestCollectorPageExports(t *testing.T) {
+	col := NewCollector()
+	col.SetTimeline(3 * sim.Microsecond)
+	col.SetTelemetry(2 * sim.Microsecond)
+	var written int64
+	src := func(p *telemetry.Page) { p.Drives, p.HostSectorsWritten = 1, written }
+	var cells []*Tracer
+	for _, label := range []string{"b", "a", "c"} {
+		tr := col.Cell(label)
+		tr.SetPageSource(src)
+		cells = append(cells, tr)
+	}
+	// The reference: standalone windows at each export's own interval.
+	ref2, ref3 := telemetry.NewRecorder("a"), telemetry.NewRecorder("a")
+	ref2.SetSource(src)
+	ref3.SetSource(src)
+	w2 := &window{interval: 2 * sim.Microsecond, fire: ref2.Observe}
+	w3 := &window{interval: 3 * sim.Microsecond, fire: ref3.Observe}
+	// Engine-hook calls at irregular times, each crossing zero or more
+	// boundaries and reading the state the previous event left.
+	for _, at := range []sim.Time{1, 2, 5, 7, 13, 14, 20} {
+		now := at * sim.Microsecond
+		for _, tr := range cells {
+			tr.page.observe(now)
+		}
+		w2.observe(now)
+		w3.observe(now)
+		written = int64(at)
+	}
+	col.MarkDone("c")
+
+	render := func(write func(io.Writer) error) string {
+		var sb strings.Builder
+		if err := write(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	// rowsOf returns the lines of cell label, and the order cells appear in.
+	rowsOf := func(s, label string) (string, string) {
+		var rows, order string
+		for _, line := range strings.SplitAfter(s, "\n") {
+			cell, _, ok := strings.Cut(strings.TrimPrefix(strings.TrimPrefix(line, `{"cell":`), `"`), `"`)
+			if !ok || strings.HasPrefix(line, "cell,") {
+				continue
+			}
+			if !strings.HasSuffix(order, cell) {
+				order += cell
+			}
+			if cell == label {
+				rows += line
+			}
+		}
+		return rows, order
+	}
+	timeline, timelineOrder := rowsOf(render(col.WriteTimelineCSV), "a")
+	want3, _ := rowsOf(render(func(w io.Writer) error { return telemetry.WriteCSV(w, 1, ref3) }), "a")
+	if timeline == "" || timeline != want3 || timelineOrder != "abc" {
+		t.Errorf("3µs timeline rows (cells %q):\n%s\nwant a 3µs window's:\n%s", timelineOrder, timeline, want3)
+	}
+	tele, teleOrder := rowsOf(render(col.WriteTelemetryJSONL), "a")
+	want2, _ := rowsOf(render(func(w io.Writer) error { return telemetry.WriteJSONL(w, 1, ref2) }), "a")
+	if tele == "" || tele != want2 || teleOrder != "abc" {
+		t.Errorf("2µs telemetry rows (cells %q):\n%s\nwant a 2µs window's:\n%s", teleOrder, tele, want2)
+	}
+	if _, order := rowsOf(render(col.WriteTelemetryJSONLDone), ""); order != "c" {
+		t.Errorf("done-only view lists cells %q, want only c", order)
+	}
+}
+
+// The lookahead cap is the earliest boundary over both windows; a page
+// recorder without a bound source does not count, and an unanchored window
+// reports (0, true).
 func TestNextTimelineBoundary(t *testing.T) {
 	eng := sim.NewEngine()
 	tr := NewTracer("c")
-	tr.SetTimeline(10 * sim.Microsecond)
+	tr.SamplePages(10 * sim.Microsecond)
 	tr.BindEngine(eng)
 	if _, ok := tr.NextTimelineBoundary(); ok {
-		t.Fatal("timeline without a source reports a boundary")
+		t.Fatal("page recorder without a source reports a boundary")
 	}
-	tr.SetTimelineSource(func(*telemetry.Page) {})
+	tr.SetPageSource(func(*telemetry.Page) {})
 	if at, ok := tr.NextTimelineBoundary(); !ok || at != 0 {
-		t.Fatalf("unanchored timeline = (%d, %v), want (0, true)", at, ok)
+		t.Fatalf("unanchored page recorder = (%d, %v), want (0, true)", at, ok)
 	}
 	tr.SetWindow(4*sim.Microsecond, func(sim.Time) {})
 	eng.Schedule(1*sim.Microsecond, func() {})
@@ -258,7 +334,7 @@ func TestNextTimelineBoundary(t *testing.T) {
 	eng.Schedule(8*sim.Microsecond, func() {}) // fires at 9µs: aux moves to 12µs
 	eng.Run()
 	if at, ok := tr.NextTimelineBoundary(); !ok || at != 10*sim.Microsecond {
-		t.Fatalf("anchored windows = (%d, %v), want the timeline's 10µs", at, ok)
+		t.Fatalf("anchored windows = (%d, %v), want the page recorder's 10µs", at, ok)
 	}
 	tr.Suspend()
 	if _, ok := tr.NextTimelineBoundary(); ok {

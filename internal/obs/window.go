@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"io"
-
 	"ssdtp/internal/sim"
 	"ssdtp/internal/telemetry"
 )
@@ -11,11 +9,12 @@ import (
 // each a fixed simulated-time interval whose boundary crossings invoke a
 // callback from the engine hook BindEngine installs:
 //
-//   - the timeline (SetTimeline), which records the bound device's or
-//     fleet's transparency log page into the tracer's own telemetry recorder
-//     — the -timeline CSV is a rendering of those rows;
-//   - the aux window (SetWindow), a caller-supplied callback; the -telemetry
-//     JSONL stream and the transparency experiment ride it.
+//   - the page recorder (SamplePages), which records the bound device's or
+//     fleet's transparency log page into the tracer's own telemetry
+//     recorder — the Collector renders both the -timeline CSV and the
+//     -telemetry JSONL from those rows;
+//   - the aux window (SetWindow), a caller-supplied callback; the
+//     transparency experiment rides it to read SMART at its own boundaries.
 //
 // Both share one anchor rule: the first observation only anchors the grid at
 // the next absolute multiple of the interval (so a restored clone and a
@@ -77,58 +76,48 @@ func (t *Tracer) SetWindow(interval sim.Time, fire func(at sim.Time)) {
 	t.win = &window{interval: interval, fire: fire}
 }
 
-// SetTimeline enables timeline sampling every interval of simulated time.
-// Must be set before the device or fleet binds its page source;
-// interval <= 0 disables.
-func (t *Tracer) SetTimeline(interval sim.Time) {
-	if t == nil {
+// SamplePages enables the tracer's page recorder, sampling the log page
+// every interval of simulated time. Must be set before the device or fleet
+// binds its page source; interval <= 0 leaves sampling off. The Collector
+// sets it on each cell it creates.
+func (t *Tracer) SamplePages(interval sim.Time) {
+	if t == nil || interval <= 0 {
 		return
 	}
-	t.tl = nil
-	t.tlRec = telemetry.NewRecorder(t.label, interval)
-	if t.tlRec != nil {
-		t.tl = &window{interval: interval}
-	}
+	t.page = &window{interval: interval}
+	t.pages = telemetry.NewRecorder(t.label)
 }
 
-// SetTimelineSource binds the log-page source the timeline samples; devices
-// and fleets bind their FillLogPage at construction. No-op unless a timeline
-// is configured.
-func (t *Tracer) SetTimelineSource(fn func(*telemetry.Page)) {
-	if t == nil || t.tl == nil {
+// SetPageSource binds the log-page source the page recorder samples; devices
+// and fleets bind their FillLogPage at construction. No-op unless page
+// sampling is enabled.
+func (t *Tracer) SetPageSource(fn func(*telemetry.Page)) {
+	if t == nil || t.page == nil {
 		return
 	}
-	t.tlRec.SetSource(fn)
-	t.tl.fire = t.tlRec.Observe
+	t.pages.SetSource(fn)
+	t.page.fire = t.pages.Observe
 }
 
 // NextTimelineBoundary returns the simulated time of the next sampling
-// boundary — the minimum over the timeline and the aux window — or ok=false
-// when neither is active (none configured, no source bound, or sampling
-// suspended). The parallel fleet engine caps its lookahead here: a boundary
-// samples *current* device state at the first event at or past it, so no
-// event beyond the boundary may fire before the row is captured. Before the
-// first observation anchors a window's grid, that window conservatively
-// reports time 0 with ok=true — callers treat (0, true) as "no lookahead
-// until anchored".
+// boundary — the minimum over the page recorder and the aux window — or
+// ok=false when neither is active (none configured, no source bound, or
+// sampling suspended). The parallel fleet engine caps its lookahead here: a
+// boundary samples *current* device state at the first event at or past it,
+// so no event beyond the boundary may fire before the row is captured.
+// Before the first observation anchors a window's grid, that window
+// conservatively reports time 0 with ok=true — callers treat (0, true) as
+// "no lookahead until anchored".
 func (t *Tracer) NextTimelineBoundary() (sim.Time, bool) {
 	if t == nil || t.suspended {
 		return 0, false
 	}
 	var at sim.Time
 	ok := false
-	for _, w := range [...]*window{t.tl, t.win} {
+	for _, w := range [...]*window{t.page, t.win} {
 		if b, wok := w.next(); wok && (!ok || b < at) {
 			at, ok = b, true
 		}
 	}
 	return at, ok
-}
-
-// WriteTimelineCSV renders the tracer's timeline rows as CSV (with header).
-func (t *Tracer) WriteTimelineCSV(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	return telemetry.WriteCSV(w, t.tlRec)
 }

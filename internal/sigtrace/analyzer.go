@@ -18,7 +18,7 @@ import (
 type Analyzer struct {
 	events    []onfi.BusEvent
 	armed     bool
-	limit     int
+	limit     int // bufferDepth; tests lower it
 	truncated bool
 	detach    func()
 
@@ -46,11 +46,14 @@ func signalGroup(k onfi.EventKind) int {
 	}
 }
 
+// bufferDepth bounds the events an analyzer stores, modeling its capture
+// buffer; events past it are dropped and the capture marked truncated.
+const bufferDepth = 1 << 20
+
 // Attach solders probes onto bus with an ideal (infinitely fast) analyzer.
-// The analyzer starts disarmed; call Arm to begin capturing. limit bounds
-// stored events (0 = 1M), modeling analyzer buffer depth.
-func Attach(bus *onfi.Bus, limit int) *Analyzer {
-	return AttachRate(bus, limit, 0)
+// The analyzer starts disarmed; call Arm to begin capturing.
+func Attach(bus *onfi.Bus) *Analyzer {
+	return AttachRate(bus, 0)
 }
 
 // AttachRate attaches an analyzer with a finite sampling rate: resolution
@@ -59,11 +62,8 @@ func Attach(bus *onfi.Bus, limit int) *Analyzer {
 // able to handle high-rate tracing"; this models what a cheaper instrument
 // loses — closely spaced command/address cycles alias into nothing while
 // long data bursts and busy intervals survive.
-func AttachRate(bus *onfi.Bus, limit int, resolution sim.Time) *Analyzer {
-	if limit <= 0 {
-		limit = 1 << 20
-	}
-	a := &Analyzer{limit: limit, resolution: resolution, lastEdge: [3]sim.Time{-1, -1, -1}}
+func AttachRate(bus *onfi.Bus, resolution sim.Time) *Analyzer {
+	a := &Analyzer{limit: bufferDepth, resolution: resolution, lastEdge: [3]sim.Time{-1, -1, -1}}
 	a.detach = bus.Observe(onfi.ObserverFunc(a.onEvent))
 	return a
 }

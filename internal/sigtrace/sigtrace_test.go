@@ -20,7 +20,7 @@ func probeRig(t *testing.T) (*sim.Engine, *onfi.Bus, *Analyzer) {
 	eng := sim.NewEngine()
 	chip := nand.NewChip(nand.ChipConfig{Geometry: rigGeom})
 	bus := onfi.NewBus(eng, 0, nand.ONFI2MLC(), chip)
-	an := Attach(bus, 0)
+	an := Attach(bus)
 	an.Arm()
 	return eng, bus, an
 }
@@ -139,7 +139,8 @@ func TestBufferLimitTruncates(t *testing.T) {
 	g := nand.Geometry{Dies: 1, Planes: 1, BlocksPerPlane: 4, PagesPerBlock: 16, PageSize: 512}
 	chip := nand.NewChip(nand.ChipConfig{Geometry: g})
 	bus := onfi.NewBus(eng, 0, nand.ONFI2MLC(), chip)
-	an := Attach(bus, 5)
+	an := Attach(bus)
+	an.limit = 5
 	an.Arm()
 	bus.Program(0, nand.Addr{}, nil, nil)
 	eng.Run()
@@ -240,8 +241,8 @@ func TestAttachRateAliasesSlowSampling(t *testing.T) {
 	bus := onfi.NewBus(eng, 0, nand.ONFI2MLC(), chip)
 	// Cycle time is 25ns; a 100ns-resolution analyzer must alias the
 	// back-to-back command/address cycles.
-	slow := AttachRate(bus, 0, 100)
-	fast := AttachRate(bus, 0, 1)
+	slow := AttachRate(bus, 100)
+	fast := AttachRate(bus, 1)
 	slow.Arm()
 	fast.Arm()
 	bus.Program(0, nand.Addr{}, nil, nil)
@@ -266,7 +267,7 @@ func TestDecodeRoundTripProperty(t *testing.T) {
 		g := nand.Geometry{Dies: 2, Planes: 2, BlocksPerPlane: 8, PagesPerBlock: 16, PageSize: 2048}
 		chip := nand.NewChip(nand.ChipConfig{Geometry: g})
 		bus := onfi.NewBus(eng, 0, nand.ONFI2MLC(), chip)
-		an := Attach(bus, 0)
+		an := Attach(bus)
 		an.Arm()
 
 		type key struct {

@@ -85,15 +85,6 @@ func (t *Table) Value(id AttrID) int64 {
 	return 0
 }
 
-// Snapshot captures all attribute values at a point in time.
-func (t *Table) Snapshot() Snapshot {
-	s := make(Snapshot, len(t.attrs))
-	for id, a := range t.attrs {
-		s[id] = a.Value
-	}
-	return s
-}
-
 // String renders the table sorted by attribute ID, smartctl-style.
 func (t *Table) String() string {
 	ids := make([]AttrID, 0, len(t.attrs))
@@ -108,6 +99,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// Snapshot is a point-in-time copy of attribute values.
-type Snapshot map[AttrID]int64

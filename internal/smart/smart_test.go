@@ -39,29 +39,30 @@ func TestValueUndefinedIsZero(t *testing.T) {
 	}
 }
 
+// A host diffs two reads of a counter to get what happened between them.
 func TestSnapshotDelta(t *testing.T) {
 	tb := NewTable()
 	tb.Define(AttrHostProgramPageCount, "host")
 	tb.Define(AttrFTLProgramPageCount, "ftl")
 	tb.Add(AttrHostProgramPageCount, 10)
-	before := tb.Snapshot()
+	hostBefore, ftlBefore := tb.Value(AttrHostProgramPageCount), tb.Value(AttrFTLProgramPageCount)
 	tb.Add(AttrHostProgramPageCount, 15)
 	tb.Add(AttrFTLProgramPageCount, 4)
-	after := tb.Snapshot()
-	host := after[AttrHostProgramPageCount] - before[AttrHostProgramPageCount]
-	ftl := after[AttrFTLProgramPageCount] - before[AttrFTLProgramPageCount]
+	host := tb.Value(AttrHostProgramPageCount) - hostBefore
+	ftl := tb.Value(AttrFTLProgramPageCount) - ftlBefore
 	if host != 15 || ftl != 4 {
 		t.Errorf("delta host=%d ftl=%d, want 15/4", host, ftl)
 	}
 }
 
+// A read value is the host's copy: later adds change the next read, not it.
 func TestSnapshotIsCopy(t *testing.T) {
 	tb := NewTable()
 	tb.Add(1, 1)
-	s := tb.Snapshot()
+	before := tb.Value(1)
 	tb.Add(1, 100)
-	if s[1] != 1 {
-		t.Error("snapshot mutated by later Add")
+	if before != 1 || tb.Value(1) != 101 {
+		t.Errorf("reads %d then %d, want 1 then 101", before, tb.Value(1))
 	}
 }
 
@@ -75,8 +76,8 @@ func TestStringSortedByID(t *testing.T) {
 	}
 }
 
-// Property: for any sequence of adds, snapshot delta equals the sum of adds
-// between the snapshots.
+// Property: for any sequence of adds, the delta of two reads equals the sum
+// of adds between them.
 func TestDeltaAdditiveProperty(t *testing.T) {
 	f := func(first, second []int8) bool {
 		tb := NewTable()
@@ -85,14 +86,14 @@ func TestDeltaAdditiveProperty(t *testing.T) {
 			tb.Add(7, int64(v))
 			sum1 += int64(v)
 		}
-		s1 := tb.Snapshot()
+		v1 := tb.Value(7)
 		var sum2 int64
 		for _, v := range second {
 			tb.Add(7, int64(v))
 			sum2 += int64(v)
 		}
-		s2 := tb.Snapshot()
-		return s1[7] == sum1 && s2[7]-s1[7] == sum2
+		v2 := tb.Value(7)
+		return v1 == sum1 && v2-v1 == sum2
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

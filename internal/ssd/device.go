@@ -140,7 +140,7 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 		// sector-aligned write lands inside one chunk.
 		d.content = cow.NewBytes(d.Size(), contentChunkSectors*int64(d.sectorSize))
 	}
-	cfg.Trace.SetTimelineSource(d.FillLogPage)
+	cfg.Trace.SetPageSource(d.FillLogPage)
 	return d
 }
 

@@ -8,9 +8,9 @@ import (
 // The transparency log page (DESIGN.md §14): the host-queryable disclosure
 // interface the paper's §4 argues vendors should provide. FillLogPage is the
 // query — every field is device ground truth a controller could cheaply
-// expose — and AttachTelemetry wires periodic sampling of it onto the
-// tracer's aux window so the stream lands on aligned simulated-clock
-// boundaries, byte-identical at any -parallel/-shard setting.
+// expose. NewDevice binds it as the tracer's page source, so a traced cell
+// samples it on aligned simulated-clock boundaries, byte-identical at any
+// -parallel/-shard setting.
 
 // FillLogPage fills p with the device's current transparency log page.
 // Counters are cumulative since construction; gauges are instantaneous.
@@ -45,18 +45,4 @@ func (d *Device) FillLogPage(p *telemetry.Page) {
 	p.ScrubReads = c.ScrubReads
 	p.RefreshPagesProgrammed = c.RefreshPagesProgrammed
 	p.RefreshPending = d.fl.RefreshPending()
-}
-
-// AttachTelemetry streams the device's log page into rec at the recorder's
-// interval, riding the tracer's aux sampling window. A nil recorder detaches
-// (and clears any window); a device built without a tracer cannot sample —
-// the call is then a no-op, matching the zero-overhead-when-disabled
-// contract.
-func (d *Device) AttachTelemetry(rec *telemetry.Recorder) {
-	if rec == nil {
-		d.tr.SetWindow(0, nil)
-		return
-	}
-	rec.SetSource(d.FillLogPage)
-	d.tr.SetWindow(rec.Interval(), rec.Observe)
 }

@@ -10,10 +10,10 @@ import (
 	"ssdtp/internal/telemetry"
 )
 
-// Device-facing contracts: the disabled path allocates nothing (CI alloc
-// gate), the attached path stays within a fixed budget, and a restored
-// snapshot re-anchors its sampling window on absolute boundaries so clones
-// stream byte-identically.
+// Device-facing contracts, through the collector path every CLI uses: the
+// untraced path allocates nothing (CI alloc gate), a sampling page recorder
+// stays within a fixed budget, and a restored snapshot re-anchors its
+// sampling window on absolute boundaries so clones stream byte-identically.
 
 // tdState mirrors the ssd package's zero-alloc harness: package-level so the
 // measured closure captures nothing.
@@ -58,14 +58,14 @@ func tdDevice(tr *obs.Tracer) *ssd.Device {
 }
 
 // TestTelemetryDisabledZeroAlloc gates the zero-overhead-when-disabled
-// contract: with no tracer and no recorder attached, steady-state writes must
-// not allocate — the telemetry hook must cost nothing when unused.
+// contract: an untraced device (NewDevice's page-source bind no-ops on its
+// nil tracer) must not allocate in steady state — the telemetry hook must
+// cost nothing when unused.
 func TestTelemetryDisabledZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under the race detector")
 	}
-	dev := tdDevice(nil)
-	dev.AttachTelemetry(nil) // must be a safe no-op without a tracer
+	tdDevice(nil)
 	if avg := testing.AllocsPerRun(2000, tdWriteOne); avg != 0 {
 		t.Fatalf("telemetry-disabled WriteAsync allocated %.2f objects/op, want 0", avg)
 	}
@@ -79,33 +79,42 @@ func TestTelemetryAttachedZeroAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under the race detector")
 	}
-	tr := obs.NewTracer("telemetry")
-	tr.SetRecordCap(1)
-	dev := tdDevice(tr)
-	rec := telemetry.NewRecorder("telemetry", sim.Millisecond)
-	dev.AttachTelemetry(rec)
+	col := obs.NewCollector()
+	col.SetRecordCap(1)
+	col.SetTelemetry(sim.Millisecond)
+	tdDevice(col.Cell("telemetry"))
+	before := telemetryLines(t, col)
 	const budget = 8.0
 	if avg := testing.AllocsPerRun(2000, tdWriteOne); avg > budget {
 		t.Fatalf("telemetry-attached WriteAsync allocated %.2f objects/op, budget %.0f", avg, budget)
 	}
-	if rec.Len() == 0 {
-		t.Fatal("no samples recorded while attached")
+	if telemetryLines(t, col) == before {
+		t.Fatal("no samples recorded while measured")
 	}
 }
 
-// restoreStream restores img onto a fresh device with a fresh recorder, runs
-// n writes, and returns the recorded stream.
+// telemetryLines returns the number of rows in col's -telemetry stream.
+func telemetryLines(t *testing.T, col *obs.Collector) int {
+	t.Helper()
+	var b strings.Builder
+	if err := col.WriteTelemetryJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Count(b.String(), "\n")
+}
+
+// restoreStream restores img onto a fresh device traced by a fresh
+// collector, runs n writes, and returns the collector's -telemetry stream.
 func restoreStream(t *testing.T, img *ssd.DeviceState, n int) string {
 	t.Helper()
 	cfg := ssd.MQSimBase()
 	cfg.FTL.Seed = 1
-	tr := obs.NewTracer("clone")
-	tr.SetRecordCap(1)
-	cfg.Trace = tr
+	col := obs.NewCollector()
+	col.SetRecordCap(1)
+	col.SetTelemetry(sim.Millisecond)
+	cfg.Trace = col.Cell("clone")
 	dev := ssd.NewDevice(sim.NewEngine(), cfg)
 	dev.Restore(img)
-	rec := telemetry.NewRecorder("clone", sim.Millisecond)
-	dev.AttachTelemetry(rec)
 	tdState.dev = dev
 	tdState.off = 0
 	tdState.span = dev.Size() / 2 / 4096 * 4096
@@ -114,7 +123,7 @@ func restoreStream(t *testing.T, img *ssd.DeviceState, n int) string {
 		tdWriteOne()
 	}
 	var b strings.Builder
-	if err := rec.WriteJSONL(&b); err != nil {
+	if err := col.WriteTelemetryJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()

@@ -10,7 +10,8 @@
 // worker or shard count.
 //
 // The package sits below ssd/fleet (both fill pages) and obs (whose tracer
-// timeline records pages for the -timeline CSV), and depends only on sim.
+// records each traced cell's pages once, and whose collector renders them as
+// the -telemetry JSONL and the -timeline CSV), and depends only on sim.
 package telemetry
 
 import (

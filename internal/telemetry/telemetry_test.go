@@ -48,7 +48,7 @@ func TestPageFieldsPinned(t *testing.T) {
 }
 
 func TestRowRoundTrip(t *testing.T) {
-	rec := NewRecorder("cell-a", sim.Millisecond)
+	rec := NewRecorder("cell-a")
 	pages := []Page{testPage(1), testPage(1000), {}}
 	i := 0
 	rec.SetSource(func(p *Page) { *p = pages[i]; i++ })
@@ -56,7 +56,7 @@ func TestRowRoundTrip(t *testing.T) {
 		rec.Observe(sim.Time(k+1) * sim.Millisecond)
 	}
 	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
+	if err := WriteJSONL(&buf, sim.Millisecond, rec); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := Parse(bytes.NewReader(buf.Bytes()))
@@ -125,44 +125,6 @@ func TestAccumulate(t *testing.T) {
 	}
 	if p.GCVictimValidPPM != 900 {
 		t.Errorf("GCVictimValidPPM = %d, want max 900", p.GCVictimValidPPM)
-	}
-}
-
-func TestSetOrderingAndDone(t *testing.T) {
-	s := NewSet(sim.Millisecond)
-	for _, cell := range []string{"b", "a", "c"} {
-		r := s.Cell(cell)
-		r.SetSource(func(p *Page) { p.Drives = 1 })
-		r.Observe(sim.Millisecond)
-	}
-	s.MarkDone("c")
-	var all, done bytes.Buffer
-	if err := s.WriteJSONL(&all); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteJSONLDone(&done); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(all.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want 3 lines, got %d", len(lines))
-	}
-	for i, cell := range []string{"a", "b", "c"} {
-		if !strings.Contains(lines[i], `"cell":"`+cell+`"`) {
-			t.Errorf("line %d not label-sorted: %s", i, lines[i])
-		}
-	}
-	if got := strings.TrimSpace(done.String()); strings.Count(got, "\n") != 0 ||
-		!strings.Contains(got, `"cell":"c"`) {
-		t.Errorf("done view = %q, want only cell c", got)
-	}
-	// Same-label lookups share the recorder; nil set hands out nil.
-	if s.Cell("a") != s.Cell("a") {
-		t.Error("Cell not idempotent")
-	}
-	var nilSet *Set
-	if nilSet.Cell("x") != nil || nilSet.Interval() != 0 {
-		t.Error("nil Set should hand out nil recorders")
 	}
 }
 
