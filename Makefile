@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all test vet bench bench-diff profile determinism outputs-diff reproduce reproduce-full cover clean
+.PHONY: all test vet profile determinism perf-pinned perf-diff outputs-diff reproduce reproduce-full cover clean
 
 all: test vet
 
@@ -11,18 +11,11 @@ vet:
 	$(GO) vet ./...
 	gofmt -l . | tee /dev/stderr | wc -l | grep -q '^0$$'
 
-bench:
-	scripts/bench.sh BENCH_10.json
-
-# Gate the scheduler/stats hot paths against the previous committed baseline.
-bench-diff:
-	$(GO) run ./cmd/benchdiff -filter 'BenchmarkEngine|BenchmarkRecorder' BENCH_9.json BENCH_10.json
-
-# CPU and allocation profiles of the Fig1 aging benchmark — where the
+# CPU and allocation profiles of the Fig3 tail-latency benchmark — where the
 # request path spends its time and what still allocates. Open with
 # `go tool pprof cpu.pprof` / `go tool pprof -sample_index=alloc_objects mem.pprof`.
 profile:
-	$(GO) test . -run '^$$' -bench BenchmarkFig1Aging -benchtime 1x \
+	$(GO) test . -run '^$$' -bench BenchmarkFig3TailLatency -benchtime 1x \
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof mem.pprof"
 
@@ -37,6 +30,35 @@ determinism:
 			-count=1 || exit 1; \
 		GOMAXPROCS=$$p $(GO) test ./internal/sim/ -run 'TestShardGroup' -count=1 || exit 1; \
 	done
+
+# Simulated behaviour against perfbench/pinned.json: one short run of each
+# perfbench workload at seed 42 (about 40 s with a cold build). A fingerprint
+# that differs from its pin fails that workload's warm-up rep, which
+# perfbench reports as "correct":false with a non-zero "failed" count while
+# still exiting 0, so the result lines are checked, not only the exit status.
+# perfbench runs three workloads; a fourth needs this count raised.
+perf-pinned:
+	mkdir -p .perf
+	bash perfbench/run.sh --workload all --seed 42 --seconds 1 --trace 0 > .perf/pinned.out || { cat .perf/pinned.out; exit 1; }
+	@awk '{ print } /^== / { w = $$2 } /^\{/ { n++; if ($$0 !~ /"correct":true,/ || $$0 !~ /"failed":0,/) { print "perf-pinned: " w " is incorrect: its fingerprint differs from pinned.json or a rep failed (see stderr above)"; bad = 1 } } \
+		END { if (n != 3) { print "perf-pinned: " n " result lines, want 3"; bad = 1 } if (!bad) print "perf-pinned: every workload matches pinned.json"; exit bad }' .perf/pinned.out
+
+# Measured A/B against another revision: REV is exported with git archive,
+# each tree builds perfbench into its own .bench_build, and five alternating
+# pairs of drive-gc-write runs at seed 42 (3 s of timed reps each, calibrated
+# against perfbench's reference kernel) feed cmd/benchdiff, which fails when
+# the median of any end-to-end metric is worse than REV's by more than its
+# BENCHMARK.json bound, or when any run is incorrect.
+perf-diff:
+	@test -n "$(REV)" || { echo "usage: make perf-diff REV=<rev>" >&2; exit 2; }
+	rm -rf .perf/rev-src .perf/rev.out .perf/head.out
+	mkdir -p .perf/rev-src
+	git archive "$(REV)" | tar -x -C .perf/rev-src
+	for i in 1 2 3 4 5; do \
+		(cd .perf/rev-src && bash perfbench/run.sh --workload drive-gc-write --seed 42 --seconds 3 --trace 0) >> .perf/rev.out || exit 1; \
+		bash perfbench/run.sh --workload drive-gc-write --seed 42 --seconds 3 --trace 0 >> .perf/head.out || exit 1; \
+	done
+	$(GO) run ./cmd/benchdiff BENCHMARK.json .perf/rev.out .perf/head.out
 
 # Byte-identity check against another revision: write every byte-pinned
 # output (scripts/outputs.sh, cmd/reproduce at -parallel 1 and 8) for REV,

@@ -1,120 +1,187 @@
-// Command benchdiff compares two benchmark baselines produced by
-// scripts/bench.sh and fails when a selected metric regresses beyond a
-// threshold. CI diffs the committed baselines (BENCH_N.json vs BENCH_N-1.json)
-// so a PR that slows the scheduler or stats hot paths fails deterministically,
-// without re-running timed benchmarks on shared runners.
+// Command benchdiff compares two sets of perfbench result lines — runs of
+// one workload on a base revision and on the head — and fails when the head
+// is worse than the base on an end-to-end metric of BENCHMARK.json by more
+// than that metric's bound, or when any run reports an incorrect result.
+// `make perf-diff REV=<rev>` records both sets and runs it.
 //
 // Usage:
 //
-//	benchdiff [-metric ns/op] [-filter REGEX] [-max-regress PCT] old.json new.json
+//	benchdiff BENCHMARK.json base.out head.out
 //
-// Benchmarks present in only one file are reported but never fail the run
-// (experiments come and go; the gate is for hot paths that exist in both).
+// A results file is the stdout of one or more `perfbench/run.sh --trace 0`
+// runs: every line that begins with '{' is one run's result line, and other
+// lines are ignored. Each side's value of a metric is its median over the
+// side's runs; the metric's "better" direction and relative "bound" come from
+// the BENCHMARK.json end_to_end list. A result line with "correct":false or a
+// non-zero "failed" count, on either side, fails the comparison, as does a
+// metric missing from any run.
 package main
 
 import (
+	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"regexp"
 	"sort"
+	"strings"
 )
 
-type baseline struct {
-	GoVersion  string      `json:"go_version"`
-	CPU        string      `json:"cpu"`
-	Benchmarks []benchmark `json:"benchmarks"`
+// metricSpec is one end-to-end metric of BENCHMARK.json.
+type metricSpec struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"` // "lower" or "higher"
+	Bound  float64 `json:"bound"`  // largest allowed relative regression
 }
 
-type benchmark struct {
-	Name    string             `json:"name"`
-	Metrics map[string]float64 `json:"metrics"`
+// result is one perfbench result line.
+type result struct {
+	Correct bool `json:"correct"`
+	Failed  int  `json:"failed"`
+	Metrics map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
 }
 
-func load(path string) (map[string]benchmark, *baseline, error) {
+func loadSpec(path string) ([]metricSpec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var b baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	var doc struct {
+		EndToEnd []metricSpec `json:"end_to_end"`
 	}
-	m := make(map[string]benchmark, len(b.Benchmarks))
-	for _, bm := range b.Benchmarks {
-		m[bm.Name] = bm
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return m, &b, nil
+	if len(doc.EndToEnd) == 0 {
+		return nil, fmt.Errorf("%s: no end_to_end metrics", path)
+	}
+	for _, m := range doc.EndToEnd {
+		if (m.Better != "lower" && m.Better != "higher") || !(m.Bound > 0) {
+			return nil, fmt.Errorf("%s: metric %q needs better lower|higher and a positive bound", path, m.Name)
+		}
+	}
+	return doc.EndToEnd, nil
+}
+
+func loadResults(path string) ([]result, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var rs []result
+	sc := bufio.NewScanner(f)
+	for n := 1; sc.Scan(); n++ {
+		line := sc.Bytes()
+		if len(line) == 0 || line[0] != '{' {
+			continue
+		}
+		var r result
+		if err := json.Unmarshal(line, &r); err != nil {
+			return nil, fmt.Errorf("%s:%d: %w", path, n, err)
+		}
+		rs = append(rs, r)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(rs) == 0 {
+		return nil, fmt.Errorf("%s: no perfbench result lines", path)
+	}
+	return rs, nil
+}
+
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// regression is how much worse head is than base, relative to base: positive
+// when head is worse, negative when it is better.
+func regression(better string, base, head float64) float64 {
+	if head == base {
+		return 0
+	}
+	r := (head - base) / base
+	if better == "higher" {
+		r = -r
+	}
+	return r
+}
+
+// diff prints the comparison of every metric in specs to w and returns why it
+// fails, or nothing when head is within every bound and every run is correct.
+func diff(w io.Writer, specs []metricSpec, base, head []result) []string {
+	var fails []string
+	sides := []struct {
+		name string
+		rs   []result
+	}{{"base", base}, {"head", head}}
+	for _, side := range sides {
+		for i, r := range side.rs {
+			if !r.Correct || r.Failed != 0 {
+				fails = append(fails, fmt.Sprintf("%s run %d is incorrect (correct:%t, failed:%d)", side.name, i+1, r.Correct, r.Failed))
+			}
+		}
+	}
+	fmt.Fprintf(w, "%-16s %14s %14s %9s %7s  (medians of %d base and %d head runs)\n",
+		"metric", "base", "head", "worse by", "bound", len(base), len(head))
+	for _, m := range specs {
+		var vals [2][]float64
+		missing := false
+		for s, side := range sides {
+			for i, r := range side.rs {
+				v, ok := r.Metrics[m.Name]
+				if !ok {
+					fails = append(fails, fmt.Sprintf("%s is missing from %s run %d", m.Name, side.name, i+1))
+					missing = true
+					continue
+				}
+				vals[s] = append(vals[s], v.Value)
+			}
+		}
+		if missing {
+			continue
+		}
+		b, h := median(vals[0]), median(vals[1])
+		r := regression(m.Better, b, h)
+		status := "ok"
+		if r > m.Bound {
+			status = "FAIL"
+			fails = append(fails, fmt.Sprintf("%s regressed %.1f%% (bound %.0f%%, %s is better)", m.Name, 100*r, 100*m.Bound, m.Better))
+		}
+		fmt.Fprintf(w, "%-16s %14.6g %14.6g %8.1f%% %6.0f%%  %s\n", m.Name, b, h, 100*r, 100*m.Bound, status)
+	}
+	return fails
 }
 
 func main() {
-	metric := flag.String("metric", "ns/op", "metric to compare")
-	filter := flag.String("filter", ".", "regexp selecting benchmarks that gate the run")
-	maxRegress := flag.Float64("max-regress", 10, "fail when the metric grows more than this percentage")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [flags] old.json new.json")
+	if len(os.Args) != 4 {
+		fmt.Fprintln(os.Stderr, "usage: benchdiff BENCHMARK.json base.out head.out")
 		os.Exit(2)
 	}
-	re, err := regexp.Compile(*filter)
+	specs, err := loadSpec(os.Args[1])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	oldSet, oldMeta, err := load(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	newSet, newMeta, err := load(flag.Arg(1))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if oldMeta.CPU != newMeta.CPU || oldMeta.GoVersion != newMeta.GoVersion {
-		fmt.Printf("note: baselines from different environments (%s/%s vs %s/%s); comparing anyway\n",
-			oldMeta.GoVersion, oldMeta.CPU, newMeta.GoVersion, newMeta.CPU)
-	}
-
-	names := make([]string, 0, len(newSet))
-	for name := range newSet {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	failed := 0
-	for _, name := range names {
-		nb := newSet[name]
-		ob, ok := oldSet[name]
-		if !ok {
-			fmt.Printf("  new        %-50s %12.4g %s\n", name, nb.Metrics[*metric], *metric)
-			continue
-		}
-		ov, nv := ob.Metrics[*metric], nb.Metrics[*metric]
-		if ov == 0 {
-			continue
-		}
-		pct := (nv - ov) / ov * 100
-		status := "ok  "
-		if re.MatchString(name) && pct > *maxRegress {
-			status = "FAIL"
-			failed++
-		}
-		gate := " "
-		if re.MatchString(name) {
-			gate = "*"
-		}
-		fmt.Printf("  %s %s %-50s %12.4g -> %12.4g  %+7.2f%%\n", status, gate, name, ov, nv, pct)
-	}
-	for name := range oldSet {
-		if _, ok := newSet[name]; !ok {
-			fmt.Printf("  gone       %-50s\n", name)
+	var sets [2][]result
+	for i, path := range os.Args[2:] {
+		if sets[i], err = loadResults(path); err != nil {
+			fmt.Fprintln(os.Stderr, "benchdiff:", err)
+			os.Exit(2)
 		}
 	}
-	if failed > 0 {
-		fmt.Printf("%d benchmark(s) regressed more than %.1f%% on %s\n", failed, *maxRegress, *metric)
+	if fails := diff(os.Stdout, specs, sets[0], sets[1]); len(fails) > 0 {
+		fmt.Println("benchdiff: FAIL:\n  " + strings.Join(fails, "\n  "))
 		os.Exit(1)
 	}
-	fmt.Printf("no gated benchmark regressed more than %.1f%% on %s\n", *maxRegress, *metric)
+	fmt.Println("benchdiff: head is within every end-to-end bound of base")
 }

@@ -13,14 +13,18 @@ import (
 	"fmt"
 	"os"
 
+	"ssdtp/internal/cliutil"
 	"ssdtp/internal/firmware"
 )
 
 func main() {
 	in := flag.String("in", "", "obfuscated update file (default: generate the simulated 840 EVO's)")
 	showStrings := flag.Bool("strings", true, "print extracted strings")
-	minLen := flag.Int("minlen", 4, "minimum string length")
+	minLen := flag.Int("minlen", 4, fmt.Sprintf("minimum string length (at least %d)", firmware.MinStringLen))
 	flag.Parse()
+	if err := checkMinLen(*minLen); err != nil {
+		cliutil.Failf("minlen", "%v", err)
+	}
 
 	var blob []byte
 	if *in != "" {

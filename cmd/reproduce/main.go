@@ -38,11 +38,12 @@
 // directory) is opened and validated before any experiment runs, so a bad
 // path fails in milliseconds rather than after a long -full regeneration;
 // so is every sampling interval in use (-timeline-ms and -telemetry-ms must
-// be positive).
+// be positive) and every -run id (an unknown one is a flag error that lists
+// the valid ids).
 //
 // Usage:
 //
-//	reproduce [-run fig1,fig2,fig3,fig4a,fig4b,fig5,fig6,fleet,transparency|all] [-full] [-seed N] [-parallel N] [-shard N] [-quiet] [-trace FILE] [-trace-perfetto FILE] [-trace-cap N] [-timeline FILE] [-timeline-ms N] [-telemetry FILE] [-telemetry-ms N] [-metrics FILE] [-http ADDR] [-snapshot-cache=false]
+//	reproduce [-run all|ID,...] [-full] [-seed N] [-parallel N] [-shard N] [-quiet] [-trace FILE] [-trace-perfetto FILE] [-trace-cap N] [-timeline FILE] [-timeline-ms N] [-telemetry FILE] [-telemetry-ms N] [-metrics FILE] [-http ADDR] [-snapshot-cache=false]
 package main
 
 import (
@@ -50,6 +51,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -62,7 +64,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "comma-separated experiment ids (fig1,fig2,fig3,fig4a,fig4b,fig5,fig6,fleet,transparency,tabS2,tabS3,tabS4,tabS5,tabS6,tabS7,tabS8)")
+	run := flag.String("run", "all", "comma-separated experiment ids ("+strings.Join(experimentIDs, ",")+"), or all")
 	full := flag.Bool("full", false, "full scale (slower, tighter statistics)")
 	seed := flag.Int64("seed", 42, "experiment seed")
 	csvDir := flag.String("csv", "", "also write plottable CSV series into this directory")
@@ -81,6 +83,10 @@ func main() {
 	snapCache := flag.Bool("snapshot-cache", true, "build each distinct preconditioned drive/file-system image once and clone it per cell (results are identical either way)")
 	flag.Parse()
 
+	want, err := parseRun(*run)
+	if err != nil {
+		cliutil.Failf("run", "%v", err)
+	}
 	// Open and validate every output destination before any experiment runs:
 	// a bad -metrics path must fail now, not after a multi-minute -full
 	// regeneration (and with the flag it belongs to, not a bare OS error).
@@ -206,13 +212,6 @@ func main() {
 	if *full {
 		scale = experiments.Full
 	}
-	want := map[string]bool{}
-	for _, id := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(id)] = true
-	}
-	all := want["all"]
-	ran := 0
-
 	// Per-experiment wall-clock goes to stderr alongside the cell progress
 	// lines, so long -full runs are observable without touching stdout.
 	var curID string
@@ -224,12 +223,14 @@ func main() {
 		curID = ""
 	}
 	section := func(id, title string) bool {
-		if !all && !want[id] {
+		if !slices.Contains(experimentIDs, id) {
+			panic("reproduce: section " + id + " is missing from experimentIDs")
+		}
+		if !want[id] {
 			return false
 		}
 		endSection()
 		curID, curStart = id, time.Now()
-		ran++
 		fmt.Printf("\n=== %s: %s ===\n", id, title)
 		return true
 	}
@@ -330,9 +331,5 @@ func main() {
 		}
 	}
 	endSection()
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matched -run=%s\n", *run)
-		os.Exit(2)
-	}
 	flushObs()
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 
+	"ssdtp/internal/cliutil"
 	"ssdtp/internal/sigtrace"
 	"ssdtp/internal/sim"
 	"ssdtp/internal/ssd"
@@ -22,10 +23,13 @@ func main() {
 	model := flag.String("model", "Vertex2", "device model: MX500|EVO840|Vertex2")
 	channel := flag.Int("channel", 0, "channel to probe")
 	wl := flag.String("workload", "format", "workload: format|seq|rand")
-	width := flag.Int("width", 96, "waveform columns")
+	width := flag.Int("width", 96, fmt.Sprintf("waveform columns (at least %d)", sigtrace.MinWaveformWidth))
 	showOps := flag.Bool("ops", false, "print every decoded operation")
 	vcdOut := flag.String("vcd", "", "also write the capture as a VCD file")
 	flag.Parse()
+	if err := checkWidth(*width); err != nil {
+		cliutil.Failf("width", "%v", err)
+	}
 
 	var cfg ssd.Config
 	switch *model {

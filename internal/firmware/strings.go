@@ -1,12 +1,16 @@
 package firmware
 
+// MinStringLen is the shortest run ExtractStrings reports; a smaller minLen
+// is raised to it.
+const MinStringLen = 2
+
 // ExtractStrings pulls printable ASCII runs of at least minLen bytes from a
 // firmware image — the first thing anyone runs on a de-obfuscated blob
 // (`strings firmware.bin`), and how the paper's authors oriented themselves
 // in the 840 EVO image before disassembling.
 func ExtractStrings(img []byte, minLen int) []string {
-	if minLen < 2 {
-		minLen = 2
+	if minLen < MinStringLen {
+		minLen = MinStringLen
 	}
 	var out []string
 	start := -1

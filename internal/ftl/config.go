@@ -171,13 +171,6 @@ type Config struct {
 	// RAIN configures parity striping.
 	RAIN RAINConfig
 
-	// MapChunkBytes is the granularity at which the logical-to-physical map
-	// is persisted to flash (the 840 EVO loads 117.5 MB-of-logical-space
-	// chunks on demand; see §3.2). MapEntryBytes is the on-flash entry
-	// size (4 on the EVO, which packs 26-bit entries into words).
-	MapChunkBytes int
-	MapEntryBytes int
-
 	// PSLCBytes reserves a pseudo-SLC write buffer (840 EVO TurboWrite).
 	// 0 disables it.
 	PSLCBytes int
@@ -243,12 +236,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.GCHighWater == 0 {
 		cfg.GCHighWater = cfg.GCLowWater + 2
-	}
-	if cfg.MapChunkBytes == 0 {
-		cfg.MapChunkBytes = 1 << 20
-	}
-	if cfg.MapEntryBytes == 0 {
-		cfg.MapEntryBytes = 4
 	}
 	if cfg.IdleGC && cfg.IdleDelay == 0 {
 		cfg.IdleDelay = 50 * 1000 * 1000 // 50 ms

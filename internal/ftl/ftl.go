@@ -39,6 +39,11 @@ const cacheLatency = 2 * sim.Microsecond
 // maxFlushInflight bounds concurrent cache-eviction page programs.
 const maxFlushInflight = 8
 
+// mapEntryBytes is the on-flash size of one mapping entry (as on the 840 EVO,
+// which packs 26-bit entries into words): it sizes map journal pages and
+// the eager mount's map reload.
+const mapEntryBytes = 4
+
 // stagingBytes is the small volatile write FIFO a controller retains even
 // when its DRAM is designated for mapping metadata (CacheMapping).
 const stagingBytes = 256 * 1024
@@ -314,10 +319,10 @@ func New(eng *sim.Engine, flash Flash, cfg Config) *FTL {
 		f.cache = newWriteCache(stagingBytes, cfg.SectorSize)
 	}
 
-	f.entriesPerMapPage = int64(g.PageSize / cfg.MapEntryBytes)
+	f.entriesPerMapPage = int64(g.PageSize / mapEntryBytes)
 	switch cfg.Cache {
 	case CacheMapping:
-		th := int64(cfg.CacheBytes) / int64(cfg.MapEntryBytes)
+		th := int64(cfg.CacheBytes) / mapEntryBytes
 		if th < f.entriesPerMapPage {
 			th = f.entriesPerMapPage
 		}

@@ -416,7 +416,6 @@ func TestRAINParityRatio(t *testing.T) {
 
 func TestMapJournalEmission(t *testing.T) {
 	cfg := smallConfig()
-	cfg.MapEntryBytes = 4
 	eng, _, f := newTestFTL(t, cfg)
 	// entriesPerMapPage = 16384/4 = 4096 updates per journal page. Write
 	// 8192 sectors worth of updates (with overwrites to stay in space).

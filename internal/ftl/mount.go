@@ -3,7 +3,7 @@ package ftl
 import "ssdtp/internal/nand"
 
 // Mount simulates the boot-time reload of the persistent mapping table.
-// Eager mount reads the entire on-flash map (logicalSectors x MapEntryBytes
+// Eager mount reads the entire on-flash map (logicalSectors x mapEntryBytes
 // bytes of journal/checkpoint pages, fanned across all channels); on-demand
 // mount reads only the root metadata, deferring each map chunk to its first
 // access — the design §3.2 found in the 840 EVO, "presumably to reduce
@@ -11,7 +11,7 @@ import "ssdtp/internal/nand"
 func (f *FTL) Mount(eager bool, done func()) {
 	pages := int64(1) // checkpoint root
 	if eager {
-		mapBytes := f.logicalSectors * int64(f.cfg.MapEntryBytes)
+		mapBytes := f.logicalSectors * mapEntryBytes
 		pages += (mapBytes + int64(f.g.PageSize) - 1) / int64(f.g.PageSize)
 	}
 	f.counters.MountReads += pages

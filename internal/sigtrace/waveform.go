@@ -8,14 +8,18 @@ import (
 	"ssdtp/internal/sim"
 )
 
+// MinWaveformWidth is the narrowest diagram RenderWaveform draws; a smaller
+// width is raised to it.
+const MinWaveformWidth = 16
+
 // RenderWaveform draws an ASCII signal diagram of the captured events in
 // [from, to) across width columns — the repository's Figure 5. Rows are the
 // probe-visible ONFI pins: CLE and ALE (latch enables), WE# and RE# (write/
 // read strobes, shown as activity pulses), DQ[7:0] (bus contents), and R/B#
 // (die busy). Idle-high lines render as '-', idle-low as '_'.
 func RenderWaveform(events []onfi.BusEvent, from, to sim.Time, width int) string {
-	if width < 16 {
-		width = 16
+	if width < MinWaveformWidth {
+		width = MinWaveformWidth
 	}
 	if to <= from {
 		return "(empty window)\n"

@@ -6,9 +6,9 @@ import (
 
 // Request-path microbenchmarks: one steady-state 4 KiB host I/O through the
 // whole stack (device → FTL → ONFI → engine drain), tracing off. These are
-// the numbers the zero-allocation contract protects — scripts/bench.sh
-// records them in the micro group and cmd/benchdiff gates ns/op between
-// committed baselines.
+// the numbers the zero-allocation contract protects. CI gates their
+// allocations (the ZeroAlloc tests); perfbench's drive-gc-write workload
+// times the same path end to end (`make perf-diff`).
 
 func BenchmarkWritePath(b *testing.B) {
 	zaDevice(nil)
