@@ -19,14 +19,14 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof mem.pprof"
 
-# The parallel-engine determinism suite at several scheduler widths: the
-# sharded fleet pump and the cell pool must be byte-identical to serial under
-# a single OS thread, a narrow one, and a wide one, and the shard group must
-# match its reference scheduler and scan oracle.
+# The determinism suite at several scheduler widths: the cell pool's output,
+# the fleet cells' included, must be byte-identical to serial under a single
+# OS thread, a narrow one, and a wide one, and the fleet pump's shard heap
+# must match its reference scheduler and scan oracle.
 determinism:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p $(GO) test ./internal/experiments/ ./internal/fleet/ \
-			-run 'TestShardByteIdenticalAcrossWorkers|TestParallelOutputByteIdentical|TestTraceByteIdenticalAcrossWorkers|TestTelemetryByteIdenticalAcrossWorkers|TestFig3CellExportsPinned|TestTimelineCSVMatchesTelemetryJSONL|TestParallel' \
+		GOMAXPROCS=$$p $(GO) test ./internal/experiments/ \
+			-run 'TestParallelOutputByteIdentical|TestTraceByteIdenticalAcrossWorkers|TestTelemetryByteIdenticalAcrossWorkers|TestFig3CellExportsPinned|TestTimelineCSVMatchesTelemetryJSONL|TestParallelHeadlinesMatchSerial|TestFleetObsByteIdenticalAcrossWorkers' \
 			-count=1 || exit 1; \
 		GOMAXPROCS=$$p $(GO) test ./internal/sim/ -run 'TestShardGroup' -count=1 || exit 1; \
 	done

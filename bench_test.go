@@ -37,7 +37,7 @@ func cold() { experiments.SetSnapshotCache(true) }
 // Figure benchmarks: each iteration regenerates a figure at Quick scale and
 // reports its headline number as a custom metric. Fig2, Fig3 and Fig6 are
 // CI's one-iteration smoke set, the Fig3 variants price tracing, FleetTail
-// and FleetTailShard are the shard pump's yardstick, and TabS5, TabS7 and
+// times the fleet pump at Quick scale, and TabS5, TabS7 and
 // RunnerDesignSweep (tabS4) time the three tables perfbench's paper-quick
 // workload leaves out. perfbench times the rest (`make perf-diff`), and
 // `make outputs-diff` pins every table byte-for-byte.
@@ -249,24 +249,6 @@ func BenchmarkFleetTail(b *testing.B) {
 		hi, _ := res.Isolated("hash")
 		b.ReportMetric(float64(si), "stripe-isolated")
 		b.ReportMetric(float64(hi), "hash-isolated")
-	}
-}
-
-// BenchmarkFleetTailShard is BenchmarkFleetTail with the drive-shard engine
-// forced on at 8 workers (DESIGN.md §11): each fleet cell advances
-// independent drives concurrently inside conservative lookahead windows.
-// Output is identical to the serial pump — this measures only the
-// wall-clock effect, and the comparison against BenchmarkFleetTail is only
-// meaningful with spare cores. On a single-CPU host it reports the window
-// overhead, the price of forcing -shard above the core count: per window,
-// Horizon's O(N) floor scan, the worker fan-out, and the pump's ghost
-// re-arms. A window allocates nothing, so allocs/op match BenchmarkFleetTail.
-func BenchmarkFleetTailShard(b *testing.B) {
-	experiments.SetShard(8)
-	defer experiments.SetShard(1)
-	for i := 0; i < b.N; i++ {
-		cold()
-		experiments.FleetTail(experiments.Quick, int64(i)+1)
 	}
 }
 

@@ -30,10 +30,6 @@
 // per cell via drive-state snapshots; -snapshot-cache=false rebuilds every
 // cell from scratch instead. Output is byte-identical either way.
 //
-// The fleet experiment additionally shards its drives across -shard workers
-// inside each cell (conservative-lookahead windows; see internal/fleet).
-// Like -parallel, -shard never shows through in any output.
-//
 // Every output path (-trace, -trace-perfetto, -timeline, -metrics, the -csv
 // directory) is opened and validated before any experiment runs, so a bad
 // path fails in milliseconds rather than after a long -full regeneration;
@@ -43,7 +39,7 @@
 //
 // Usage:
 //
-//	reproduce [-run all|ID,...] [-full] [-seed N] [-parallel N] [-shard N] [-quiet] [-trace FILE] [-trace-perfetto FILE] [-trace-cap N] [-timeline FILE] [-timeline-ms N] [-telemetry FILE] [-telemetry-ms N] [-metrics FILE] [-http ADDR] [-snapshot-cache=false]
+//	reproduce [-run all|ID,...] [-full] [-seed N] [-parallel N] [-quiet] [-trace FILE] [-trace-perfetto FILE] [-trace-cap N] [-timeline FILE] [-timeline-ms N] [-telemetry FILE] [-telemetry-ms N] [-metrics FILE] [-http ADDR] [-snapshot-cache=false]
 package main
 
 import (
@@ -69,7 +65,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "experiment seed")
 	csvDir := flag.String("csv", "", "also write plottable CSV series into this directory")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "experiment cells run concurrently (results are identical for any value)")
-	shard := flag.Int("shard", runtime.GOMAXPROCS(0), "fleet-experiment drive shards advanced concurrently within a cell (results are identical for any value)")
 	quiet := flag.Bool("quiet", false, "suppress per-cell progress lines on stderr")
 	traceFile := flag.String("trace", "", "write a JSONL span trace of the traced experiments to this file")
 	perfettoFile := flag.String("trace-perfetto", "", "write a Chrome trace-event/Perfetto JSON trace of the traced experiments to this file")
@@ -109,7 +104,6 @@ func main() {
 	}
 
 	experiments.SetSnapshotCache(*snapCache)
-	experiments.SetShard(*shard)
 
 	tracker := runner.NewTracker()
 	progress := func(ev runner.Event) {

@@ -15,7 +15,7 @@ type workloadFlags struct {
 	ms         int64 // -ms
 	readFrac   float64
 	intervalUS int64
-	fleet      bool  // -fleet/-drives given: -stripe-kb applies
+	fleet      int   // -fleet tier size; 0 = single device, -stripe-kb unused
 	stripeKB   int64 // -stripe-kb
 }
 
@@ -34,7 +34,9 @@ func (w workloadFlags) check() (string, error) {
 		return "read", fmt.Errorf("read fraction %v is outside 0..1", w.readFrac)
 	case w.intervalUS < 0 || w.intervalUS > math.MaxInt64/int64(sim.Microsecond):
 		return "interval-us", fmt.Errorf("issue interval %d µs must not be negative and must fit the simulated clock", w.intervalUS)
-	case w.fleet && (w.stripeKB <= 0 || w.stripeKB > math.MaxInt64/1024 || w.stripeKB*1024%int64(w.sector) != 0):
+	case w.fleet < 0 || w.fleet > maxFleetDrives:
+		return "fleet", fmt.Errorf("tier size %d out of range [1, %d] (see README: fleet scaling envelope)", w.fleet, maxFleetDrives)
+	case w.fleet > 0 && (w.stripeKB <= 0 || w.stripeKB > math.MaxInt64/1024 || w.stripeKB*1024%int64(w.sector) != 0):
 		return "stripe-kb", fmt.Errorf("stripe %d KiB is not a positive multiple of the %d-byte sector", w.stripeKB, w.sector)
 	}
 	return "", nil

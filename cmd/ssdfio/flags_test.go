@@ -20,7 +20,7 @@ func TestMain(m *testing.M) {
 }
 
 func TestWorkloadFlagsCheck(t *testing.T) {
-	ok := workloadFlags{size: 4096, sector: 4096, qd: 1, ms: 500, fleet: true, stripeKB: 256}
+	ok := workloadFlags{size: 4096, sector: 4096, qd: 1, ms: 500, fleet: 2, stripeKB: 256}
 	cases := []struct {
 		name string
 		edit func(*workloadFlags)
@@ -28,7 +28,10 @@ func TestWorkloadFlagsCheck(t *testing.T) {
 	}{
 		{"defaults", func(*workloadFlags) {}, ""},
 		{"read and open loop", func(w *workloadFlags) { w.readFrac, w.intervalUS = 1, 50 }, ""},
-		{"stripe ignored outside fleet", func(w *workloadFlags) { w.fleet, w.stripeKB = false, 0 }, ""},
+		{"stripe ignored outside fleet", func(w *workloadFlags) { w.fleet, w.stripeKB = 0, 0 }, ""},
+		{"fleet at the cap", func(w *workloadFlags) { w.fleet = maxFleetDrives }, ""},
+		{"fleet -1", func(w *workloadFlags) { w.fleet = -1 }, "fleet"},
+		{"fleet above the cap", func(w *workloadFlags) { w.fleet = maxFleetDrives + 1 }, "fleet"},
 		{"size 0", func(w *workloadFlags) { w.size = 0 }, "size"},
 		{"size unaligned", func(w *workloadFlags) { w.size = 1000 }, "size"},
 		{"size negative", func(w *workloadFlags) { w.size = -4096 }, "size"},

@@ -15,7 +15,7 @@ import (
 	"ssdtp/internal/workload"
 )
 
-// maxFleetDrives bounds -fleet/-drives. The COW image substrate keeps a
+// maxFleetDrives bounds -fleet. The COW image substrate keeps a
 // 1024-drive tier within the memory of a few fully copied drives (see README
 // for the measured envelope); the cap guards against typos, not memory — the
 // binding cost past it is host-pump scheduling, not residency.
@@ -31,7 +31,6 @@ type fleetOpts struct {
 	tenants  int
 	policy   string // stripe|hash
 	stripeKB int64
-	shard    int
 
 	pattern    workload.Pattern
 	size       int
@@ -96,7 +95,7 @@ func runFleet(cfg ssd.Config, o fleetOpts) {
 	devs := make([]*ssd.Device, o.drives)
 	// The tier is homogeneous — one model, one FTL seed — so a prefilled
 	// drive image is built ONCE and every drive restores it as a COW clone:
-	// -prefill -drives 1024 pays one prefill plus O(chunks) pointer copies
+	// -prefill -fleet 1024 pays one prefill plus O(chunks) pointer copies
 	// per drive, and the tier's resident memory stays O(image + dirty sets).
 	var (
 		img       *ssd.DeviceState
@@ -144,7 +143,6 @@ func runFleet(cfg ssd.Config, o fleetOpts) {
 		devs[i] = dev
 	}
 	f := fleet.New(host, devs, stripe)
-	f.SetParallel(o.shard)
 	if tr != nil {
 		// Binds the tier-level log page, summed across drives on host-clock
 		// boundaries, to the tracer's page recorder.

@@ -12,11 +12,9 @@
 // instead: N drives of the chosen model behind a placement layer
 // (-placement stripe|hash, -stripe-kb), shared by -tenants copies of the
 // workload with distinct seeds, reporting per-tenant tail percentiles and GC
-// blast radius. -shard N advances independent drives concurrently inside
-// conservative lookahead windows (see internal/fleet); every output is
-// byte-identical for any value:
+// blast radius:
 //
-//	ssdfio -fleet 64 -tenants 4 -placement hash -model mqsim-base -ms 200 [-shard N]
+//	ssdfio -fleet 64 -tenants 4 -placement hash -model mqsim-base -ms 200
 //
 // -telemetry FILE writes the transparency log page as JSONL, sampled every
 // -telemetry-ms, and -timeline FILE the same rows as CSV (columns cell,t_ns
@@ -29,18 +27,17 @@
 // starts, as are the sampling intervals (-timeline-ms must not be negative,
 // -telemetry-ms must be positive when used) and the workload's shape (-size
 // a positive multiple of the sector, -qd at least 1, -ms positive, -read
-// within 0..1, -interval-us not negative, -stripe-kb a positive multiple of
-// the sector in fleet mode). A -size larger than the device, or in fleet
-// mode than a tenant volume, is rejected once the model is built, before
-// any prefill. Write failures are reported with the flag and path they
-// belong to.
+// within 0..1, -interval-us not negative, -fleet within the tier-size cap,
+// -stripe-kb a positive multiple of the sector in fleet mode). A -size
+// larger than the device, or in fleet mode than a tenant volume, is
+// rejected once the model is built, before any prefill. Write failures are
+// reported with the flag and path they belong to.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"ssdtp/internal/cliutil"
 	"ssdtp/internal/fleet"
@@ -72,11 +69,9 @@ func main() {
 	metricsFile := flag.String("metrics", "", "write a Prometheus-style text dump of device metrics to this file")
 	httpAddr := flag.String("http", "", "serve a live ops endpoint (pprof, expvar, /metrics, /progress) on this address, e.g. :6060")
 	fleetN := flag.Int("fleet", 0, "simulate a tier of N drives behind a placement layer instead of a single device")
-	drivesN := flag.Int("drives", 0, "fleet tier size; alias for -fleet N (the two must agree if both are given)")
 	tenants := flag.Int("tenants", 4, "fleet mode: tenants sharing the tier, each running the flag-configured workload")
 	placement := flag.String("placement", "stripe", "fleet mode: placement policy: stripe|hash")
 	stripeKB := flag.Int64("stripe-kb", 256, "fleet mode: placement stripe size in KiB")
-	shard := flag.Int("shard", runtime.GOMAXPROCS(0), "fleet mode: drive shards advanced concurrently (results are identical for any value)")
 	flag.Parse()
 
 	cfg, err := modelByName(*model)
@@ -90,7 +85,7 @@ func main() {
 	// (-timeline-ms 0 selects the CSV's 10 ms default).
 	wf := workloadFlags{
 		size: *size, sector: cfg.FTL.SectorSize, qd: *qd, ms: *ms, readFrac: *readFrac,
-		intervalUS: *intervalUS, fleet: *fleetN > 0 || *drivesN > 0, stripeKB: *stripeKB,
+		intervalUS: *intervalUS, fleet: *fleetN, stripeKB: *stripeKB,
 	}
 	if name, err := wf.check(); err != nil {
 		cliutil.Failf(name, "%v", err)
@@ -158,27 +153,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	// -drives and -fleet both size the tier; validate before any simulation
-	// work, with the error attributed to the flag that caused it.
-	nDrives := *fleetN
-	if *drivesN != 0 {
-		if *fleetN > 0 && *fleetN != *drivesN {
-			cliutil.Failf("drives", "%d conflicts with -fleet %d (give one, or the same value)", *drivesN, *fleetN)
-		}
-		nDrives = *drivesN
-	}
-	if nDrives < 0 || nDrives > maxFleetDrives {
-		cliutil.Failf("drives", "tier size %d out of range [1, %d] (see README: fleet scaling envelope)", nDrives, maxFleetDrives)
-	}
-
-	if nDrives > 0 {
+	if *fleetN > 0 {
 		if *replayFile != "" {
 			fmt.Fprintln(os.Stderr, "-replay is not supported in fleet mode")
 			os.Exit(2)
 		}
 		runFleet(cfg, fleetOpts{
-			drives: nDrives, tenants: *tenants, policy: *placement, stripeKB: *stripeKB,
-			shard:   *shard,
+			drives: *fleetN, tenants: *tenants, policy: *placement, stripeKB: *stripeKB,
 			pattern: pat, size: *size, qd: *qd, intervalUS: *intervalUS,
 			readFrac: *readFrac, seed: *seed, ms: *ms, prefill: *prefill,
 			col: col, traceOut: traceOut, perfettoOut: perfettoOut,

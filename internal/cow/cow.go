@@ -19,8 +19,8 @@
 // release, Restore). There are no reference counts — a shared chunk stays
 // immutable even after every other holder is gone, and the garbage collector
 // reclaims it once unreferenced. This is what makes sharing safe under
-// concurrent drive engines (the fleet's shard pump): the only cross-drive
-// data is immutable, and each Array's mutable share bits belong to exactly
+// concurrent drive engines (cells on the runner pool cloning one cached
+// image): the only cross-drive data is immutable, and each Array's mutable share bits belong to exactly
 // one drive. A counted scheme that downgraded shared→exclusive when a count
 // hit one would need atomics on every clone and write; the sticky bit needs
 // none.

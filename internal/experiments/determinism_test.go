@@ -123,69 +123,6 @@ func TestTraceByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// withShard runs f with the given drive-shard worker count installed,
-// restoring the previous count afterwards.
-func withShard(n int, f func()) {
-	prev := shardWorkers()
-	SetShard(n)
-	defer SetShard(prev)
-	f()
-}
-
-// The fleet's intra-cell drive-shard engine is held to the same contract as
-// the cell pool: the serial pump and the sharded pump must render the same
-// table and emit byte-identical trace JSONL, metrics, Perfetto, and timeline
-// exports at every worker count. This is the acceptance artifact for the
-// conservative-lookahead window protocol (internal/fleet, DESIGN.md §11).
-func TestShardByteIdenticalAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full fleet regeneration")
-	}
-	type export struct{ table, trace, metrics, perfetto, timeline, telemetry string }
-	render := func(workers int) export {
-		col := obs.NewCollector()
-		col.SetTimeline(sim.Millisecond)
-		col.SetTelemetry(sim.Millisecond)
-		prev := observer()
-		SetObserver(col)
-		defer SetObserver(prev)
-		var table string
-		withShard(workers, func() { table = FleetTail(Quick, 42).Table() })
-		var tb, mb, pb, lb, xb strings.Builder
-		if err := col.WriteJSONL(&tb); err != nil {
-			t.Fatal(err)
-		}
-		if err := col.WriteMetrics(&mb); err != nil {
-			t.Fatal(err)
-		}
-		if err := col.WritePerfetto(&pb); err != nil {
-			t.Fatal(err)
-		}
-		if err := col.WriteTimelineCSV(&lb); err != nil {
-			t.Fatal(err)
-		}
-		if err := col.WriteTelemetryJSONL(&xb); err != nil {
-			t.Fatal(err)
-		}
-		return export{table, tb.String(), mb.String(), pb.String(), lb.String(), xb.String()}
-	}
-	serial := render(1)
-	if serial.table == "" || serial.trace == "" || serial.metrics == "" {
-		t.Fatal("serial fleet run produced an empty table, trace, or metrics dump")
-	}
-	if strings.Count(serial.timeline, "\n") < 2 {
-		t.Error("fleet timeline export has no sample rows")
-	}
-	if serial.telemetry == "" {
-		t.Error("fleet telemetry export has no log-page rows")
-	}
-	for _, workers := range []int{2, 8} {
-		if got := render(workers); got != serial {
-			t.Errorf("shard workers=%d: fleet output differs from the serial pump", workers)
-		}
-	}
-}
-
 // The telemetry log-page stream is the transparency interface itself — the
 // contract the PR exists to uphold: sampled on aligned simulated-clock
 // boundaries, its JSONL must be byte-identical at any worker count and with

@@ -34,26 +34,6 @@ func SetPool(p *runner.Pool) { cellPool.Store(p) }
 // pool returns the installed pool (possibly nil, meaning serial).
 func pool() *runner.Pool { return cellPool.Load() }
 
-// shardCount holds the per-cell drive-shard worker count for the fleet
-// experiment. 1 (the default when unset) pumps drives serially; > 1 lets
-// each fleet cell advance independent drives concurrently inside
-// conservative lookahead windows (see internal/fleet's package doc). Like
-// the pool, it must never show through in results: the fleet's horizon
-// protocol guarantees byte-identical output at any worker count.
-var shardCount atomic.Int64
-
-// SetShard sets the intra-cell drive-shard worker count used by fleet-scale
-// experiments (<= 1 restores the serial pump). Results do not depend on it.
-func SetShard(workers int) { shardCount.Store(int64(workers)) }
-
-// shardWorkers returns the configured shard worker count (minimum 1).
-func shardWorkers() int {
-	if n := int(shardCount.Load()); n > 1 {
-		return n
-	}
-	return 1
-}
-
 // observerCol holds the collector the traced experiments report to. Nil (the
 // default) disables tracing at zero cost: cells receive a nil tracer and
 // every instrumentation site reduces to one pointer check.

@@ -263,7 +263,6 @@ func FleetTail(scale Scale, seed int64) FleetResult {
 					devs[i] = prefilledDeviceFrac(cfg, dtr, fleetFillLevels[(i/2)%2])
 				}
 				f := fleet.New(host, devs, fleetStripe)
-				f.SetParallel(shardWorkers())
 				f.BindObs(tr)
 
 				groups := make([][]int, fleetTenants)

@@ -13,22 +13,23 @@ import (
 )
 
 // The fleet co-simulation is held to the same observability contract as the
-// single-drive grids: the exported trace, metrics and telemetry timeline of
-// a fleet run are byte-identical run to run and for any worker count, with
-// tier-level metrics present.
+// single-drive grids: the exported trace, metrics, timeline and telemetry
+// of a fleet run are byte-identical run to run and for any worker count, with
+// tier-level metrics, timeline rows and log-page rows present.
 func TestFleetObsByteIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full fleet regeneration")
 	}
-	type export struct{ trace, metrics, timeline string }
+	type export struct{ trace, metrics, timeline, telemetry string }
 	render := func(workers int) export {
 		col := obs.NewCollector()
 		col.SetTimeline(sim.Millisecond)
+		col.SetTelemetry(sim.Millisecond)
 		prev := observer()
 		SetObserver(col)
 		defer SetObserver(prev)
 		withPool(&runner.Pool{Workers: workers}, func() { FleetTail(Quick, 42) })
-		var tb, mb, lb strings.Builder
+		var tb, mb, lb, xb strings.Builder
 		if err := col.WriteJSONL(&tb); err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +39,10 @@ func TestFleetObsByteIdenticalAcrossWorkers(t *testing.T) {
 		if err := col.WriteTimelineCSV(&lb); err != nil {
 			t.Fatal(err)
 		}
-		return export{tb.String(), mb.String(), lb.String()}
+		if err := col.WriteTelemetryJSONL(&xb); err != nil {
+			t.Fatal(err)
+		}
+		return export{tb.String(), mb.String(), lb.String(), xb.String()}
 	}
 	e1a := render(1)
 	e1b := render(1)
@@ -54,6 +58,9 @@ func TestFleetObsByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 	if strings.Count(e1a.timeline, "\n") < 2 {
 		t.Error("fleet timeline export has no sample rows")
+	}
+	if e1a.telemetry == "" {
+		t.Error("fleet telemetry export has no log-page rows")
 	}
 	if e1a != e1b {
 		t.Error("two serial same-seed fleet runs produced different observability exports")

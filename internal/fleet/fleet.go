@@ -26,20 +26,6 @@
 // so no drive event can become due before the armed pump — the interleaving
 // is total, deterministic, and independent of host-side worker counts.
 //
-// # Parallel prefetch
-//
-// With SetParallel, the pump additionally opens conservative-lookahead
-// windows (DESIGN.md §11): drives are shards of a sim.ShardGroup whose
-// per-shard floor is ssd.Device.CompletionFloor, so the group horizon — also
-// capped by the host engine's next event and the cell tracer's next timeline
-// boundary — bounds when any drive can next call back into host state.
-// Everything strictly before the horizon is drive-internal and fires
-// concurrently across worker goroutines; the instants those batches fired at
-// come back from AdvanceBefore, and the pump re-arms through them as "ghost"
-// pumps so the host engine sees the exact event stream (count, times,
-// sequence numbers, hook calls) the serial pump would have produced. Output
-// therefore stays byte-identical at any worker count.
-//
 // # Attribution
 //
 // Each drive's latency-attribution profiler (obs.Profiler) gets a row sink,
@@ -96,21 +82,8 @@ type Fleet struct {
 	sector int
 	pump   sim.Event
 	vols   []*Volume
-	tr     *obs.Tracer // cell tracer from BindObs; carries tenant-request spans
-
-	// group shards the drive engines for conservative-lookahead prefetch;
-	// parallel gates it (SetParallel). ghosts are the fleet times of batches
-	// a window already fired, still owed one pump firing each so the host
-	// engine's event stream matches the serial pump's exactly. prefetching
-	// is the in-window assertion flag: a host-visible completion while it is
-	// set means a drive violated its completion floor.
-	group       *sim.ShardGroup
-	parallel    bool
-	ghosts      []sim.Time
-	prefetching bool
-	// prefetchedBatches counts event batches fired inside windows — coverage
-	// telemetry for tests; never exported (it would differ from serial runs).
-	prefetchedBatches int64
+	tr     *obs.Tracer    // cell tracer from BindObs; carries tenant-request spans
+	group  sim.ShardGroup // the drive engines, one shard each
 
 	// freeReqs and freeFrags recycle volume-request descriptors, so a
 	// steady-state tenant request allocates nothing in the fleet.
@@ -130,7 +103,6 @@ func New(eng *sim.Engine, devs []*ssd.Device, stripeBytes int64) *Fleet {
 		panic(fmt.Sprintf("fleet: stripe %d not a positive multiple of sector %d", stripeBytes, f.sector))
 	}
 	f.drives = make([]*drive, len(devs))
-	f.group = sim.NewShardGroup(1)
 	for i, dev := range devs {
 		if dev.Engine() == eng {
 			panic("fleet: drives must not share the host engine")
@@ -145,28 +117,11 @@ func New(eng *sim.Engine, devs []*ssd.Device, stripeBytes int64) *Fleet {
 				d.hasRow = true
 			})
 		}
-		dev.TrackCompletions()
-		d.idx = f.group.Attach(dev.Engine(), d.base, func() (sim.Time, bool) {
-			t, ok := d.dev.CompletionFloor()
-			if !ok {
-				return 0, false
-			}
-			return t - d.base, true
-		})
+		d.idx = f.group.Attach(dev.Engine(), d.base)
 		f.drives[i] = d
 	}
 	f.armPump()
 	return f
-}
-
-// SetParallel turns conservative-lookahead prefetch on with the given worker
-// count, or off again with workers <= 1 (the default). Output is byte-
-// identical at every setting; parallelism only changes wall-clock time.
-func (f *Fleet) SetParallel(workers int) {
-	f.parallel = workers > 1
-	if f.parallel {
-		f.group.SetWorkers(workers)
-	}
 }
 
 // Engine returns the host engine.
@@ -192,17 +147,12 @@ func (f *Fleet) syncDrive(d *drive) {
 	f.group.RunShard(d.idx, f.eng.Now())
 }
 
-// armPump (re)schedules the pump at the earliest pending drive event — or,
-// when a prefetch window left ghost instants to replay, at the next ghost
-// (always earlier than every remaining drive event). The invariant — no
-// drive event is due before the armed pump — holds because drives only gain
-// events while being stepped or synced at fleet-now, so every new event's
-// fleet time is >= now.
+// armPump (re)schedules the pump at the earliest pending drive event. The
+// invariant — no drive event is due before the armed pump — holds because
+// drives only gain events while being stepped or synced at fleet-now, so
+// every new event's fleet time is >= now.
 func (f *Fleet) armPump() {
 	next, ok := f.group.NextTime()
-	if len(f.ghosts) > 0 {
-		next, ok = f.ghosts[0], true
-	}
 	if f.pump.Pending() {
 		if ok && f.pump.Time() == next {
 			return
@@ -223,54 +173,12 @@ func (f *Fleet) armPump() {
 func firePump(f any) { f.(*Fleet).pumpFire() }
 
 // pumpFire steps every due drive event in (fleet time, drive index) order —
-// sim.ShardGroup's total order over the drive shards — then, in parallel
-// mode with no ghosts left to replay, opens the next prefetch window before
-// re-arming. Completion callbacks fired here run tenant logic (latency
-// recording, follow-on submissions) at the correct host-clock instant. At a
-// ghost instant the due-event step is a no-op (the window already fired that
-// batch); the firing itself keeps the host engine's event stream identical
-// to the serial pump's.
+// sim.ShardGroup's total order over the drive shards — then re-arms.
+// Completion callbacks fired here run tenant logic (latency recording,
+// follow-on submissions) at the correct host-clock instant.
 func (f *Fleet) pumpFire() {
-	now := f.eng.Now()
-	if len(f.ghosts) > 0 && f.ghosts[0] == now {
-		f.ghosts = f.ghosts[1:]
-	}
-	f.group.RunUntil(now)
-	if f.parallel && len(f.ghosts) == 0 {
-		f.prefetch()
-	}
+	f.group.RunUntil(f.eng.Now())
 	f.armPump()
-}
-
-// prefetch opens one conservative-lookahead window: every drive event
-// strictly before the horizon is internal to its drive, so the group fires
-// them concurrently. The horizon is the minimum of the host engine's next
-// event (no submission may land on a drive that has run ahead of it) and
-// every busy drive's completion floor (no host-visible completion may fire
-// inside the window), further capped by the cell tracer's next timeline
-// boundary (a boundary row samples current drive state at the first host
-// event past it, so no drive may run ahead of an unsampled boundary).
-//
-// With neither a host event pending nor a request outstanding anywhere, the
-// window stays shut: the host run loop can only decide to stop at such a
-// point (workload generators signal done when their last request drains),
-// and events fired beyond its last instant would diverge from the serial
-// run's final drive state. The timeline cap deliberately cannot open a
-// window on its own — it only tightens one justified by the host queue or a
-// floor.
-func (f *Fleet) prefetch() {
-	limit, bounded := f.eng.NextEventTime()
-	h, ok := f.group.Horizon(limit, bounded)
-	if !ok {
-		return
-	}
-	if tb, tok := f.tr.NextTimelineBoundary(); tok && tb < h {
-		h = tb
-	}
-	f.prefetching = true
-	f.ghosts = f.group.AdvanceBefore(h, true)
-	f.prefetching = false
-	f.prefetchedBatches += int64(len(f.ghosts))
 }
 
 // volRow is one tenant request's blast-radius accounting: end-to-end latency
@@ -464,9 +372,6 @@ func (fr *volFrag) done() {
 	r, d, shared := fr.req, fr.d, fr.shared
 	v := r.v
 	f := v.f
-	if f.prefetching {
-		panic("fleet: completion inside a prefetch window (drive violated its completion floor)")
-	}
 	fr.req, fr.d = nil, nil
 	f.freeFrags = append(f.freeFrags, fr)
 	if row, ok := d.takeRow(); ok {
@@ -569,28 +474,29 @@ func (v *Volume) TrimAsync(off, length int64, done func()) error {
 
 // FlushAsync flushes every drive backing the volume; done fires once all have
 // settled (workload.Target). Flushes are not recorded as tenant requests —
-// the blast-radius metric is defined over read/write latency.
+// the blast-radius metric is defined over read/write latency. When a drive
+// rejects its flush, the error is returned and done never fires; flushes
+// already queued on earlier drives still run, so the pump is re-armed on
+// every return.
 func (v *Volume) FlushAsync(done func()) error {
+	f := v.f
+	defer f.armPump()
 	remaining := len(v.shared)
 	for _, di := range v.shared {
-		d := v.f.drives[di]
-		v.f.syncDrive(d)
+		d := f.drives[di]
+		f.syncDrive(d)
 		err := d.dev.FlushAsync(func() {
-			if v.f.prefetching {
-				panic("fleet: flush completion inside a prefetch window (drive violated its completion floor)")
-			}
 			d.takeRow() // consume; flush rows don't charge a request
 			remaining--
 			if remaining == 0 && done != nil {
 				done()
 			}
 		})
-		v.f.group.Touch(di)
+		f.group.Touch(di)
 		if err != nil {
 			return fmt.Errorf("fleet %s: drive %d: %w", v.name, di, err)
 		}
 	}
-	v.f.armPump()
 	return nil
 }
 

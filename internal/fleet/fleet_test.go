@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -346,5 +347,109 @@ func TestFleetPublishMetrics(t *testing.T) {
 	}
 	if tr.EventsFired() == 0 {
 		t.Error("drive engine events not credited to the cell tracer")
+	}
+}
+
+// TestFleetAttributionInvariant pins the sim.Resource acquire-wait
+// accounting through the fleet pump: on a 3-drive fleet under GC-heavy
+// sequential overwrites, the phase charges of every sub-request attribution
+// row a drive emits sum exactly to its end-to-end latency.
+func TestFleetAttributionInvariant(t *testing.T) {
+	f := testFleet(t, 3, 256*1024)
+	// Interpose on each drive's row sink: verify the invariant, then run the
+	// fleet's own hand-off so blast-radius accounting still works.
+	var rows int64
+	for _, d := range f.drives {
+		d := d
+		d.dev.Tracer().Prof().SetRowSink(func(r obs.AttrRow) {
+			rows++
+			var sum sim.Time
+			for _, p := range r.Phases {
+				sum += p
+			}
+			if sum != r.Total {
+				t.Fatalf("attribution row phases sum %d != total %d (%+v)", sum, r.Total, r)
+			}
+			d.lastRow = r
+			d.hasRow = true
+		})
+	}
+
+	perVol := f.drives[0].dev.Size() * 85 / 100 * 3 / 2
+	perVol = perVol / (256 * 1024) * (256 * 1024)
+	var targets []workload.Target
+	var specs []workload.Spec
+	for tenant := 0; tenant < 2; tenant++ {
+		v, err := f.AddVolume(fmt.Sprintf("t%d", tenant), StripeAll(3).Group(tenant), perVol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets = append(targets, v)
+		specs = append(specs, workload.Spec{
+			Name: v.Name(), Pattern: workload.Sequential, RequestBytes: 64 * 1024,
+			QueueDepth: 8, Seed: int64(tenant + 1),
+		})
+	}
+	reqs := 2 * perVol / (64 * 1024)
+	workload.RunMulti(targets, specs, workload.Options{MaxRequests: reqs})
+	if rows == 0 {
+		t.Fatal("no attribution rows observed")
+	}
+}
+
+// TestFleetFlushAndTrim drives a striped write, a volume flush fan-out, a
+// trim and a read through the pump, each to its completion.
+func TestFleetFlushAndTrim(t *testing.T) {
+	f := testFleet(t, 2, 256*1024)
+	v, err := f.AddVolume("a", []int{0, 1}, 4*1024*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := f.Engine()
+	for _, step := range []struct {
+		name   string
+		submit func(cb func()) error
+	}{
+		{"write", func(cb func()) error { return v.WriteAsync(0, nil, 512*1024, cb) }},
+		{"flush", v.FlushAsync},
+		{"trim", func(cb func()) error { return v.TrimAsync(0, 256*1024, cb) }},
+		{"read", func(cb func()) error { return v.ReadAsync(256*1024, nil, 256*1024, cb) }},
+	} {
+		done := false
+		if err := step.submit(func() { done = true }); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if host.RunWhile(func() bool { return !done }) {
+			t.Fatalf("%s: the host engine drained before it completed", step.name)
+		}
+	}
+	// Two write pieces, one trim piece, one read piece; flushes are not
+	// sub-requests.
+	if v.subRequests != 4 {
+		t.Errorf("sub-requests = %d, want 4", v.subRequests)
+	}
+}
+
+// TestFleetFlushErrorKeepsPumpArmed: when a later drive of the volume
+// rejects its flush, the flush already queued on an earlier drive must still
+// run, so FlushAsync re-arms the pump on its error return too.
+func TestFleetFlushErrorKeepsPumpArmed(t *testing.T) {
+	f := testFleet(t, 2, 256*1024)
+	v, err := f.AddVolume("a", []int{0, 1}, 1024*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill drive 1's flush backlog behind the fleet's back.
+	d1 := f.drives[1]
+	for d1.dev.FlushAsync(nil) == nil {
+	}
+	f.group.Touch(d1.idx)
+
+	if err := v.FlushAsync(nil); !errors.Is(err, ssd.ErrFlushBacklog) {
+		t.Fatalf("volume flush = %v, want ssd.ErrFlushBacklog from drive 1", err)
+	}
+	f.Engine().Run()
+	if n := f.drives[0].dev.Engine().Pending(); n != 0 {
+		t.Fatalf("drive 0 still holds %d events after the host engine drained", n)
 	}
 }

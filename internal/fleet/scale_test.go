@@ -25,7 +25,7 @@ func TestFleetMaxScaleSmoke(t *testing.T) {
 	// One prefilled, drained drive image for the whole homogeneous tier.
 	// Full mqsim-base geometry, not the shrunken testConfig: the acceptance
 	// bound compares against a real drive image (~1.4 MiB of mapping and
-	// chip metadata), the same shape `ssdfio -drives 1024 -prefill` clones.
+	// chip metadata), the same shape `ssdfio -fleet 1024 -prefill` clones.
 	// Every drive — touched or not — dirties ~1 KiB when its idle GC
 	// performs one background erase (two block-metadata chunk copies), so
 	// the shrunken geometry would make that constant per-drive floor look
@@ -61,7 +61,6 @@ func TestFleetMaxScaleSmoke(t *testing.T) {
 		devs[i] = dev
 	}
 	f := New(host, devs, 256*1024)
-	f.SetParallel(4)
 
 	// A handful of tenants on narrow groups: most of the tier stays
 	// untouched, which is exactly the fleet shape COW images exist for.

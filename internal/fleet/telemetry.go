@@ -43,7 +43,7 @@ func (v *Volume) tenantPage() telemetry.Page {
 
 // TenantTelemetry returns the per-tenant telemetry/attribution join, one row
 // per volume in creation order. Pure function of current simulation state —
-// deterministic at any shard count once the run has drained.
+// deterministic at any worker count once the run has drained.
 func (f *Fleet) TenantTelemetry() []TenantTelemetry {
 	out := make([]TenantTelemetry, 0, len(f.vols))
 	for _, v := range f.vols {

@@ -117,8 +117,8 @@ func TestChipCowVsDeepCopyProperty(t *testing.T) {
 	}
 }
 
-// Concurrent clones from one sealed image: the fleet restores one cached
-// DeviceState into many drives, possibly from different shard workers. Under
+// Concurrent clones from one sealed image: cells on the runner pool restore
+// one cached DeviceState into many drives from different goroutines. Under
 // -race this fails if Restore writes anything reachable from another clone —
 // the design holds because restore only reads the image and share bits are
 // per-chip.

@@ -309,35 +309,3 @@ func TestCollectorPageExports(t *testing.T) {
 		t.Errorf("done-only view lists cells %q, want only c", order)
 	}
 }
-
-// The lookahead cap is the earliest boundary over both windows; a page
-// recorder without a bound source does not count, and an unanchored window
-// reports (0, true).
-func TestNextTimelineBoundary(t *testing.T) {
-	eng := sim.NewEngine()
-	tr := NewTracer("c")
-	tr.SamplePages(10 * sim.Microsecond)
-	tr.BindEngine(eng)
-	if _, ok := tr.NextTimelineBoundary(); ok {
-		t.Fatal("page recorder without a source reports a boundary")
-	}
-	tr.SetPageSource(func(*telemetry.Page) {})
-	if at, ok := tr.NextTimelineBoundary(); !ok || at != 0 {
-		t.Fatalf("unanchored page recorder = (%d, %v), want (0, true)", at, ok)
-	}
-	tr.SetWindow(4*sim.Microsecond, func(sim.Time) {})
-	eng.Schedule(1*sim.Microsecond, func() {})
-	eng.Run()
-	if at, ok := tr.NextTimelineBoundary(); !ok || at != 4*sim.Microsecond {
-		t.Fatalf("anchored windows = (%d, %v), want the aux window's 4µs", at, ok)
-	}
-	eng.Schedule(8*sim.Microsecond, func() {}) // fires at 9µs: aux moves to 12µs
-	eng.Run()
-	if at, ok := tr.NextTimelineBoundary(); !ok || at != 10*sim.Microsecond {
-		t.Fatalf("anchored windows = (%d, %v), want the page recorder's 10µs", at, ok)
-	}
-	tr.Suspend()
-	if _, ok := tr.NextTimelineBoundary(); ok {
-		t.Fatal("suspended tracer reports a boundary")
-	}
-}

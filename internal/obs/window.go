@@ -21,11 +21,10 @@ import (
 // from-scratch build align), and each later observation fires once per
 // crossed boundary, sampling *current* state at the boundary timestamp.
 // Sampling reads simulation state only, so rows are identical across worker
-// and shard counts. The shard pump's conservative lookahead covers both
-// windows through NextTimelineBoundary.
+// counts.
 
-// window is one sampling window's state. A nil fire leaves it inert: it
-// neither anchors nor counts as a boundary for the lookahead.
+// window is one sampling window's state. A nil fire leaves it inert: it does
+// not anchor.
 type window struct {
 	interval sim.Time
 	fire     func(at sim.Time)
@@ -47,18 +46,6 @@ func (w *window) observe(now sim.Time) {
 		w.fire(w.nextAt)
 		w.nextAt += w.interval
 	}
-}
-
-// next returns the window's next boundary: ok=false when it is absent or
-// inert, (0, true) before its grid is anchored.
-func (w *window) next() (sim.Time, bool) {
-	if w == nil || w.fire == nil {
-		return 0, false
-	}
-	if !w.inited {
-		return 0, true
-	}
-	return w.nextAt, true
 }
 
 // SetWindow installs the aux sampling window: fire runs at every crossed
@@ -97,27 +84,4 @@ func (t *Tracer) SetPageSource(fn func(*telemetry.Page)) {
 	}
 	t.pages.SetSource(fn)
 	t.page.fire = t.pages.Observe
-}
-
-// NextTimelineBoundary returns the simulated time of the next sampling
-// boundary — the minimum over the page recorder and the aux window — or
-// ok=false when neither is active (none configured, no source bound, or
-// sampling suspended). The parallel fleet engine caps its lookahead here: a
-// boundary samples *current* device state at the first event at or past it,
-// so no event beyond the boundary may fire before the row is captured.
-// Before the first observation anchors a window's grid, that window
-// conservatively reports time 0 with ok=true — callers treat (0, true) as
-// "no lookahead until anchored".
-func (t *Tracer) NextTimelineBoundary() (sim.Time, bool) {
-	if t == nil || t.suspended {
-		return 0, false
-	}
-	var at sim.Time
-	ok := false
-	for _, w := range [...]*window{t.page, t.win} {
-		if b, wok := w.next(); wok && (!ok || b < at) {
-			at, ok = b, true
-		}
-	}
-	return at, ok
 }

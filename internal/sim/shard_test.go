@@ -4,24 +4,17 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
-// Property tests for ShardGroup (ISSUE 7 satellite): randomized
-// schedule/cancel/rebase programs replayed against the retained sequential
-// reference scheduler (refheap_test.go) extended to a multi-shard group,
-// demanding identical firing order — and replayed again through
-// conservative-horizon parallel windows at several worker counts, demanding
-// per-shard identical outcomes regardless of how the run is windowed.
-//
-// Programs replayed through windows confine every callback's effects to its
-// own shard (the only usage the horizon contract admits), so any window is
-// legal there and the windowed run must match the serial one exactly. The
-// serial-only programs add cross-shard ops: an event on shard X schedules
-// onto shard Y, directly or after a RunShard(Y) nested in X's batch — the
-// fleet's completion-submits-to-another-drive pattern — and a linear-scan
-// oracle checks the group's heap after every op and inside those callbacks.
+// Property tests for ShardGroup: randomized schedule/cancel/rebase programs
+// replayed against the retained sequential reference scheduler
+// (refheap_test.go) extended to a multi-shard group, demanding identical
+// firing order. Programs include cross-shard ops: an event on shard X
+// schedules onto shard Y, directly or after a RunShard(Y) nested in X's
+// batch — the fleet's completion-submits-to-another-drive pattern — and a
+// linear-scan oracle checks the group's heap after every op and inside those
+// callbacks.
 
 // refPeek pops lazily-canceled heads and returns the live head's time.
 func refPeek(e *refEngine) (Time, bool) {
@@ -103,10 +96,9 @@ type fired struct {
 	at Time
 }
 
-// shardState is the per-shard world a program's callbacks may touch. In the
-// windowed executions different shards fire concurrently, so everything here
-// must stay shard-private — including the rng that drives callback behavior,
-// whose draw order is per-shard deterministic.
+// shardState is the per-shard world a program's callbacks may touch,
+// including the rng that drives callback behavior, whose draw order is
+// per-shard deterministic.
 type shardState struct {
 	rng     *rand.Rand
 	log     []fired
@@ -131,33 +123,25 @@ type backend interface {
 
 type realBackend struct {
 	engs  []*Engine
-	group *ShardGroup
+	group ShardGroup
 	bases []Time
-	// windowed drives runUntil/drain through AdvanceBefore windows instead
-	// of serial Step, using wrng to pick horizons. wrng only shapes the
-	// window partition; outcomes must not depend on it.
-	windowed bool
-	wrng     *rand.Rand
-	// windowTimes accumulates AdvanceBefore's returned batch times.
-	windowTimes []Time
 	// mismatch records the first NextTime that disagreed with scanNextTime.
 	mismatch string
 }
 
-func newRealBackend(nShards, workers int, windowed bool, wseed int64) *realBackend {
-	b := &realBackend{windowed: windowed, wrng: rand.New(rand.NewSource(wseed))}
-	b.group = NewShardGroup(workers)
+func newRealBackend(nShards int) *realBackend {
+	b := &realBackend{}
 	for i := 0; i < nShards; i++ {
 		e := NewEngine()
 		b.engs = append(b.engs, e)
 		b.bases = append(b.bases, 0)
-		b.group.Attach(e, 0, nil)
+		b.group.Attach(e, 0)
 	}
 	return b
 }
 
 // schedule and its cancel reach the engine from outside the group, so both
-// Touch the shard (a no-op inside windows, which re-key their shards).
+// Touch the shard.
 func (b *realBackend) schedule(shard int, delay Time, fn func()) func() {
 	ev := b.engs[shard].Schedule(delay, fn)
 	b.group.Touch(shard)
@@ -203,50 +187,16 @@ func scanNextTime(g *ShardGroup) (Time, bool) {
 
 func (b *realBackend) check() {
 	gt, gok := b.group.NextTime()
-	st, sok := scanNextTime(b.group)
+	st, sok := scanNextTime(&b.group)
 	if (gt != st || gok != sok) && b.mismatch == "" {
 		b.mismatch = fmt.Sprintf("NextTime (%d,%v), scan (%d,%v)", gt, gok, st, sok)
 	}
 }
 
-func (b *realBackend) runUntil(t Time) {
-	if !b.windowed {
-		b.group.RunUntil(t)
-		return
-	}
-	for {
-		next, ok := b.group.NextTime()
-		if !ok || next > t {
-			return
-		}
-		// Random horizon past the next event: windows of varying width,
-		// capped so nothing beyond the requested time fires (< t+1 ⇔ <= t).
-		h := next + 1 + Time(b.wrng.Intn(400))
-		if h > t+1 {
-			h = t + 1
-		}
-		b.windowTimes = append(b.windowTimes, b.group.AdvanceBefore(h, true)...)
-	}
-}
+func (b *realBackend) runUntil(t Time) { b.group.RunUntil(t) }
 
 func (b *realBackend) drain() {
-	if !b.windowed {
-		for b.group.Step() {
-		}
-		return
-	}
-	// Alternate bounded windows with an occasional unbounded one.
-	for {
-		next, ok := b.group.NextTime()
-		if !ok {
-			return
-		}
-		if b.wrng.Intn(4) == 0 {
-			b.windowTimes = append(b.windowTimes, b.group.AdvanceBefore(0, false)...)
-			continue
-		}
-		h := next + 1 + Time(b.wrng.Intn(400))
-		b.windowTimes = append(b.windowTimes, b.group.AdvanceBefore(h, true)...)
+	for b.group.Step() {
 	}
 }
 
@@ -295,18 +245,13 @@ type progOp struct {
 	pick  int
 }
 
-// genProgram draws a program; cross adds the cross-shard op kinds 4 and 5,
-// which only serial execution admits.
-func genProgram(rng *rand.Rand, cross bool) (nShards int, ops []progOp) {
+// genProgram draws a program.
+func genProgram(rng *rand.Rand) (nShards int, ops []progOp) {
 	nShards = 1 + rng.Intn(4)
 	n := 15 + rng.Intn(20)
-	kinds := 10
-	if cross {
-		kinds = 13
-	}
 	for i := 0; i < n; i++ {
 		op := progOp{shard: rng.Intn(nShards), pick: rng.Int()}
-		switch k := rng.Intn(kinds); {
+		switch k := rng.Intn(13); {
 		case k < 5: // schedule a root event
 			op.kind = 0
 			op.arg = Time(rng.Intn(500))
@@ -329,7 +274,7 @@ func genProgram(rng *rand.Rand, cross bool) (nShards int, ops []progOp) {
 
 // runProgram replays ops on b. Callback behavior draws from per-shard rngs
 // seeded from seed, so every execution of the same program behaves
-// identically regardless of backend or windowing.
+// identically regardless of backend.
 func runProgram(b backend, seed int64, nShards int, ops []progOp) []*shardState {
 	states := make([]*shardState, nShards)
 	for i := range states {
@@ -458,9 +403,8 @@ func equalStates(a, b []*shardState) bool {
 }
 
 // TestShardGroupMatchesReference replays randomized programs on the sharded
-// engine (serial stepping) and the reference group, demanding the identical
-// global firing order, then replays them again through parallel windows at
-// several worker counts and demands identical per-shard outcomes.
+// engine and the reference group, demanding the identical global firing
+// order.
 func TestShardGroupMatchesReference(t *testing.T) {
 	programs := 10000
 	if testing.Short() {
@@ -469,12 +413,9 @@ func TestShardGroupMatchesReference(t *testing.T) {
 	for p := 0; p < programs; p++ {
 		seed := int64(p)*7919 + 17
 		rng := rand.New(rand.NewSource(seed))
-		// Every fifth program replays through windows and so stays
-		// shard-private; the rest exercise cross-shard scheduling.
-		windowed := p%5 == 0
-		nShards, ops := genProgram(rng, !windowed)
+		nShards, ops := genProgram(rng)
 
-		real := newRealBackend(nShards, 1, false, 0)
+		real := newRealBackend(nShards)
 		realStates := runProgram(real, seed, nShards, ops)
 		ref := newRefBackend(nShards)
 		refStates := runProgram(ref, seed, nShards, ops)
@@ -483,7 +424,7 @@ func TestShardGroupMatchesReference(t *testing.T) {
 			t.Fatalf("program %d: heap vs scan oracle: %s", p, real.mismatch)
 		}
 		if !equalStates(realStates, refStates) {
-			t.Fatalf("program %d: sharded serial vs reference diverged", p)
+			t.Fatalf("program %d: sharded vs reference diverged", p)
 		}
 		rm, fm := mergeLogs(realStates), mergeLogs(refStates)
 		if len(rm) != len(fm) {
@@ -494,138 +435,33 @@ func TestShardGroupMatchesReference(t *testing.T) {
 				t.Fatalf("program %d: merged log diverges at %d: %+v vs %+v", p, i, rm[i], fm[i])
 			}
 		}
-
-		// Windowed parallel executions: same program, same per-shard rng
-		// seeds, different window partitions and worker counts. Outcomes
-		// must be independent of both.
-		if !windowed {
-			continue
-		}
-		for _, workers := range []int{2, 4} {
-			wb := newRealBackend(nShards, workers, true, seed^int64(workers)<<32)
-			wStates := runProgram(wb, seed, nShards, ops)
-			if wb.mismatch != "" {
-				t.Fatalf("program %d: windowed (workers=%d) heap vs scan oracle: %s", p, workers, wb.mismatch)
-			}
-			if !equalStates(wStates, realStates) {
-				t.Fatalf("program %d: windowed (workers=%d) vs serial diverged", p, workers)
-			}
-			for i, e := range wb.engs {
-				if got, want := e.Now(), real.engs[i].Now(); got != want {
-					t.Fatalf("program %d: shard %d clock %d vs serial %d (workers=%d)",
-						p, i, got, want, workers)
-				}
-				if got, want := e.Pending(), real.engs[i].Pending(); got != want {
-					t.Fatalf("program %d: shard %d pending %d vs serial %d", p, i, got, want)
-				}
-			}
-			// AdvanceBefore's returned batch times must be exactly the
-			// distinct group times the serial run fired at (after the window
-			// phases began — here all windows, so compare against the whole
-			// distinct fired-time list).
-			var want []Time
-			for _, e := range mergeLogs(realStates) {
-				if len(want) == 0 || want[len(want)-1] != e.at {
-					want = append(want, e.at)
-				}
-			}
-			got := sortDedup(wb.windowTimes)
-			if len(got) != len(want) {
-				t.Fatalf("program %d: window batch times %d vs fired instants %d", p, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("program %d: window batch time[%d]=%d, want %d", p, i, got[i], want[i])
-				}
-			}
-		}
 	}
 }
 
-// sortDedup sorts and de-duplicates window batch times. Later program phases
-// can schedule roots at group times earlier than instants already fired on
-// other shards, so the concatenation of per-window ascending runs is not
-// globally ascending.
-func sortDedup(ts []Time) []Time {
-	sort.Slice(ts, func(a, b int) bool { return ts[a] < ts[b] })
-	var out []Time
-	for _, t := range ts {
-		if len(out) == 0 || out[len(out)-1] != t {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// TestShardGroupHorizon pins Horizon's min-combination semantics.
-func TestShardGroupHorizon(t *testing.T) {
-	g := NewShardGroup(1)
-	e0, e1 := NewEngine(), NewEngine()
-	f0 := Time(0)
-	ok0 := false
-	g.Attach(e0, 0, func() (Time, bool) { return f0, ok0 })
-	g.Attach(e1, 0, nil)
-
-	if h, ok := g.Horizon(0, false); ok {
-		t.Fatalf("all floors unbounded: got bounded horizon %d", h)
-	}
-	if h, ok := g.Horizon(100, true); !ok || h != 100 {
-		t.Fatalf("caller limit alone: got (%d,%v), want (100,true)", h, ok)
-	}
-	f0, ok0 = 40, true
-	if h, ok := g.Horizon(100, true); !ok || h != 40 {
-		t.Fatalf("floor below limit: got (%d,%v), want (40,true)", h, ok)
-	}
-	if h, ok := g.Horizon(0, false); !ok || h != 40 {
-		t.Fatalf("floor with unbounded caller: got (%d,%v), want (40,true)", h, ok)
-	}
-}
-
-// TestShardGroupPanicPropagates ensures a worker panic surfaces on the
-// caller after all workers stop, not as a crashed goroutine.
-func TestShardGroupPanicPropagates(t *testing.T) {
-	g := NewShardGroup(2)
-	for i := 0; i < 2; i++ {
-		e := NewEngine()
-		e.Schedule(10, func() { panic("model bug") })
-		g.Attach(e, 0, nil)
-	}
-	defer func() {
-		if r := recover(); r != "model bug" {
-			t.Fatalf("recovered %v, want worker panic", r)
-		}
-	}()
-	g.AdvanceBefore(0, false)
-	t.Fatal("AdvanceBefore returned despite worker panic")
-}
-
-// TestShardGroupZeroAlloc pins the steady-state group paths at zero
-// allocations: serial stepping through the shard heap, and one-worker
-// windows, whose candidate walk and batch-time merge reuse group scratch.
+// TestShardGroupZeroAlloc pins steady-state stepping through the shard heap
+// at zero allocations.
 func TestShardGroupZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not stable under the race detector")
 	}
-	g := NewShardGroup(1)
+	var g ShardGroup
 	for i := 0; i < 8; i++ {
 		e := NewEngine()
 		period := Time(7 + i)
 		var tick func()
 		tick = func() { e.Schedule(period, tick) }
 		e.Schedule(0, tick)
-		g.Attach(e, 0, nil)
+		g.Attach(e, 0)
 	}
 	var h Time
 	round := func() {
-		h += 100
-		g.AdvanceBefore(h, true)
-		h += 100
+		h += 200
 		g.RunUntil(h)
 	}
-	for i := 0; i < 10; i++ { // grow the scratch slices
+	for i := 0; i < 10; i++ { // grow the engines' queues
 		round()
 	}
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
-		t.Fatalf("window + serial round allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("serial round allocates %.1f objects/op, want 0", allocs)
 	}
 }

@@ -75,13 +75,6 @@ type Device struct {
 	hostBytesRead    int64
 
 	inflightFlushes int
-
-	// Outstanding-completion accounting for the parallel fleet engine
-	// (DESIGN.md §11). Off by default so single-device hot paths pay one
-	// branch per submission and allocate nothing extra; TrackCompletions
-	// turns it on before any I/O is submitted.
-	trackOutstanding bool
-	outstanding      int
 }
 
 // contentChunkSectors is the payload store's chunk length in sectors (64 KiB
@@ -150,31 +143,6 @@ func (d *Device) Engine() *sim.Engine { return d.eng }
 // Tracer returns the device's tracer (nil when tracing is off), so layers
 // above the device (hostif) can annotate the same trace stream.
 func (d *Device) Tracer() *obs.Tracer { return d.tr }
-
-// TrackCompletions enables outstanding-request accounting: every accepted
-// async submission counts as outstanding until its done callback fires.
-// Must be enabled before the first submission (counts would otherwise go
-// negative); the fleet enables it at drive attach.
-func (d *Device) TrackCompletions() { d.trackOutstanding = true }
-
-// CompletionFloor returns a conservative lower bound, in this device's
-// engine time, on when the device can next invoke a host-visible completion
-// callback. ok=false means it never can from its current state: with no
-// request outstanding every queued event is device-internal (background GC,
-// patrol timers), and with no event queued an outstanding request cannot
-// make progress until the host interacts again. Requires TrackCompletions.
-//
-// The bound is the engine's next-event time: a completion only ever fires
-// from inside an event, so nothing host-visible can happen earlier. A NAND
-// timing floor would be unsound: the write cache can complete a host write
-// with no NAND op in flight, so the device-level floor must come from the
-// event queue.
-func (d *Device) CompletionFloor() (sim.Time, bool) {
-	if d.outstanding == 0 {
-		return 0, false
-	}
-	return d.eng.NextEventTime()
-}
 
 // Boot runs the controller's power-on sequence (chip enumeration). Optional
 // for experiments that only need the data path; reverse-engineering rigs

@@ -6,8 +6,7 @@ import (
 
 // Pooled host-request descriptors (DESIGN.md §13). Every async entry point
 // used to build two closures per request — the trace-completion wrapper and
-// the host-overhead dispatch thunk — plus a third when outstanding tracking
-// is on. An ioReq replaces all of them: one freelist-recycled struct carries
+// the host-overhead dispatch thunk. An ioReq replaces all of them: one freelist-recycled struct carries
 // the request through dispatch and completion, the dispatch thunk is a
 // static function handed to sim.Engine.ScheduleArg, and the completion is a
 // single closure built once per descriptor at pool growth. At steady state
@@ -28,16 +27,15 @@ const (
 // needs to locals and releases the descriptor *before* invoking the caller's
 // done, so a completion that immediately submits new I/O reuses it.
 type ioReq struct {
-	d       *Device
-	op      ioKind
-	lsn     int64
-	count   int
-	sp      obs.Span     // zero when tracing is off (End is then a no-op)
-	attr    *obs.ReqAttr // nil when tracing is off (methods are nil-safe)
-	done    func()
-	tracked bool   // counted in d.outstanding
-	fire    func() // prebuilt completion, handed to the FTL
-	next    *ioReq // freelist link
+	d     *Device
+	op    ioKind
+	lsn   int64
+	count int
+	sp    obs.Span     // zero when tracing is off (End is then a no-op)
+	attr  *obs.ReqAttr // nil when tracing is off (methods are nil-safe)
+	done  func()
+	fire  func() // prebuilt completion, handed to the FTL
+	next  *ioReq // freelist link
 }
 
 // newIoReq returns a recycled (or fresh) descriptor. The completion closure
@@ -52,14 +50,10 @@ func (d *Device) newIoReq(op ioKind, lsn int64, count int, done func()) *ioReq {
 			if r.op == ioFlush {
 				d.inflightFlushes--
 			}
-			attr, sp := r.attr, r.sp
-			done, tracked := r.done, r.tracked
+			attr, sp, done := r.attr, r.sp, r.done
 			d.releaseIoReq(r)
 			attr.End()
 			sp.End()
-			if tracked {
-				d.outstanding--
-			}
 			if done != nil {
 				done()
 			}
@@ -81,20 +75,15 @@ func (d *Device) releaseIoReq(r *ioReq) {
 	r.sp = obs.Span{}
 	r.attr = nil
 	r.done = nil
-	r.tracked = false
 	r.next = d.reqFree
 	d.reqFree = r
 }
 
-// submitIO finishes submission of a validated request: outstanding
-// accounting, trace/attribution begin (adopting the host interface's
-// hand-off record when one is parked), and the host-overhead dispatch delay.
+// submitIO finishes submission of a validated request: trace/attribution
+// begin (adopting the host interface's hand-off record when one is parked)
+// and the host-overhead dispatch delay.
 func (d *Device) submitIO(op ioKind, name string, off, length, lsn int64, count int, done func()) {
 	r := d.newIoReq(op, lsn, count, done)
-	if d.trackOutstanding {
-		r.tracked = true
-		d.outstanding++
-	}
 	if d.tr.Enabled() {
 		attr := d.prof.TakeHandoff()
 		if attr == nil {

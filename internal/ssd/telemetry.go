@@ -10,7 +10,7 @@ import (
 // query — every field is device ground truth a controller could cheaply
 // expose. NewDevice binds it as the tracer's page source, so a traced cell
 // samples it on aligned simulated-clock boundaries, byte-identical at any
-// -parallel/-shard setting.
+// -parallel setting.
 
 // FillLogPage fills p with the device's current transparency log page.
 // Counters are cumulative since construction; gauges are instantaneous.

@@ -7,7 +7,7 @@
 // instrumentation no real host could see, a telemetry Page contains only
 // fields a vendor could expose through a log page or extended SMART, sampled
 // at aligned simulated-clock boundaries so the stream is deterministic at any
-// worker or shard count.
+// worker count.
 //
 // The package sits below ssd/fleet (both fill pages) and obs (whose tracer
 // records each traced cell's pages once, and whose collector renders them as

@@ -31,7 +31,7 @@ func (r *Recorder) SetSource(fn func(*Page)) {
 }
 
 // Observe captures one row at boundary time at. It reads simulation state
-// only, so rows are identical across worker and shard counts.
+// only, so rows are identical across worker counts.
 func (r *Recorder) Observe(at sim.Time) {
 	if r == nil || r.source == nil {
 		return

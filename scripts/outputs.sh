@@ -13,7 +13,7 @@
 #   ssdfio.stdout, ssdfio.trace.jsonl, ssdfio.telemetry.jsonl,
 #   ssdfio.timeline.csv, ssdfio.metrics
 #       cmd/ssdfio -fleet 16 -prefill -pattern hotspot -read 0.3
-#       -placement hash -shard 1
+#       -placement hash
 #   jtagprobe.stdout, jtagprobe.pc.stdout
 #       cmd/jtagprobe (the Fig. 6 exploration, ending with the TCK edge
 #       count) and cmd/jtagprobe -pc
@@ -63,7 +63,7 @@ for p in 1 8; do
 done
 
 echo ">> cmd/ssdfio -fleet 16" >&2
-"$bin/ssdfio" -fleet 16 -prefill -pattern hotspot -read 0.3 -placement hash -shard 1 \
+"$bin/ssdfio" -fleet 16 -prefill -pattern hotspot -read 0.3 -placement hash \
 	-trace ssdfio.trace.jsonl \
 	-telemetry ssdfio.telemetry.jsonl \
 	-timeline ssdfio.timeline.csv \
