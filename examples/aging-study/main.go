@@ -13,7 +13,7 @@ import (
 
 func run(model func() ssd.Config, kind string, prof fsim.AgingProfile) fsim.FileserverResult {
 	dev := ssd.NewDevice(sim.NewEngine(), model())
-	disk := fsim.SSDDisk{Dev: dev}
+	disk := fsim.NewSSDDisk(dev)
 	var fs fsim.FS
 	if kind == "extfs" {
 		fs = fsim.NewExtFS(disk)

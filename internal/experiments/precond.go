@@ -154,7 +154,7 @@ func prefilledDeviceFrac(cfg ssd.Config, tr *obs.Tracer, fillPct int64) *ssd.Dev
 // entries where their parameters coincide.
 func agedFS(model, kind string, prof fsim.AgingProfile, seed int64) (fsim.FS, *ssd.Device) {
 	build := func(dev *ssd.Device) fsim.FS {
-		disk := fsim.SSDDisk{Dev: dev}
+		disk := fsim.NewSSDDisk(dev)
 		var fs fsim.FS
 		if kind == "extfs" {
 			fs = fsim.NewExtFS(disk)
@@ -174,7 +174,7 @@ func agedFS(model, kind string, prof fsim.AgingProfile, seed int64) (fsim.FS, *s
 		})
 		dev := ssd.NewDevice(sim.NewEngine(), fig1Config(model, seed))
 		dev.Restore(e.dev)
-		return e.img.Materialize(fsim.SSDDisk{Dev: dev}), dev
+		return e.img.Materialize(fsim.NewSSDDisk(dev)), dev
 	}
 	dev := ssd.NewDevice(sim.NewEngine(), fig1Config(model, seed))
 	return build(dev), dev

@@ -28,46 +28,60 @@ type Disk interface {
 }
 
 // SSDDisk adapts an ssd.Device to Disk by driving its engine synchronously.
+// Every I/O waits on the one completion flag through the same two prebuilt
+// funcs, so a steady-state I/O allocates nothing. Only one I/O is in flight
+// at a time: each call returns once its own completes.
 type SSDDisk struct {
-	Dev *ssd.Device
+	dev     *ssd.Device
+	done    bool
+	finish  func()      // sets done; the device's completion callback
+	pending func() bool // reports !done; the engine's run condition
+}
+
+// NewSSDDisk returns a Disk backed by dev.
+func NewSSDDisk(dev *ssd.Device) *SSDDisk {
+	d := &SSDDisk{dev: dev}
+	d.finish = func() { d.done = true }
+	d.pending = func() bool { return !d.done }
+	return d
 }
 
 // Write implements Disk.
-func (d SSDDisk) Write(off, n int64) {
-	done := false
-	if err := d.Dev.WriteAsync(off, nil, n, func() { done = true }); err != nil {
+func (d *SSDDisk) Write(off, n int64) {
+	d.done = false
+	if err := d.dev.WriteAsync(off, nil, n, d.finish); err != nil {
 		panic(err)
 	}
-	d.Dev.Engine().RunWhile(func() bool { return !done })
+	d.dev.Engine().RunWhile(d.pending)
 }
 
 // Read implements Disk.
-func (d SSDDisk) Read(off, n int64) {
-	done := false
-	if err := d.Dev.ReadAsync(off, nil, n, func() { done = true }); err != nil {
+func (d *SSDDisk) Read(off, n int64) {
+	d.done = false
+	if err := d.dev.ReadAsync(off, nil, n, d.finish); err != nil {
 		panic(err)
 	}
-	d.Dev.Engine().RunWhile(func() bool { return !done })
+	d.dev.Engine().RunWhile(d.pending)
 }
 
 // Trim implements Disk.
-func (d SSDDisk) Trim(off, n int64) {
-	done := false
-	if err := d.Dev.TrimAsync(off, n, func() { done = true }); err != nil {
+func (d *SSDDisk) Trim(off, n int64) {
+	d.done = false
+	if err := d.dev.TrimAsync(off, n, d.finish); err != nil {
 		panic(err)
 	}
-	d.Dev.Engine().RunWhile(func() bool { return !done })
+	d.dev.Engine().RunWhile(d.pending)
 }
 
 // Sync implements Disk.
-func (d SSDDisk) Sync() {
-	done := false
-	d.Dev.FlushAsync(func() { done = true })
-	d.Dev.Engine().RunWhile(func() bool { return !done })
+func (d *SSDDisk) Sync() {
+	d.done = false
+	d.dev.FlushAsync(d.finish)
+	d.dev.Engine().RunWhile(d.pending)
 }
 
 // Size implements Disk.
-func (d SSDDisk) Size() int64 { return d.Dev.Size() }
+func (d *SSDDisk) Size() int64 { return d.dev.Size() }
 
 // MemDisk is a counting no-op disk for file-system unit tests.
 type MemDisk struct {

@@ -104,7 +104,7 @@ func (fs *ExtFS) touchDir(name string) {
 	dir := dirOf(name)
 	blk, ok := fs.dirBlocks[dir]
 	if !ok {
-		exts, err := fs.allocExtents(1)
+		exts, err := fs.allocExtents(nil, 1)
 		if err != nil || len(exts) == 0 {
 			return // out of space: directory update is absorbed elsewhere
 		}
@@ -130,12 +130,13 @@ func (fs *ExtFS) inodeWrite(ino int64) {
 }
 
 // allocExtents grabs count blocks first-fit from the goal cursor, splitting
-// across free fragments as needed.
-func (fs *ExtFS) allocExtents(count int64) ([]extent, error) {
+// across free fragments as needed, and returns dst with their extents
+// appended. On error it allocates nothing.
+func (fs *ExtFS) allocExtents(dst []extent, count int64) ([]extent, error) {
 	if count > fs.freeCount {
 		return nil, ErrNoSpace
 	}
-	var out []extent
+	out, n0 := dst, len(dst)
 	remaining := count
 	scanned := int64(0)
 	pos := fs.goal % fs.dataBlocks
@@ -164,7 +165,7 @@ func (fs *ExtFS) allocExtents(count int64) ([]extent, error) {
 	}
 	if remaining > 0 {
 		// Roll back (should not happen given the freeCount check).
-		for _, e := range out {
+		for _, e := range out[n0:] {
 			for b := int64(0); b < e.count; b++ {
 				fs.bitmap[e.start+b] = false
 			}
@@ -228,11 +229,11 @@ func (fs *ExtFS) Write(name string, off, n int64) error {
 		have := blocks(ino.size)
 		need := blocks(end) - have
 		if need > 0 {
-			exts, err := fs.allocExtents(need)
+			exts, err := fs.allocExtents(ino.extents, need)
 			if err != nil {
 				return err
 			}
-			ino.extents = append(ino.extents, exts...)
+			ino.extents = exts
 		}
 		fs.usedBytes += end - ino.size
 		ino.size = end

@@ -220,7 +220,7 @@ func TestFileserverOnSSD(t *testing.T) {
 	cfg := ssd.S64()
 	cfg.Geometry.BlocksPerPlane = 24
 	dev := ssd.NewDevice(sim.NewEngine(), cfg)
-	disk := SSDDisk{Dev: dev}
+	disk := NewSSDDisk(dev)
 	fs := NewLogFS(disk)
 	Age(fs, AgeA, 5)
 	res := Fileserver(fs, dev.Engine(), 300, 2)
@@ -302,7 +302,7 @@ func TestPersonalitiesOnSSD(t *testing.T) {
 	cfg := ssd.S64()
 	cfg.Geometry.BlocksPerPlane = 16
 	dev := ssd.NewDevice(sim.NewEngine(), cfg)
-	fs := NewLogFS(SSDDisk{Dev: dev})
+	fs := NewLogFS(NewSSDDisk(dev))
 	res := Varmail(fs, dev.Engine(), 200, 5)
 	if res.OpsPerSecond() <= 0 {
 		t.Error("varmail made no progress on SSD")

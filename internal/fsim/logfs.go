@@ -2,17 +2,29 @@ package fsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // SegmentBlocks is the log-structured segment size in blocks (2 MB).
 const SegmentBlocks = 512
 
-// logInode is a file in LogFS: a per-file-block map into the log.
+// logInode is a file or directory node in LogFS: a per-file-block map into
+// the log.
 type logInode struct {
 	name   string
 	size   int64
 	blocks []int64 // file block -> device data block (-1 = hole)
+	idx    int32   // slot in LogFS.inodes; 0 once the file is deleted
+	dirty  bool    // in LogFS.dirty, awaiting the next checkpoint
+}
+
+// blockOwner names the file block a live data block holds. ino is the
+// owner's slot in LogFS.inodes; slot 0 is never used, so the zero value
+// marks a free block.
+type blockOwner struct {
+	ino int32
+	fb  int32
 }
 
 // LogFS is a simplified F2FS-style log-structured file system: all data and
@@ -36,21 +48,25 @@ type LogFS struct {
 	curNode  int64
 	curNodeP int64
 
-	owner map[int64]struct {
-		ino *logInode
-		fb  int64
-	} // device block -> (file, file block), for cleaning
+	owner []blockOwner // per device data block, for cleaning
+
+	// inodes holds every live file and directory node at its idx, so the
+	// owner table and clones refer to inodes by index, not by pointer.
+	// freeInos lists the slots deleted files left, reused LIFO.
+	inodes   []*logInode
+	freeInos []int32
 
 	files     map[string]*logInode
 	usedBytes int64
 	nodeOps   int64 // node blocks appended
 	cleaning  bool
 
-	// dirtyNodes batches inode/node updates in memory until Sync, as F2FS
-	// does: repeated operations on the same file cost one node write per
-	// checkpoint, not one per operation.
-	dirtyNodes map[*logInode]bool
-	dirNodes   map[string]*logInode
+	// dirty batches inode/node updates in memory until Sync, as F2FS does:
+	// repeated operations on the same file cost one node write per
+	// checkpoint, not one per operation. It holds each dirty inode once,
+	// deleted files included.
+	dirty    []*logInode
+	dirNodes map[string]*logInode
 
 	// cleanLow is the free-segment threshold that triggers cleaning.
 	cleanLow int64
@@ -68,14 +84,11 @@ func NewLogFS(disk Disk) *LogFS {
 		dataStart: meta,
 		liveCount: make([]int32, segCount),
 		segType:   make([]uint8, segCount),
-		owner: make(map[int64]struct {
-			ino *logInode
-			fb  int64
-		}),
-		files:      make(map[string]*logInode),
-		dirtyNodes: make(map[*logInode]bool),
-		dirNodes:   make(map[string]*logInode),
-		cleanLow:   3,
+		owner:     make([]blockOwner, segCount*SegmentBlocks),
+		inodes:    []*logInode{nil}, // slot 0 marks a free block
+		files:     make(map[string]*logInode),
+		dirNodes:  make(map[string]*logInode),
+		cleanLow:  3,
 	}
 	for s := segCount - 1; s >= 0; s-- {
 		fs.freeSegs = append(fs.freeSegs, s)
@@ -114,51 +127,51 @@ func (fs *LogFS) blockOff(b int64) int64 {
 	return (fs.dataStart + b) * BlockSize
 }
 
-// appendData appends one data block for (ino, fileBlock) and returns its
-// device block.
-func (fs *LogFS) appendData(ino *logInode, fb int64) int64 {
-	var got int64
-	fs.appendDataRun(ino, []int64{fb}, func(i int, b int64) { got = b })
-	return got
-}
-
-// appendDataRun appends data blocks for the given file blocks of one file,
-// coalescing device writes over contiguous log runs (the log head advances
-// sequentially, so a multi-block write is one large device I/O — the
-// mechanism behind a log-structured file system's SSD-friendliness). assign
-// is called with each (index, device block).
-func (fs *LogFS) appendDataRun(ino *logInode, fbs []int64, assign func(i int, b int64)) {
-	i := 0
-	for i < len(fbs) {
+// appendDataRun appends data blocks for file blocks [fb, fb+n) of one file
+// and points the file's block map at them, coalescing device writes over
+// contiguous log runs (the log head advances sequentially, so a multi-block
+// write is one large device I/O — the mechanism behind a log-structured
+// file system's SSD-friendliness).
+func (fs *LogFS) appendDataRun(ino *logInode, fb, n int64) {
+	for n > 0 {
 		if fs.curDataP == SegmentBlocks {
 			fs.curData = fs.popFree(1)
 			fs.curDataP = 0
 			fs.maybeClean()
 		}
-		run := int64(len(fbs) - i)
-		if room := SegmentBlocks - fs.curDataP; run > room {
-			run = room
-		}
+		run := min(n, SegmentBlocks-fs.curDataP)
 		first := fs.curData*SegmentBlocks + fs.curDataP
-		for j := int64(0); j < run; j++ {
-			b := first + j
-			fs.owner[b] = struct {
-				ino *logInode
-				fb  int64
-			}{ino, fbs[i+int(j)]}
-			assign(i+int(j), b)
+		for b := first; b < first+run; b++ {
+			fs.owner[b] = blockOwner{ino: ino.idx, fb: int32(fb)}
+			ino.blocks[fb] = b
+			fb++
 		}
 		fs.liveCount[fs.curData] += int32(run)
 		fs.curDataP += run
 		fs.disk.Write(fs.blockOff(first), run*BlockSize)
-		i += int(run)
+		n -= run
 	}
+}
+
+// addInode gives ino a slot in the inode table.
+func (fs *LogFS) addInode(ino *logInode) {
+	if n := len(fs.freeInos); n > 0 {
+		ino.idx = fs.freeInos[n-1]
+		fs.freeInos = fs.freeInos[:n-1]
+		fs.inodes[ino.idx] = ino
+		return
+	}
+	ino.idx = int32(len(fs.inodes))
+	fs.inodes = append(fs.inodes, ino)
 }
 
 // markNodeDirty records that a file's node block needs writing at the next
 // checkpoint.
 func (fs *LogFS) markNodeDirty(ino *logInode) {
-	fs.dirtyNodes[ino] = true
+	if !ino.dirty {
+		ino.dirty = true
+		fs.dirty = append(fs.dirty, ino)
+	}
 }
 
 // markDirDirty batches a directory update: directories are nodes too, and
@@ -168,9 +181,10 @@ func (fs *LogFS) markDirDirty(dir string) {
 	ino, ok := fs.dirNodes[dir]
 	if !ok {
 		ino = &logInode{name: "dir:" + dir}
+		fs.addInode(ino)
 		fs.dirNodes[dir] = ino
 	}
-	fs.dirtyNodes[ino] = true
+	fs.markNodeDirty(ino)
 }
 
 // appendNode appends one node (metadata) block to the node log.
@@ -191,11 +205,12 @@ func (fs *LogFS) appendNode() {
 // flushNodes writes one node block per dirty inode (plus one NAT block per
 // 64) and clears the dirty set.
 func (fs *LogFS) flushNodes() {
-	n := len(fs.dirtyNodes)
+	n := len(fs.dirty)
 	if n == 0 {
 		return
 	}
-	for range fs.dirtyNodes {
+	for _, ino := range fs.dirty {
+		ino.dirty = false
 		fs.appendNode()
 	}
 	for extra := n / 64; extra >= 0; extra-- {
@@ -204,14 +219,15 @@ func (fs *LogFS) flushNodes() {
 			break
 		}
 	}
-	fs.dirtyNodes = make(map[*logInode]bool)
+	clear(fs.dirty)
+	fs.dirty = fs.dirty[:0]
 }
 
 // invalidate kills a data block.
 func (fs *LogFS) invalidate(b int64) {
 	seg := b / SegmentBlocks
 	fs.liveCount[seg]--
-	delete(fs.owner, b)
+	fs.owner[b] = blockOwner{}
 }
 
 // maybeClean runs the segment cleaner until free segments recover. The
@@ -258,6 +274,7 @@ func (fs *LogFS) pickVictim() int64 {
 func (fs *LogFS) cleanSegment(victim int64) {
 	if fs.segType[victim] == 1 {
 		base := victim * SegmentBlocks
+		owners := fs.owner[base : base+SegmentBlocks]
 		// Read live blocks in contiguous runs (the cleaner reads whole
 		// victim extents, not block by block).
 		runStart, runLen := int64(-1), int64(0)
@@ -267,27 +284,23 @@ func (fs *LogFS) cleanSegment(victim int64) {
 			}
 			runStart, runLen = -1, 0
 		}
-		for i := int64(0); i < SegmentBlocks; i++ {
-			b := base + i
-			if _, ok := fs.owner[b]; !ok {
+		for i, own := range owners {
+			if own.ino == 0 {
 				flushRead()
 				continue
 			}
 			if runLen == 0 {
-				runStart = b
+				runStart = base + int64(i)
 			}
 			runLen++
 		}
 		flushRead()
-		for i := int64(0); i < SegmentBlocks; i++ {
-			b := base + i
-			own, ok := fs.owner[b]
-			if !ok {
+		for i, own := range owners {
+			if own.ino == 0 {
 				continue
 			}
-			fs.invalidate(b)
-			nb := fs.appendData(own.ino, own.fb)
-			own.ino.blocks[own.fb] = nb
+			fs.invalidate(base + int64(i))
+			fs.appendDataRun(fs.inodes[own.ino], int64(own.fb), 1)
 		}
 	}
 	fs.segType[victim] = 0
@@ -302,6 +315,7 @@ func (fs *LogFS) Create(name string) error {
 		return ErrExists
 	}
 	ino := &logInode{name: name}
+	fs.addInode(ino)
 	fs.files[name] = ino
 	fs.markNodeDirty(ino)
 	fs.markDirDirty(dirOf(name))
@@ -323,6 +337,7 @@ func (fs *LogFS) Write(name string, off, n int64) error {
 		if grow*BlockSize > fs.CapacityBytes()-fs.usedBytes {
 			return ErrNoSpace
 		}
+		ino.blocks = slices.Grow(ino.blocks, int(grow))
 		for i := int64(0); i < grow; i++ {
 			ino.blocks = append(ino.blocks, -1)
 		}
@@ -334,16 +349,12 @@ func (fs *LogFS) Write(name string, off, n int64) error {
 	if n == 0 {
 		last = first - 1
 	}
-	var fbs []int64
 	for fb := first; fb <= last; fb++ {
 		if old := ino.blocks[fb]; old >= 0 {
 			fs.invalidate(old)
 		}
-		fbs = append(fbs, fb)
 	}
-	fs.appendDataRun(ino, fbs, func(i int, b int64) {
-		ino.blocks[fbs[i]] = b
-	})
+	fs.appendDataRun(ino, first, last-first+1)
 	// Node updates (inode + indirect blocks) batch in memory until the
 	// next checkpoint.
 	fs.markNodeDirty(ino)
@@ -412,6 +423,9 @@ func (fs *LogFS) Delete(name string) error {
 	}
 	fs.usedBytes -= ino.size
 	delete(fs.files, name)
+	fs.inodes[ino.idx] = nil
+	fs.freeInos = append(fs.freeInos, ino.idx)
+	ino.idx = 0
 	fs.markNodeDirty(ino)
 	fs.markDirDirty(dirOf(name))
 	return nil

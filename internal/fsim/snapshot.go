@@ -20,16 +20,28 @@ type FSImage interface {
 
 // deepCopy clones an ExtFS without its disk. extfs state is pointer-free
 // apart from the inode map, so a field-wise copy plus fresh containers
-// suffices.
+// suffices. The inode structs and their extent lists are each carved from
+// one allocation.
 func (fs *ExtFS) deepCopy() *ExtFS {
 	cp := *fs
 	cp.disk = nil
 	cp.bitmap = append([]bool(nil), fs.bitmap...)
 	cp.files = make(map[string]*extInode, len(fs.files))
+	var nexts int
+	for _, ino := range fs.files {
+		nexts += len(ino.extents)
+	}
+	slab := make([]extInode, len(fs.files))
+	exts := make([]extent, nexts)
 	for n, ino := range fs.files {
-		c := *ino
-		c.extents = append([]extent(nil), ino.extents...)
-		cp.files[n] = &c
+		c := &slab[0]
+		slab = slab[1:]
+		*c = *ino
+		// Capped at its length, so a clone's growth reallocates instead
+		// of running into the next inode's extents.
+		k := copy(exts, ino.extents)
+		c.extents, exts = exts[:k:k], exts[k:]
+		cp.files[n] = c
 	}
 	cp.dirBlocks = make(map[string]int64, len(fs.dirBlocks))
 	for k, v := range fs.dirBlocks {
@@ -54,10 +66,11 @@ func (img extImage) Materialize(disk Disk) FS {
 	return cp
 }
 
-// deepCopy clones a LogFS without its disk. logfs state is a pointer web —
-// files, directory nodes, the block-owner table and the dirty-node set all
-// reference the same logInode objects — so the copy remaps every pointer
-// through one table to preserve the aliasing exactly.
+// deepCopy clones a LogFS without its disk. The owner table and the inode
+// table refer to inodes by index, so the copy keeps every alias by copying
+// both tables slot for slot: the file and directory maps and the dirty list
+// remap their pointers through an inode's idx. The inode structs and their
+// block maps are each carved from one allocation.
 func (fs *LogFS) deepCopy() *LogFS {
 	if fs.cleaning {
 		panic("fsim: logfs snapshot taken mid-clean")
@@ -67,44 +80,49 @@ func (fs *LogFS) deepCopy() *LogFS {
 	cp.freeSegs = append([]int64(nil), fs.freeSegs...)
 	cp.liveCount = append([]int32(nil), fs.liveCount...)
 	cp.segType = append([]uint8(nil), fs.segType...)
+	cp.owner = append([]blockOwner(nil), fs.owner...)
+	cp.freeInos = append([]int32(nil), fs.freeInos...)
 
-	remap := make(map[*logInode]*logInode, len(fs.files)+len(fs.dirNodes))
-	dup := func(ino *logInode) *logInode {
+	var live, nblocks int
+	for _, ino := range fs.inodes {
+		if ino != nil {
+			live++
+			nblocks += len(ino.blocks)
+		}
+	}
+	slab := make([]logInode, live)
+	blocks := make([]int64, nblocks)
+	cp.inodes = make([]*logInode, len(fs.inodes))
+	for i, ino := range fs.inodes {
 		if ino == nil {
-			return nil
+			continue
 		}
-		if c, ok := remap[ino]; ok {
-			return c
-		}
-		c := &logInode{
-			name:   ino.name,
-			size:   ino.size,
-			blocks: append([]int64(nil), ino.blocks...),
-		}
-		remap[ino] = c
-		return c
+		c := &slab[0]
+		slab = slab[1:]
+		*c = *ino
+		// Capped at its length, so a clone's growth reallocates instead
+		// of running into the next inode's blocks.
+		n := copy(blocks, ino.blocks)
+		c.blocks, blocks = blocks[:n:n], blocks[n:]
+		cp.inodes[i] = c
 	}
 	cp.files = make(map[string]*logInode, len(fs.files))
 	for n, ino := range fs.files {
-		cp.files[n] = dup(ino)
+		cp.files[n] = cp.inodes[ino.idx]
 	}
 	cp.dirNodes = make(map[string]*logInode, len(fs.dirNodes))
 	for n, ino := range fs.dirNodes {
-		cp.dirNodes[n] = dup(ino)
+		cp.dirNodes[n] = cp.inodes[ino.idx]
 	}
-	cp.owner = make(map[int64]struct {
-		ino *logInode
-		fb  int64
-	}, len(fs.owner))
-	for b, o := range fs.owner {
-		cp.owner[b] = struct {
-			ino *logInode
-			fb  int64
-		}{dup(o.ino), o.fb}
-	}
-	cp.dirtyNodes = make(map[*logInode]bool, len(fs.dirtyNodes))
-	for ino, d := range fs.dirtyNodes {
-		cp.dirtyNodes[dup(ino)] = d
+	cp.dirty = make([]*logInode, len(fs.dirty))
+	for i, ino := range fs.dirty {
+		if ino.idx != 0 {
+			cp.dirty[i] = cp.inodes[ino.idx]
+		} else {
+			// A deleted file: nothing else reaches it, so its copy only
+			// has to hold its place until the checkpoint.
+			cp.dirty[i] = &logInode{name: ino.name, dirty: true}
+		}
 	}
 	return &cp
 }

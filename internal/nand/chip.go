@@ -81,6 +81,7 @@ type Chip struct {
 	birth      *cow.Array[int64] // per page: program time (reliability model)
 	data       *pageStore        // nil unless StoreData
 	stats      Stats
+	maxErase   int        // the largest per-block erase count
 	factoryBad bitset.Set // by block index
 }
 
@@ -190,6 +191,11 @@ func (c *Chip) pageState(a Addr) PageState {
 	return PageErased
 }
 
+// MaxEraseCount returns the largest erase count of any block, kept as
+// Erase runs so wear summaries need not scan every block. The total is
+// Stats().Erases, which counts every erase of every block.
+func (c *Chip) MaxEraseCount() int { return c.maxErase }
+
 // EraseCount returns how many times the block containing a has been erased.
 func (c *Chip) EraseCount(a Addr) int {
 	if !c.geom.Contains(Addr{Die: a.Die, Plane: a.Plane, Block: a.Block}) {
@@ -275,7 +281,11 @@ func (c *Chip) Erase(a Addr) error {
 		c.data.zeroRange(c.geom.PageIndex(a), int64(c.geom.PagesPerBlock))
 	}
 	c.cursor.Set(blk, 0)
-	*c.erases.Ptr(blk)++
+	n := c.erases.Ptr(blk)
+	*n++
+	if *n > c.maxErase {
+		c.maxErase = *n
+	}
 	c.reads.Set(blk, 0)
 	c.stats.Erases++
 	return nil

@@ -7,12 +7,12 @@ import (
 
 // ChipState is a sealed, immutable image of a Chip's mutable state: program
 // cursors, erase/read-disturb counters, program-time birth stamps, stored
-// payloads, operation statistics, and factory-bad marks. The bulk arrays are
-// cow.Images — Snapshot marks the source chip's chunks shared and aliases
-// them here (O(chunks), no element copies), and Restore aliases them into
-// the target, which copies a chunk only when it first writes it. A
-// ChipState is never written after construction, so any number of chips may
-// restore from it concurrently.
+// payloads, operation statistics, the maximum erase count, and factory-bad
+// marks. The bulk arrays are cow.Images — Snapshot marks the source chip's
+// chunks shared and aliases them here (O(chunks), no element copies), and
+// Restore aliases them into the target, which copies a chunk only when it
+// first writes it. A ChipState is never written after construction, so any
+// number of chips may restore from it concurrently.
 type ChipState struct {
 	geom       Geometry
 	cursor     cow.Image[int]
@@ -23,6 +23,7 @@ type ChipState struct {
 	data       cow.Image[byte]
 	hasData    bool
 	stats      Stats
+	maxErase   int
 	factoryBad bitset.Set
 }
 
@@ -38,6 +39,7 @@ func (c *Chip) Snapshot() *ChipState {
 		erases:     c.erases.Snapshot(),
 		reads:      c.reads.Snapshot(),
 		stats:      c.stats,
+		maxErase:   c.maxErase,
 		factoryBad: c.factoryBad.Clone(),
 	}
 	if c.birth != nil {
@@ -73,5 +75,6 @@ func (c *Chip) Restore(s *ChipState) {
 		c.data.arr.Restore(s.data)
 	}
 	c.stats = s.stats
+	c.maxErase = s.maxErase
 	c.factoryBad.CopyFrom(&s.factoryBad)
 }

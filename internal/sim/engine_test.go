@@ -465,3 +465,46 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	b.ResetTimer()
 	eng.Run()
 }
+
+// grantNoop is a closure-free grant callback for the contention test.
+func grantNoop(any) {}
+
+// A resource whose queue never drains must reuse its waiter array: with a
+// steady queue depth of 4, grants used to leave the consumed prefix in place
+// and append past it, so 100,000 grants grew the array to over 100,000
+// slots. AllocsPerRun averages per run and would round an amortized
+// doubling down to zero, so one run covers every grant. CI runs this test
+// explicitly.
+func TestResourceZeroAllocUnderContention(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not stable under the race detector")
+	}
+	const depth, grants = 4, 100000
+	e := NewEngine()
+	r := NewResource(e)
+	arg := &struct{ n int }{}
+	r.AcquireArg(grantNoop, arg) // the holder
+	for i := 0; i < depth; i++ {
+		r.AcquireArg(grantNoop, arg)
+	}
+	step := func() {
+		r.AcquireArg(grantNoop, arg)
+		r.Release() // hands off to the oldest waiter, which keeps holding
+	}
+	// One run of all the grants, so the count is the run's total (the
+	// harness's warm-up call fills the array to its steady size first).
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < grants; i++ {
+			step()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%d grants at queue depth %d allocated %.0f objects, want 0", grants, depth, allocs)
+	}
+	if got := len(r.waiters) - r.head; got != depth {
+		t.Fatalf("queue length = %d, want %d", got, depth)
+	}
+	if c := cap(r.waiters); c > 4*depth {
+		t.Errorf("waiter array capacity %d after %d grants at depth %d, want at most %d", c, grants, depth, 4*depth)
+	}
+}

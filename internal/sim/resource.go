@@ -9,7 +9,8 @@ type Resource struct {
 	busy bool
 	// waiters[head:] are the queued callbacks in FIFO order. The head index
 	// avoids the O(n) shift per grant that a slice-pop would cost on deep
-	// queues; the array compacts whenever it fully drains.
+	// queues; the array resets whenever it fully drains, and enqueue slides
+	// the live tail down once half of a full array is consumed.
 	waiters []waiter
 	head    int
 	// granting marks an active hand-off loop in Release, so a Release from
@@ -67,7 +68,7 @@ func (r *Resource) Acquire(fn func()) {
 		fn()
 		return
 	}
-	r.waiters = append(r.waiters, waiter{fn: fn, since: r.eng.Now()})
+	r.enqueue(waiter{fn: fn, since: r.eng.Now()})
 }
 
 // AcquireArg is the closure-free twin of Acquire (see Engine.ScheduleArg):
@@ -90,7 +91,21 @@ func (r *Resource) AcquireSinceArg(since Time, fn func(any), arg any) {
 		fn(arg)
 		return
 	}
-	r.waiters = append(r.waiters, waiter{argFn: fn, arg: arg, since: since})
+	r.enqueue(waiter{argFn: fn, arg: arg, since: since})
+}
+
+// enqueue appends w to the FIFO. When the array is full and at least half
+// of it lies before head, the live tail slides down first instead of the
+// append growing the array: a queue that stays non-empty across grants
+// would otherwise never reach the full-drain reset, and its array would
+// grow by one slot per grant for as long as it stayed busy.
+func (r *Resource) enqueue(w waiter) {
+	if len(r.waiters) == cap(r.waiters) && 2*r.head >= len(r.waiters) {
+		n := copy(r.waiters, r.waiters[r.head:])
+		clear(r.waiters[n:])
+		r.waiters, r.head = r.waiters[:n], 0
+	}
+	r.waiters = append(r.waiters, w)
 }
 
 // Release frees the resource and grants it to the next waiter, if any.

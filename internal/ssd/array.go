@@ -165,14 +165,8 @@ func (a *Array) ResumeOp(st onfi.OpState, readDone func(int, error), eraseDone f
 func (a *Array) WearStats() (maxErase int, totalErases int64) {
 	for _, row := range a.chips {
 		for _, c := range row {
-			g := c.Geometry()
-			for b := int64(0); b < g.Blocks(); b++ {
-				n := c.EraseCount(g.BlockAddrOf(b))
-				if n > maxErase {
-					maxErase = n
-				}
-				totalErases += int64(n)
-			}
+			maxErase = max(maxErase, c.MaxEraseCount())
+			totalErases += c.Stats().Erases
 		}
 	}
 	return maxErase, totalErases

@@ -276,6 +276,69 @@ func TestWearLevelingAttribute(t *testing.T) {
 	}
 }
 
+// scanWear is the per-block reference WearStats replaced: every block of
+// every chip, read one at a time.
+func scanWear(a *Array) (maxErase int, total int64) {
+	for ch := 0; ch < a.Channels(); ch++ {
+		for w := 0; w < a.ChipsPerChannel(); w++ {
+			c := a.Chip(ch, w)
+			g := c.Geometry()
+			for b := int64(0); b < g.Blocks(); b++ {
+				n := c.EraseCount(g.BlockAddrOf(b))
+				maxErase = max(maxErase, n)
+				total += int64(n)
+			}
+		}
+	}
+	return maxErase, total
+}
+
+// WearStats sums per-chip counters kept by Erase; it must agree with a scan
+// of every block after random erases, and a restored device must carry the
+// counters of its image, not of the device it was taken from afterwards.
+func TestWearStatsMatchesBlockScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	eraseSome := func(d *Device, n int) {
+		a := d.Array()
+		for i := 0; i < n; i++ {
+			c := a.Chip(rng.Intn(a.Channels()), rng.Intn(a.ChipsPerChannel()))
+			// Skew toward low blocks so the maximum is well above the mean.
+			b := int64(rng.Intn(int(c.Geometry().Blocks())))
+			if rng.Intn(2) == 0 {
+				b /= 8
+			}
+			if err := c.Erase(c.Geometry().BlockAddrOf(b)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(what string, d *Device) {
+		t.Helper()
+		gotMax, gotTotal := d.Array().WearStats()
+		wantMax, wantTotal := scanWear(d.Array())
+		if gotMax != wantMax || gotTotal != wantTotal {
+			t.Fatalf("%s: WearStats = (%d, %d), block scan = (%d, %d)", what, gotMax, gotTotal, wantMax, wantTotal)
+		}
+	}
+	src := NewDevice(sim.NewEngine(), tinyConfig())
+	check("fresh", src)
+	eraseSome(src, 3000)
+	check("after erases", src)
+	img := src.Snapshot()
+	imgMax, imgTotal := src.Array().WearStats()
+	eraseSome(src, 2000)
+	check("source after snapshot", src)
+
+	dst := NewDevice(sim.NewEngine(), tinyConfig())
+	dst.Restore(img)
+	check("restored", dst)
+	if m, n := dst.Array().WearStats(); m != imgMax || n != imgTotal {
+		t.Fatalf("restored WearStats = (%d, %d), image had (%d, %d)", m, n, imgMax, imgTotal)
+	}
+	eraseSome(dst, 2000)
+	check("restored after erases", dst)
+}
+
 func TestBootEnumeratesChips(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDevice(eng, tinyConfig())
