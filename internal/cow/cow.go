@@ -53,12 +53,18 @@ func SetDeepCopy(on bool) { deepCopy = on }
 // bits, and every operation that addresses a range of elements rather than
 // one element (MutSpan, CopyOut, FillRange) or the whole store (Snapshot,
 // Restore, Stats). A range op locates its chunk by division, once per call.
+//
+// The table holds each materialized chunk as a pointer to its first element
+// (nil for a run of the fill value): every chunk is chunkLen elements long,
+// so a pointer is all it takes to find the chunk, at 8 bytes per chunk
+// rather than a 24-byte slice header. Range ops rebuild the slice with span;
+// element ops offset the pointer directly.
 type table[E comparable] struct {
 	n        int64
 	chunkLen int64
 	fill     E
 	fillZero bool
-	chunks   [][]E
+	chunks   []*E
 	shared   []bool
 	cowed    int64 // chunks privately copied on first write since Restore
 }
@@ -70,7 +76,7 @@ type Image[E comparable] struct {
 	n        int64
 	chunkLen int64
 	fill     E
-	chunks   [][]E
+	chunks   []*E
 }
 
 func newTable[E comparable](n, chunkLen int64, fill E) table[E] {
@@ -82,8 +88,27 @@ func newTable[E comparable](n, chunkLen int64, fill E) table[E] {
 	return table[E]{
 		n: n, chunkLen: chunkLen,
 		fill: fill, fillZero: fill == zero,
-		chunks: make([][]E, nc), shared: make([]bool, nc),
+		chunks: make([]*E, nc), shared: make([]bool, nc),
 	}
+}
+
+// span returns the chunk whose first element p is.
+func (a *table[E]) span(p *E) []E { return unsafe.Slice(p, a.chunkLen) }
+
+// clone returns a private copy of the chunk starting at p. (A make followed
+// by a copy of its length compiles to one allocation the copy fills, with
+// no clearing first.)
+func (a *table[E]) clone(p *E) *E {
+	src := a.span(p)
+	c := make([]E, len(src))
+	copy(c, src)
+	return &c[0]
+}
+
+// elem returns element j of the chunk starting at p; j must lie in
+// [0, chunkLen).
+func elem[E any](p *E, j int64) *E {
+	return (*E)(unsafe.Add(unsafe.Pointer(p), uintptr(j)*unsafe.Sizeof(*p)))
 }
 
 // Array is a chunked copy-on-write array of n elements with element access.
@@ -130,53 +155,69 @@ func (a *table[E]) Len() int64 { return a.n }
 // At returns element i. (Masking the shift count with 63 lets the compiler
 // emit a bare arithmetic shift, without its out-of-range fix-up.)
 func (a *Array[E]) At(i int64) E {
-	ch := a.chunks[i>>(a.shift&63)]
-	if ch == nil {
+	p := a.chunks[i>>(a.shift&63)]
+	if p == nil {
 		return a.fill
 	}
-	return ch[i&a.mask]
+	return *elem(p, i&a.mask)
 }
 
-// own makes chunk ci exclusively writable: materializing it from the fill
-// value if absent, copying it if shared.
-func (a *table[E]) own(ci int64) []E {
-	ch := a.chunks[ci]
-	if ch == nil {
-		ch = make([]E, a.chunkLen)
+// own makes chunk ci exclusively writable, materializing it from the fill
+// value if absent and copying it if shared, and returns its first element.
+// (Set and Ptr test the exclusive case inline and call ownSlow for the
+// rest, so the per-element path makes no call.)
+func (a *table[E]) own(ci int64) *E {
+	if p := a.chunks[ci]; p != nil && !a.shared[ci] {
+		return p
+	}
+	return a.ownSlow(ci)
+}
+
+// ownSlow is own for an absent or shared chunk.
+func (a *table[E]) ownSlow(ci int64) *E {
+	p := a.chunks[ci]
+	if p == nil {
+		p = &make([]E, a.chunkLen)[0]
 		if !a.fillZero {
+			ch := a.span(p)
 			for j := range ch {
 				ch[j] = a.fill
 			}
 		}
-		a.chunks[ci] = ch
-		return ch
+		a.chunks[ci] = p
+		return p
 	}
-	if a.shared[ci] {
-		c2 := make([]E, len(ch))
-		copy(c2, ch)
-		a.chunks[ci] = c2
-		a.shared[ci] = false
-		a.cowed++
-		return c2
-	}
-	return ch
+	p = a.clone(p)
+	a.chunks[ci] = p
+	a.shared[ci] = false
+	a.cowed++
+	return p
 }
 
 // Set stores v at i. Storing the fill value into an absent chunk is a no-op
 // and allocates nothing.
 func (a *Array[E]) Set(i int64, v E) {
 	ci := i >> (a.shift & 63)
-	if a.chunks[ci] == nil && v == a.fill {
-		return
+	p := a.chunks[ci]
+	if p == nil || a.shared[ci] {
+		if p == nil && v == a.fill {
+			return
+		}
+		p = a.ownSlow(ci)
 	}
-	a.own(ci)[i&a.mask] = v
+	*elem(p, i&a.mask) = v
 }
 
 // Ptr returns a writable pointer to element i, materializing and privatizing
 // its chunk as needed. The pointer is valid until the next Snapshot, Restore
 // or FillRange touching the chunk.
 func (a *Array[E]) Ptr(i int64) *E {
-	return &a.own(i >> (a.shift & 63))[i&a.mask]
+	ci := i >> (a.shift & 63)
+	p := a.chunks[ci]
+	if p == nil || a.shared[ci] {
+		p = a.ownSlow(ci)
+	}
+	return elem(p, i&a.mask)
 }
 
 // MutSpan returns a writable view of [lo, hi), which must be non-empty and
@@ -188,7 +229,7 @@ func (a *table[E]) MutSpan(lo, hi int64) []E {
 		panic("cow: MutSpan must cover a non-empty range within one chunk")
 	}
 	off := lo % a.chunkLen
-	return a.own(ci)[off : off+(hi-lo)]
+	return a.span(a.own(ci))[off : off+(hi-lo)]
 }
 
 // CopyOut copies [lo, hi) into dst, which must hold hi-lo elements. Absent
@@ -199,9 +240,9 @@ func (a *table[E]) CopyOut(lo, hi int64, dst []E) {
 		off := lo % a.chunkLen
 		nn := min(hi-lo, a.chunkLen-off)
 		seg := dst[:nn]
-		switch ch := a.chunks[ci]; {
-		case ch != nil:
-			copy(seg, ch[off:off+nn])
+		switch p := a.chunks[ci]; {
+		case p != nil:
+			copy(seg, a.span(p)[off:off+nn])
 		case a.fillZero:
 			clear(seg)
 		default:
@@ -234,7 +275,7 @@ func (a *table[E]) FillRange(lo, hi int64) {
 		}
 		segEnd := min(hi, end)
 		if a.chunks[ci] != nil {
-			seg := a.own(ci)[lo-start : segEnd-start]
+			seg := a.span(a.own(ci))[lo-start : segEnd-start]
 			if a.fillZero {
 				clear(seg)
 			} else {
@@ -255,24 +296,24 @@ func (a *table[E]) Snapshot() Image[E] {
 	if deepCopy {
 		return a.SnapshotDeep()
 	}
-	for i, ch := range a.chunks {
-		if ch != nil {
+	for i, p := range a.chunks {
+		if p != nil {
 			a.shared[i] = true
 		}
 	}
 	return Image[E]{
 		n: a.n, chunkLen: a.chunkLen, fill: a.fill,
-		chunks: append([][]E(nil), a.chunks...),
+		chunks: append([]*E(nil), a.chunks...),
 	}
 }
 
 // SnapshotDeep is the retained deep-copy reference path: the image gets
 // private copies of every chunk and the source keeps exclusive ownership.
 func (a *table[E]) SnapshotDeep() Image[E] {
-	chunks := make([][]E, len(a.chunks))
-	for i, ch := range a.chunks {
-		if ch != nil {
-			chunks[i] = append([]E(nil), ch...)
+	chunks := make([]*E, len(a.chunks))
+	for i, p := range a.chunks {
+		if p != nil {
+			chunks[i] = a.clone(p)
 		}
 	}
 	return Image[E]{
@@ -313,19 +354,18 @@ func (a *table[E]) Restore(img Image[E]) {
 // copied into a chunk the array owns exclusively.
 func (a *table[E]) RestoreDeep(img Image[E]) {
 	a.check(img)
-	for i, ch := range img.chunks {
-		if ch == nil {
+	for i, p := range img.chunks {
+		if p == nil {
 			a.chunks[i] = nil
 			a.shared[i] = false
 			continue
 		}
-		dst := a.chunks[i]
-		if dst == nil || a.shared[i] {
-			dst = make([]E, len(ch))
-			a.chunks[i] = dst
-			a.shared[i] = false
+		if dst := a.chunks[i]; dst != nil && !a.shared[i] {
+			copy(a.span(dst), a.span(p))
+			continue
 		}
-		copy(dst, ch)
+		a.chunks[i] = a.clone(p)
+		a.shared[i] = false
 	}
 	a.cowed = 0
 }
@@ -349,19 +389,19 @@ func (s *Stats) Add(o Stats) {
 	s.CowCopies += o.CowCopies
 }
 
-// chunkBytes is ch's storage size in bytes.
-func (a *table[E]) chunkBytes(ch []E) int64 {
-	return int64(len(ch)) * int64(unsafe.Sizeof(a.fill))
+// chunkBytes is one chunk's storage size in bytes.
+func (a *table[E]) chunkBytes() int64 {
+	return a.chunkLen * int64(unsafe.Sizeof(a.fill))
 }
 
 // Stats returns the array's current chunk accounting.
 func (a *table[E]) Stats() Stats {
 	st := Stats{CowCopies: a.cowed}
-	for i, ch := range a.chunks {
-		if ch == nil {
+	b := a.chunkBytes()
+	for i, p := range a.chunks {
+		if p == nil {
 			continue
 		}
-		b := a.chunkBytes(ch)
 		if a.shared[i] {
 			st.SharedChunks++
 			st.SharedBytes += b
@@ -378,9 +418,9 @@ func (a *table[E]) Stats() Stats {
 // present many holders of the same image as one tier dedupe on the identity
 // to count each image chunk once.
 func (a *table[E]) VisitShared(f func(id any, bytes int64)) {
-	for i, ch := range a.chunks {
-		if ch != nil && a.shared[i] {
-			f(&ch[0], a.chunkBytes(ch))
+	for i, p := range a.chunks {
+		if p != nil && a.shared[i] {
+			f(p, a.chunkBytes())
 		}
 	}
 }

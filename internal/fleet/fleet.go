@@ -200,13 +200,13 @@ const DefaultRowCap = 1 << 20
 type Volume struct {
 	f      *Fleet
 	name   string
-	group  []int
 	size   int64
-	shared []int // distinct drives of group, for flush fan-out
+	shared []int // distinct drives of the group, for flush fan-out
 
-	// extent e of the volume lives at drive extDrive[e], local byte extBase[e].
-	extDrive []int32
-	extBase  []int64
+	// place has one entry per group position: extent e of the volume lives
+	// on place[e%k].drive at local byte place[e%k].start + (e/k)*step, with
+	// k = len(place). The placement costs O(group), not O(extents).
+	place []slot
 
 	requests    int64
 	subRequests int64
@@ -214,6 +214,14 @@ type Volume struct {
 	rows        []volRow
 	rowCap      int
 	droppedRows int64
+}
+
+// slot is one group position's share of a volume's extents: the drive, the
+// local byte of the position's first extent, and the local distance between
+// its consecutive extents.
+type slot struct {
+	drive       int32
+	start, step int64
 }
 
 // AddVolume carves a tenant volume of the given byte size, striped in extent
@@ -229,28 +237,30 @@ func (f *Fleet) AddVolume(name string, group []int, bytes int64) (*Volume, error
 	if extents <= 0 {
 		return nil, fmt.Errorf("fleet: volume %s: size %d below one %d-byte extent", name, bytes, f.stripe)
 	}
+	// A volume with fewer extents than group positions uses only the first
+	// extents positions.
+	group = group[:min(int64(len(group)), extents)]
 	v := &Volume{
-		f:        f,
-		name:     name,
-		group:    append([]int(nil), group...),
-		size:     extents * f.stripe,
-		extDrive: make([]int32, extents),
-		extBase:  make([]int64, extents),
-		lat:      stats.NewLatencyRecorder(),
-		rowCap:   DefaultRowCap,
+		f:      f,
+		name:   name,
+		size:   extents * f.stripe,
+		place:  make([]slot, len(group)),
+		lat:    stats.NewLatencyRecorder(),
+		rowCap: DefaultRowCap,
 	}
 	// Validate the whole allocation before committing any cursor movement,
-	// so a failed AddVolume leaves the tier exactly as it found it. Extent e
-	// goes to group[e%len(group)], so group position j holds every extent
-	// e ≡ j (mod len(group)); need sums those per drive, which also covers a
-	// drive listed more than once.
-	need := make([]int64, len(f.drives))
+	// so a failed AddVolume leaves the tier exactly as it found it. Group
+	// position j holds every extent e ≡ j (mod k); need sums those per
+	// drive, and m counts each drive's positions.
 	k := int64(len(group))
-	for j, di := range group[:min(k, extents)] {
+	need := make([]int64, len(f.drives))
+	m := make([]int64, len(f.drives))
+	for j, di := range group {
 		if di < 0 || di >= len(f.drives) {
 			return nil, fmt.Errorf("fleet: volume %s: drive index %d out of range", name, di)
 		}
 		need[di] += ((extents-1-int64(j))/k + 1) * f.stripe
+		m[di]++
 	}
 	for di, n := range need {
 		if d := f.drives[di]; n > 0 && d.cursor+n > d.dev.Size() {
@@ -258,17 +268,25 @@ func (f *Fleet) AddVolume(name string, group []int, bytes int64) (*Volume, error
 				name, di, n, d.cursor, d.dev.Size())
 		}
 	}
-	for e := int64(0); e < extents; e++ {
-		di := group[e%k]
-		d := f.drives[di]
-		v.extDrive[e] = int32(di)
-		v.extBase[e] = d.cursor
-		d.cursor += f.stripe
+	// Extents fill the group round by round, each taking its drive's next
+	// stripe. A drive listed m times takes m stripes per round, and its
+	// position of rank r among those m takes the r-th of them, so extent
+	// q*k+j lies at the drive's cursor plus (q*m + r)*stripe.
+	rank := make([]int64, len(f.drives))
+	for j, di := range group {
+		v.place[j] = slot{
+			drive: int32(di),
+			start: f.drives[di].cursor + rank[di]*f.stripe,
+			step:  m[di] * f.stripe,
+		}
+		rank[di]++
 	}
 	// Ascending drive order: the deterministic flush fan-out order.
 	for di, n := range need {
 		if n > 0 {
-			f.drives[di].tenants++
+			d := f.drives[di]
+			d.cursor += n
+			d.tenants++
 			v.shared = append(v.shared, di)
 		}
 	}
@@ -292,9 +310,11 @@ func (v *Volume) SectorSize() int { return v.f.sector }
 // local offset, and its length, which ends at the next extent boundary or at
 // off+length. submit walks a request with it, one piece per extent touched.
 func (v *Volume) piece(off, length int64) (di int32, local, n int64) {
-	e := off / v.f.stripe
-	within := off % v.f.stripe
-	return v.extDrive[e], v.extBase[e] + within, min(v.f.stripe-within, length)
+	stripe := v.f.stripe
+	e, within := off/stripe, off%stripe
+	k := int64(len(v.place))
+	p := &v.place[e%k]
+	return p.drive, p.start + e/k*p.step + within, min(stripe-within, length)
 }
 
 // checkIO validates a request against the volume's bounds and alignment.
@@ -331,6 +351,7 @@ type volReq struct {
 	gc, gcShared sim.Time
 	sp           obs.Span
 	done         func()
+	flush        bool // a volume flush: its pieces charge and record nothing
 }
 
 // volFrag is one drive-local piece of a volReq. complete is its completion
@@ -374,7 +395,7 @@ func (fr *volFrag) done() {
 	f := v.f
 	fr.req, fr.d = nil, nil
 	f.freeFrags = append(f.freeFrags, fr)
-	if row, ok := d.takeRow(); ok {
+	if row, ok := d.takeRow(); ok && !r.flush {
 		g := row.Phases[obs.PhaseGCStall]
 		r.gc += g
 		if shared {
@@ -385,8 +406,10 @@ func (fr *volFrag) done() {
 	if r.remaining > 0 {
 		return
 	}
-	v.record(f.eng.Now()-r.start, r.gc, r.gcShared)
-	r.sp.End()
+	if !r.flush {
+		v.record(f.eng.Now()-r.start, r.gc, r.gcShared)
+		r.sp.End()
+	}
 	done := r.done
 	*r = volReq{}
 	f.freeReqs = append(f.freeReqs, r)
@@ -477,23 +500,24 @@ func (v *Volume) TrimAsync(off, length int64, done func()) error {
 // the blast-radius metric is defined over read/write latency. When a drive
 // rejects its flush, the error is returned and done never fires; flushes
 // already queued on earlier drives still run, so the pump is re-armed on
-// every return.
+// every return. Each drive's flush is a piece of one pooled flush request,
+// whose pieces consume their drives' rows without charging them.
 func (v *Volume) FlushAsync(done func()) error {
 	f := v.f
 	defer f.armPump()
-	remaining := len(v.shared)
+	r := f.newReq()
+	r.v, r.done, r.flush = v, done, true
+	r.remaining = len(v.shared)
 	for _, di := range v.shared {
 		d := f.drives[di]
+		fr := f.newFrag()
+		fr.req, fr.d = r, d
 		f.syncDrive(d)
-		err := d.dev.FlushAsync(func() {
-			d.takeRow() // consume; flush rows don't charge a request
-			remaining--
-			if remaining == 0 && done != nil {
-				done()
-			}
-		})
+		err := d.dev.FlushAsync(fr.complete)
 		f.group.Touch(di)
 		if err != nil {
+			fr.req, fr.d = nil, nil
+			f.freeFrags = append(f.freeFrags, fr)
 			return fmt.Errorf("fleet %s: drive %d: %w", v.name, di, err)
 		}
 	}

@@ -149,9 +149,10 @@ func TestAddVolumeDuplicateDrives(t *testing.T) {
 	wantDrive := []int32{2, 0, 2, 2, 0}
 	wantBase := []int64{0, 0, stripe, 2 * stripe, stripe}
 	for e := range wantDrive {
-		if v.extDrive[e] != wantDrive[e] || v.extBase[e] != wantBase[e] {
+		di, local, _ := v.piece(int64(e)*stripe, stripe)
+		if di != wantDrive[e] || local != wantBase[e] {
 			t.Errorf("extent %d on drive %d at %d, want drive %d at %d",
-				e, v.extDrive[e], v.extBase[e], wantDrive[e], wantBase[e])
+				e, di, local, wantDrive[e], wantBase[e])
 		}
 	}
 	if fmt.Sprint(v.shared) != "[0 2]" || f.drives[0].tenants != 1 || f.drives[1].tenants != 0 || f.drives[2].tenants != 1 {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ssdtp/internal/obs"
@@ -15,7 +16,8 @@ import (
 // resident memory — shared image plus every drive's private dirty chunks —
 // stays within the footprint of ~4 fully-copied drives. Before COW images,
 // 1024 preconditioned drives meant 1024 deep copies; now the fleet costs one
-// image plus what the run actually dirties.
+// image plus what the run actually dirties. It also bounds each clone's own
+// live Go heap, which MemReport's chunk figures leave out.
 func TestFleetMaxScaleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-drive tier")
@@ -51,6 +53,7 @@ func TestFleetMaxScaleSmoke(t *testing.T) {
 
 	host := sim.NewEngine()
 	devs := make([]*ssd.Device, drives)
+	heap0 := liveHeap()
 	for i := range devs {
 		c := cfg
 		dtr := obs.NewTracer(fmt.Sprintf("drive%04d", i))
@@ -59,6 +62,17 @@ func TestFleetMaxScaleSmoke(t *testing.T) {
 		dev := ssd.NewDevice(sim.NewEngine(), c)
 		dev.Restore(img)
 		devs[i] = dev
+	}
+	perDrive := (liveHeap() - heap0) / drives
+	t.Logf("live heap per cloned drive = %d bytes", perDrive)
+	// A clone's Go heap beyond the shared image — its device, FTL, chips,
+	// tracer and chunk tables — must stay within cloneHeapBudget. Chunk
+	// pointers of 8 bytes and a pointer-free 8-byte cache index put an
+	// mqsim-base clone at about 46 KiB; with 24-byte chunk headers and a
+	// 16-byte index it was 75 KiB. The race detector's shadow state would
+	// count in the heap, so the check runs without it.
+	if !raceEnabled && perDrive > cloneHeapBudget {
+		t.Errorf("live heap per cloned drive = %d bytes, budget %d", perDrive, cloneHeapBudget)
 	}
 	f := New(host, devs, 256*1024)
 
@@ -93,4 +107,16 @@ func TestFleetMaxScaleSmoke(t *testing.T) {
 	if rep.UntouchedDrives < drives/2 {
 		t.Errorf("only %d untouched drives; the narrow-placement smoke expects most of the tier idle", rep.UntouchedDrives)
 	}
+}
+
+// cloneHeapBudget bounds the live Go heap one mqsim-base clone adds to a
+// tier cloned from a shared image.
+const cloneHeapBudget = 56 << 10
+
+// liveHeap returns the bytes of live heap objects after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

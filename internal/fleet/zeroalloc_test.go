@@ -98,3 +98,58 @@ func zaFleetWarm(t *testing.T) *Volume {
 	v.rowCap = len(v.rows)
 	return v
 }
+
+// zaFlushBatchLen is how many write+flush pairs one measured run makes.
+const zaFlushBatchLen = 500
+
+// zaFleetFlushBatch makes zaFlushBatchLen tenant writes, each followed by a
+// flush of every drive backing the volume, run to its completion. With
+// direct set, each drive is flushed straight through its device, bypassing
+// the volume's fan-out; otherwise the volume's FlushAsync issues them.
+func zaFleetFlushBatch(direct bool) {
+	s := &zaFleet
+	for i := 0; i < zaFlushBatchLen; i++ {
+		zaFleetIO(true)
+		if direct {
+			for _, di := range s.v.shared {
+				d := s.f.drives[di]
+				s.f.syncDrive(d)
+				s.pending++
+				if err := d.dev.FlushAsync(zaFleetDone); err != nil {
+					panic(err)
+				}
+				s.f.group.Touch(d.idx)
+			}
+			s.f.armPump()
+		} else {
+			s.pending++
+			if err := s.v.FlushAsync(zaFleetDone); err != nil {
+				panic(err)
+			}
+		}
+		if s.f.Engine().RunWhile(zaFleetBusy) {
+			panic("fleet ran out of events with a flush outstanding")
+		}
+	}
+}
+
+// TestVolumeFlushZeroAlloc pins the fleet's share of a volume flush: its
+// per-drive pieces come from the fleet's pooled request and piece
+// descriptors, so a steady-state volume flush allocates no more than
+// flushing the same drives directly. (A drive flush itself allocates its
+// FTL's drain-waiter list once per flush, so the drives' share is measured
+// alongside and subtracted, not assumed zero.)
+func TestVolumeFlushZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under the race detector")
+	}
+	zaFleetWarm(t)
+	zaFleetFlushBatch(true)
+	zaFleetFlushBatch(false)
+	drives := testing.AllocsPerRun(1, func() { zaFleetFlushBatch(true) })
+	fleet := testing.AllocsPerRun(1, func() { zaFleetFlushBatch(false) })
+	if fleet > drives {
+		t.Fatalf("%.0f allocations in %d steady-state write+volume flush pairs, %.0f flushing the drives directly: the fleet allocates %.0f",
+			fleet, zaFlushBatchLen, drives, fleet-drives)
+	}
+}

@@ -3,6 +3,7 @@ package fsim
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // AgingProfile selects how a file system is aged before measurement,
@@ -70,7 +71,7 @@ func Age(fs FS, profile AgingProfile, seed int64) AgingStats {
 func fill(fs FS, rng *rand.Rand, st *AgingStats, target float64, prefix string, sizeFn func() int64) []string {
 	var names []string
 	for i := 0; float64(fs.UsedBytes()) < target*float64(fs.CapacityBytes()); i++ {
-		name := fmt.Sprintf("age%02d/%s%06d", i%25, prefix, i)
+		name := ageName(prefix, i)
 		size := sizeFn()
 		if err := fs.Create(name); err != nil {
 			break
@@ -83,6 +84,37 @@ func fill(fs FS, rng *rand.Rand, st *AgingStats, target float64, prefix string, 
 		st.Ops += 2
 	}
 	return names
+}
+
+// ageName is fill's name for its i-th file, fmt.Sprintf("age%02d/%s%06d",
+// i%25, prefix, i), built without boxing the numbers.
+func ageName(prefix string, i int) string {
+	var buf [32]byte
+	b := append(buf[:0], "age"...)
+	b = appendPadded(b, i%25, 2)
+	b = append(b, '/')
+	b = append(b, prefix...)
+	return string(appendPadded(b, i, 6))
+}
+
+// replName is ageMixed's name for the file replacing a deletion at churn
+// step op, fmt.Sprintf("mr%06d", op).
+func replName(op int) string {
+	var buf [16]byte
+	return string(appendPadded(append(buf[:0], "mr"...), op, 6))
+}
+
+// appendPadded appends the non-negative n in decimal, zero-padded to width
+// digits, as %0*d does.
+func appendPadded(b []byte, n, width int) []byte {
+	digits := 1
+	for m := n; m >= 10; m /= 10 {
+		digits++
+	}
+	for ; digits < width; digits++ {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(n), 10)
 }
 
 // ageSmallChurn implements AgeA.
@@ -125,7 +157,7 @@ func ageMixed(fs FS, rng *rand.Rand, st *AgingStats) {
 						break
 					}
 				}
-				repl := fmt.Sprintf("mr%06d", op)
+				repl := replName(op)
 				if fs.Create(repl) == nil {
 					if fs.Write(repl, 0, size()) == nil {
 						names = append(names, repl)

@@ -1,6 +1,7 @@
 package fsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -195,6 +196,27 @@ func TestAgingDeterministic(t *testing.T) {
 	b := Age(NewExtFS(memDisk()), AgeA, 9)
 	if a.Ops != b.Ops || a.FilesLeft != b.FilesLeft {
 		t.Errorf("aging not deterministic: %+v vs %+v", a, b)
+	}
+}
+
+// TestAgingNames pins aging's hand-built file names to the fmt.Sprintf
+// formats they replace, for fill's prefixes (the first fills' and every
+// AgeA churn round's) and ageMixed's replacements, at indices around the
+// %02d group's wrap and where %06d widens past six digits.
+func TestAgingNames(t *testing.T) {
+	prefixes := []string{"a", "m"}
+	for round := 0; round < 6; round++ {
+		prefixes = append(prefixes, fmt.Sprintf("a%d_", round))
+	}
+	for _, i := range []int{0, 7, 24, 25, 99, 100, 999_999, 1_000_000, 12_345_678} {
+		for _, p := range prefixes {
+			if got, want := ageName(p, i), fmt.Sprintf("age%02d/%s%06d", i%25, p, i); got != want {
+				t.Errorf("ageName(%q, %d) = %q, want %q", p, i, got, want)
+			}
+		}
+		if got, want := replName(i), fmt.Sprintf("mr%06d", i); got != want {
+			t.Errorf("replName(%d) = %q, want %q", i, got, want)
+		}
 	}
 }
 

@@ -11,14 +11,16 @@ const (
 	entryDead                       // trimmed or superseded object; skip on pop
 )
 
-// cacheEntry is one logical sector resident in the write cache. Entries are
-// recycled through the cache's freelist once fully detached: dead, with no
-// fifo node referencing them (queued) and no in-flight program carrying
-// them (flight). The three fields together are the reference count.
+// cacheEntry is one logical sector resident in the write cache. Entries live
+// in the index's arena and are recycled through the cache's freelist once
+// fully detached: dead, with no fifo node referencing them (queued) and no
+// in-flight program carrying them (flight). The three fields together are
+// the reference count.
 type cacheEntry struct {
 	lsn    int64
 	state  entryState
 	queued bool        // a fifo node currently references this entry
+	h      int32       // the entry's handle in the index, fixed for life
 	flight *pageOp     // the program carrying this copy when entryFlushing
 	next   *cacheEntry // freelist link
 }
@@ -30,9 +32,9 @@ type cacheEntry struct {
 //
 // entries indexes every resident sector (dirty or flushing) by LBA in an
 // open-addressing table sized from the cache's capacity in sectors, the
-// entries themselves are recycled through a freelist, and the FIFO reuses
-// its backing array (push), so at steady state admitting, flushing and
-// committing sectors allocates nothing.
+// entries themselves come from the index's arena and are recycled through a
+// freelist, and the FIFO reuses its backing array (push), so at steady state
+// admitting, flushing and committing sectors allocates nothing.
 type writeCache struct {
 	capBytes   int
 	flushWater int
@@ -60,19 +62,29 @@ type admitWaiter struct {
 	attr *obs.ReqAttr
 }
 
-// newEntry returns a recycled (or fresh) dirty entry for lsn.
+// newEntry returns a recycled dirty entry for lsn, growing the index's
+// arena by a block when the freelist is empty.
 func (c *writeCache) newEntry(lsn int64) *cacheEntry {
-	e := c.free
-	if e != nil {
-		c.free = e.next
-		e.next = nil
-		e.lsn = lsn
-		e.state = entryDirty
-		e.queued = false
-		e.flight = nil
-		return e
+	if c.free == nil {
+		c.grow()
 	}
-	return &cacheEntry{lsn: lsn, state: entryDirty}
+	e := c.free
+	c.free = e.next
+	e.next = nil
+	e.lsn = lsn
+	e.state = entryDirty
+	e.queued = false
+	e.flight = nil
+	return e
+}
+
+// grow adds a block of entries from the index's arena to the freelist.
+func (c *writeCache) grow() {
+	b := c.entries.addBlock()
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i].next = c.free
+		c.free = &b[i]
+	}
 }
 
 // recycleIfDead returns e to the freelist once nothing references it: it is

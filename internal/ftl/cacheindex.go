@@ -2,10 +2,13 @@ package ftl
 
 import "math/bits"
 
-// cacheSlot is one cacheIndex slot; e == nil marks it empty.
+// cacheSlot is one cacheIndex slot: a logical sector and its entry's
+// handle. Handle 0 marks the slot empty. An LSN fits in 32 bits because
+// Validate caps a drive at math.MaxInt32 physical sectors, and with no
+// pointer in it the slot table is memory the garbage collector never scans.
 type cacheSlot struct {
-	lsn int64
-	e   *cacheEntry
+	lsn int32
+	h   int32
 }
 
 // cacheIndex maps a logical sector to its write-cache entry. It is an
@@ -16,19 +19,27 @@ type cacheSlot struct {
 // cache bounds how many sectors are resident at once, and newCacheIndex
 // sizes the table so a full cache stays at or under half load.
 //
+// The index also owns the entries, in blocks of entryBlock that never
+// move, and a slot names its entry by handle: one plus the entry's position
+// in blocks, which the entry records as its own h.
+//
 // Homes are grouped by cache line: each aligned group of homeGroup
 // consecutive LBAs hashes to one group of adjacent slots (64 bytes of
-// 16-byte slots), so a sequential run of sectors — a multi-sector write,
+// 8-byte slots), so a sequential run of sectors — a multi-sector write,
 // or a page's worth of cache flush — touches one line per group rather
 // than one per sector.
 type cacheIndex struct {
-	slots []cacheSlot
-	shift uint // 64 - log2(len(slots)/homeGroup): home() keeps the hash's top bits
-	n     int
+	slots  []cacheSlot
+	shift  uint // 64 - log2(len(slots)/homeGroup): home() keeps the hash's top bits
+	n      int
+	blocks []*[entryBlock]cacheEntry
 }
 
 // homeGroup is how many consecutive LBAs share one cache line of slots.
-const homeGroup = 4
+const homeGroup = 8
+
+// entryBlock is how many cache entries one arena block holds.
+const entryBlock = 16
 
 // newCacheIndex returns an index with room for capacity entries at half
 // load.
@@ -47,10 +58,28 @@ func (x *cacheIndex) resize(size int) {
 	x.slots = make([]cacheSlot, size)
 	x.shift = uint(64 - bits.TrailingZeros(uint(size/homeGroup)))
 	for _, s := range old {
-		if s.e != nil {
-			x.slots[x.find(s.lsn)] = s
+		if s.h != 0 {
+			x.slots[x.find(int64(s.lsn))] = s
 		}
 	}
+}
+
+// addBlock adds a block of entries to the arena, each carrying its handle,
+// and returns it.
+func (x *cacheIndex) addBlock() *[entryBlock]cacheEntry {
+	b := new([entryBlock]cacheEntry)
+	base := int32(len(x.blocks)) * entryBlock
+	for i := range b {
+		b[i].h = base + int32(i) + 1
+	}
+	x.blocks = append(x.blocks, b)
+	return b
+}
+
+// entry returns the entry of handle h, which must not be 0.
+func (x *cacheIndex) entry(h int32) *cacheEntry {
+	i := uint32(h - 1)
+	return &x.blocks[i/entryBlock][i%entryBlock]
 }
 
 func (x *cacheIndex) mask() int { return len(x.slots) - 1 }
@@ -67,21 +96,28 @@ func (x *cacheIndex) home(lsn int64) int {
 // find returns lsn's slot, or the empty slot that ends its probe run.
 func (x *cacheIndex) find(lsn int64) int {
 	i := x.home(lsn)
-	for x.slots[i].e != nil && x.slots[i].lsn != lsn {
+	for x.slots[i].h != 0 && x.slots[i].lsn != int32(lsn) {
 		i = (i + 1) & x.mask()
 	}
 	return i
 }
 
 // get returns lsn's entry, or nil.
-func (x *cacheIndex) get(lsn int64) *cacheEntry { return x.slots[x.find(lsn)].e }
+func (x *cacheIndex) get(lsn int64) *cacheEntry {
+	h := x.slots[x.find(lsn)].h
+	if h == 0 {
+		return nil
+	}
+	return x.entry(h)
+}
 
-// put indexes e under lsn, which must not be present.
+// put indexes e, an entry of this index's arena, under lsn, which must not
+// be present.
 func (x *cacheIndex) put(lsn int64, e *cacheEntry) {
 	if 2*(x.n+1) > len(x.slots) {
 		x.resize(2 * len(x.slots))
 	}
-	x.slots[x.find(lsn)] = cacheSlot{lsn, e}
+	x.slots[x.find(lsn)] = cacheSlot{int32(lsn), e.h}
 	x.n++
 }
 
@@ -91,8 +127,8 @@ func (x *cacheIndex) put(lsn int64, e *cacheEntry) {
 // home without tombstones.
 func (x *cacheIndex) del(lsn int64) *cacheEntry {
 	i := x.find(lsn)
-	e := x.slots[i].e
-	if e == nil {
+	h := x.slots[i].h
+	if h == 0 {
 		return nil
 	}
 	x.n--
@@ -100,16 +136,16 @@ func (x *cacheIndex) del(lsn int64) *cacheEntry {
 	for j := i; ; {
 		j = (j + 1) & m
 		s := x.slots[j]
-		if s.e == nil {
+		if s.h == 0 {
 			break
 		}
 		// s may fill the hole at i only if i is on its probe path: its
 		// home is no nearer to j than i is.
-		if (j-x.home(s.lsn))&m >= (j-i)&m {
+		if (j-x.home(int64(s.lsn)))&m >= (j-i)&m {
 			x.slots[i] = s
 			i = j
 		}
 	}
 	x.slots[i] = cacheSlot{}
-	return e
+	return x.entry(h)
 }

@@ -15,15 +15,15 @@ func checkIndex(t *testing.T, step int, x *cacheIndex, oracle map[int64]*cacheEn
 	t.Helper()
 	n := 0
 	for i, s := range x.slots {
-		if s.e == nil {
+		if s.h == 0 {
 			continue
 		}
 		n++
-		if oracle[s.lsn] != s.e {
+		if e := x.entry(s.h); oracle[int64(s.lsn)] != e || e.h != s.h {
 			t.Fatalf("step %d: slot %d holds lsn %d, which the oracle does not map there", step, i, s.lsn)
 		}
-		for j := x.home(s.lsn); j != i; j = (j + 1) & x.mask() {
-			if x.slots[j].e == nil {
+		for j := x.home(int64(s.lsn)); j != i; j = (j + 1) & x.mask() {
+			if x.slots[j].h == 0 {
 				t.Fatalf("step %d: lsn %d at slot %d unreachable: slot %d on its probe path is empty", step, s.lsn, i, j)
 			}
 		}
@@ -39,6 +39,23 @@ func checkIndex(t *testing.T, step int, x *cacheIndex, oracle map[int64]*cacheEn
 			t.Fatalf("step %d: get(%d) = %p, want %p", step, k, got, e)
 		}
 	}
+}
+
+// arenaEntries hands out fresh entries of x's arena, one block at a time.
+type arenaEntries struct {
+	x    *cacheIndex
+	left []cacheEntry
+}
+
+// next returns a never-used arena entry for lsn.
+func (a *arenaEntries) next(lsn int64) *cacheEntry {
+	if len(a.left) == 0 {
+		a.left = a.x.addBlock()[:]
+	}
+	e := &a.left[0]
+	a.left = a.left[1:]
+	e.lsn = lsn
+	return e
 }
 
 // keysHomedAt returns n distinct non-negative keys whose home slot in x is
@@ -62,9 +79,10 @@ func TestCacheIndexProbeRuns(t *testing.T) {
 		t.Fatalf("minimum table has %d slots, want 16", len(x.slots))
 	}
 	oracle := map[int64]*cacheEntry{}
+	arena := arenaEntries{x: &x}
 	step := 0
 	put := func(k int64) {
-		e := &cacheEntry{lsn: k}
+		e := arena.next(k)
 		x.put(k, e)
 		oracle[k] = e
 		step++
@@ -86,7 +104,7 @@ func TestCacheIndexProbeRuns(t *testing.T) {
 	for _, k := range first {
 		put(k)
 	}
-	if x.slots[15].lsn != last[0] || x.slots[0].lsn != last[1] || x.slots[4].lsn != first[0] {
+	if int64(x.slots[15].lsn) != last[0] || int64(x.slots[0].lsn) != last[1] || int64(x.slots[4].lsn) != first[0] {
 		t.Fatalf("keys not laid out in one wrapped run: %+v", x.slots)
 	}
 	del(last[2])  // middle of the run, past the wrap
@@ -107,7 +125,8 @@ func TestCacheIndexProbeRuns(t *testing.T) {
 }
 
 // TestCacheIndexVsMap drives random put/get/del sequences against a Go map.
-// Keys come from a small range (dense runs, frequent hits) and from sets
+// Every put takes a fresh arena entry, so the entries span many arena
+// blocks and each handle must resolve to its own entry. Keys come from a small range (dense runs, frequent hits) and from sets
 // homed at one slot of the starting table (long colliding runs, including
 // ones that wrap).
 func TestCacheIndexVsMap(t *testing.T) {
@@ -120,12 +139,13 @@ func TestCacheIndexVsMap(t *testing.T) {
 			keys = append(keys, k)
 		}
 		oracle := map[int64]*cacheEntry{}
+		arena := arenaEntries{x: &x}
 		for step := 0; step < 2000; step++ {
 			k := keys[rng.Intn(len(keys))]
 			switch rng.Intn(3) {
 			case 0:
 				if oracle[k] == nil {
-					e := &cacheEntry{lsn: k}
+					e := arena.next(k)
 					x.put(k, e)
 					oracle[k] = e
 				}
