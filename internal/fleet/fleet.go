@@ -210,8 +210,9 @@ type Volume struct {
 
 	requests    int64
 	subRequests int64
-	lat         *stats.LatencyRecorder
-	rows        []volRow
+	// rows is the per-request log Report's percentiles and tail sums are
+	// taken from, built in blocks so recording never copies earlier rows.
+	rows        stats.Log[volRow]
 	rowCap      int
 	droppedRows int64
 }
@@ -245,7 +246,6 @@ func (f *Fleet) AddVolume(name string, group []int, bytes int64) (*Volume, error
 		name:   name,
 		size:   extents * f.stripe,
 		place:  make([]slot, len(group)),
-		lat:    stats.NewLatencyRecorder(),
 		rowCap: DefaultRowCap,
 	}
 	// Validate the whole allocation before committing any cursor movement,
@@ -466,12 +466,11 @@ func (v *Volume) submit(kind opKind, off, length int64, done func()) error {
 // record accumulates one completed tenant request.
 func (v *Volume) record(total, gc, gcShared sim.Time) {
 	v.requests++
-	if len(v.rows) >= v.rowCap {
+	if v.rows.Len() >= v.rowCap {
 		v.droppedRows++
 		return
 	}
-	v.rows = append(v.rows, volRow{total: total, gc: gc, gcShared: gcShared})
-	v.lat.Record(total)
+	v.rows.Append(volRow{total: total, gc: gc, gcShared: gcShared})
 }
 
 // WriteAsync submits a striped write (workload.Target).
@@ -545,7 +544,9 @@ type TenantReport struct {
 	BlastPPM int64
 }
 
-// Report summarizes the volume's completed requests.
+// Report summarizes the volume's completed requests. The percentiles come
+// from a recorder of the retained rows' totals, built for this call and
+// dropped after it, so the volume keeps only its row log between reports.
 func (v *Volume) Report() TenantReport {
 	r := TenantReport{Tenant: v.name, Drives: len(v.shared), Requests: v.requests}
 	for _, di := range v.shared {
@@ -553,23 +554,31 @@ func (v *Volume) Report() TenantReport {
 			r.SharedDrives++
 		}
 	}
-	if v.lat.Count() == 0 {
+	if v.rows.Len() == 0 {
 		return r
 	}
-	r.P50 = v.lat.Percentile(50)
-	r.P95 = v.lat.Percentile(95)
-	r.P99 = v.lat.Percentile(99)
-	r.P999 = v.lat.Percentile(99.9)
+	lat := stats.NewLatencyRecorder()
+	v.rows.EachBlock(func(rows []volRow) {
+		for i := range rows {
+			lat.Record(rows[i].total)
+		}
+	})
+	r.P50 = lat.Percentile(50)
+	r.P95 = lat.Percentile(95)
+	r.P99 = lat.Percentile(99)
+	r.P999 = lat.Percentile(99.9)
 	r.TailThreshold = r.P99
 	var sum, gc, gcShared sim.Time
-	for i := range v.rows {
-		if v.rows[i].total < r.TailThreshold {
-			continue
+	v.rows.EachBlock(func(rows []volRow) {
+		for i := range rows {
+			if rows[i].total < r.TailThreshold {
+				continue
+			}
+			sum += rows[i].total
+			gc += rows[i].gc
+			gcShared += rows[i].gcShared
 		}
-		sum += v.rows[i].total
-		gc += v.rows[i].gc
-		gcShared += v.rows[i].gcShared
-	}
+	})
 	if sum > 0 {
 		r.TailGCSharePPM = int64(gc) * 1_000_000 / int64(sum)
 		r.BlastPPM = int64(gcShared) * 1_000_000 / int64(sum)

@@ -95,7 +95,7 @@ func zaFleetWarm(t *testing.T) *Volume {
 	for i := 0; i < 5; i++ {
 		zaFleetBatch()
 	}
-	v.rowCap = len(v.rows)
+	v.rowCap = v.rows.Len()
 	return v
 }
 
@@ -133,12 +133,10 @@ func zaFleetFlushBatch(direct bool) {
 	}
 }
 
-// TestVolumeFlushZeroAlloc pins the fleet's share of a volume flush: its
-// per-drive pieces come from the fleet's pooled request and piece
-// descriptors, so a steady-state volume flush allocates no more than
-// flushing the same drives directly. (A drive flush itself allocates its
-// FTL's drain-waiter list once per flush, so the drives' share is measured
-// alongside and subtracted, not assumed zero.)
+// TestVolumeFlushZeroAlloc pins a steady-state volume flush at zero
+// allocations, both flushing the drives directly and through the volume's
+// fan-out: the fleet's per-drive pieces come from its pooled request and
+// piece descriptors, and each drive's FTL reuses its two drain-waiter lists.
 func TestVolumeFlushZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under the race detector")
@@ -146,10 +144,10 @@ func TestVolumeFlushZeroAlloc(t *testing.T) {
 	zaFleetWarm(t)
 	zaFleetFlushBatch(true)
 	zaFleetFlushBatch(false)
-	drives := testing.AllocsPerRun(1, func() { zaFleetFlushBatch(true) })
-	fleet := testing.AllocsPerRun(1, func() { zaFleetFlushBatch(false) })
-	if fleet > drives {
-		t.Fatalf("%.0f allocations in %d steady-state write+volume flush pairs, %.0f flushing the drives directly: the fleet allocates %.0f",
-			fleet, zaFlushBatchLen, drives, fleet-drives)
+	if n := testing.AllocsPerRun(1, func() { zaFleetFlushBatch(true) }); n != 0 {
+		t.Fatalf("%.0f allocations in %d steady-state write+drive flush pairs, want 0", n, zaFlushBatchLen)
+	}
+	if n := testing.AllocsPerRun(1, func() { zaFleetFlushBatch(false) }); n != 0 {
+		t.Fatalf("%.0f allocations in %d steady-state write+volume flush pairs, want 0", n, zaFlushBatchLen)
 	}
 }

@@ -13,16 +13,16 @@ const (
 
 // cacheEntry is one logical sector resident in the write cache. Entries live
 // in the index's arena and are recycled through the cache's freelist once
-// fully detached: dead, with no fifo node referencing them (queued) and no
-// in-flight program carrying them (flight). The three fields together are
-// the reference count.
+// fully detached: dead, not in the dirty FIFO (queued) and not carried by
+// an in-flight program (flight). The three fields together are the
+// reference count.
 type cacheEntry struct {
 	lsn    int64
 	state  entryState
-	queued bool        // a fifo node currently references this entry
+	queued bool        // the entry is in the dirty FIFO
 	h      int32       // the entry's handle in the index, fixed for life
 	flight *pageOp     // the program carrying this copy when entryFlushing
-	next   *cacheEntry // freelist link
+	next   *cacheEntry // FIFO link while queued, freelist link while free
 }
 
 // writeCache implements the data-cache designation: a FIFO write-back cache
@@ -33,16 +33,16 @@ type cacheEntry struct {
 // entries indexes every resident sector (dirty or flushing) by LBA in an
 // open-addressing table sized from the cache's capacity in sectors, the
 // entries themselves come from the index's arena and are recycled through a
-// freelist, and the FIFO reuses its backing array (push), so at steady state
+// freelist, and the dirty FIFO links the entries through their next field
+// (an entry is never queued and free at once), so at steady state
 // admitting, flushing and committing sectors allocates nothing.
 type writeCache struct {
 	capBytes   int
 	flushWater int
 	sector     int
 
-	entries cacheIndex
-	fifo    []*cacheEntry // fifo[head:]: dirty entries in arrival order (stale nodes skipped)
-	head    int
+	entries    cacheIndex
+	head, tail *cacheEntry // dirty FIFO in arrival order (dead entries skipped on pop)
 
 	dirtyCount    int
 	dirtyBytes    int
@@ -88,7 +88,7 @@ func (c *writeCache) grow() {
 }
 
 // recycleIfDead returns e to the freelist once nothing references it: it is
-// dead, no fifo node points at it, and no in-flight program carries it.
+// dead, out of the FIFO, and no in-flight program carries it.
 // Callers invoke this after dropping whichever reference they held.
 func (c *writeCache) recycleIfDead(e *cacheEntry) {
 	if e.state == entryDead && !e.queued && e.flight == nil {
@@ -132,9 +132,9 @@ func (c *writeCache) drop(lsn int64) {
 		// flushingBytes released at commit.
 	}
 	e.state = entryDead
-	// A dirty entry still has its fifo node (popDirty recycles it) and a
-	// flushing one its carrying program (commit recycles it), so the entry
-	// is never free-listed here.
+	// A dirty entry is still queued (popDirty recycles it) and a flushing
+	// one carried by its program (commit recycles it), so the entry is never
+	// free-listed here.
 }
 
 // writeCached admits a host write into the data cache, completing after
@@ -189,32 +189,33 @@ func (f *FTL) maybeFlushCache() {
 	}
 }
 
-// push queues e at the FIFO's tail. Once the backing array is full and at
-// least half of it is popped nodes, the queued nodes slide down to its
-// start instead of growing it, so at steady state the queue reuses one
-// array rather than reallocating as its head advances.
+// push queues e at the FIFO's tail; e.next is nil, as newEntry and popDirty
+// leave it. An entry is queued at most once: only a flushing entry, which
+// popDirty dequeued, is pushed again.
 func (c *writeCache) push(e *cacheEntry) {
-	if len(c.fifo) == cap(c.fifo) && 2*c.head >= len(c.fifo) {
-		n := copy(c.fifo, c.fifo[c.head:])
-		clear(c.fifo[n:])
-		c.fifo, c.head = c.fifo[:n], 0
-	}
 	e.queued = true
-	c.fifo = append(c.fifo, e)
+	if c.tail == nil {
+		c.head = e
+	} else {
+		c.tail.next = e
+	}
+	c.tail = e
 }
 
-// popDirty removes and returns the oldest dirty entry, skipping stale
-// nodes. Skipped nodes were the last reference to their (dead) entries, so
-// this is also where trimmed-while-dirty entries return to the freelist.
+// popDirty removes and returns the oldest dirty entry, skipping dead ones.
+// The queue was the last reference to a skipped entry, so this is also
+// where trimmed-while-dirty entries return to the freelist.
 //
 // A dirty entry is always the index's entry for its LSN, so no index lookup
 // is needed here: both index deletions (drop, commitCachedSector) mark the
 // entry dead, and an entry is recycled (and indexed afresh) only once dead.
 func (c *writeCache) popDirty() *cacheEntry {
-	for c.head < len(c.fifo) {
-		e := c.fifo[c.head]
-		c.fifo[c.head] = nil
-		c.head++
+	for c.head != nil {
+		e := c.head
+		c.head, e.next = e.next, nil
+		if c.head == nil {
+			c.tail = nil
+		}
 		e.queued = false
 		if e.state == entryDirty {
 			return e

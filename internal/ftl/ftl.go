@@ -148,7 +148,11 @@ type FTL struct {
 	inflightPages int64
 	inflightGC    int64
 	inflightReads int64
-	drainWaiters  []func()
+	// drainWaiters are the pending Flush callbacks. pumpDrain completes
+	// them from one list while Flush fills the other, so a callback that
+	// flushes again never lands in the list being run, and neither list is
+	// reallocated per flush.
+	drainWaiters, spareWaiters []func()
 
 	idleEvent  sim.Event // zero value when no patrol armed; Cancel is then a no-op
 	idleStreak int
@@ -886,7 +890,7 @@ func (f *FTL) pumpDrain() {
 		return
 	}
 	ws := f.drainWaiters
-	f.drainWaiters = nil
+	f.drainWaiters, f.spareWaiters = f.spareWaiters[:0], nil
 	if f.tr.Enabled() {
 		f.tr.Emit("ftl.flush.end", obs.Int("waiters", int64(len(ws))))
 	}
@@ -895,6 +899,8 @@ func (f *FTL) pumpDrain() {
 			w()
 		}
 	}
+	clear(ws)
+	f.spareWaiters = ws[:0]
 }
 
 // invalidate retires a physical sector whose LSN is being remapped or

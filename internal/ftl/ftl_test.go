@@ -111,19 +111,14 @@ func newTestFTL(t *testing.T, cfg Config) (*sim.Engine, *fakeFlash, *FTL) {
 }
 
 // checkInvariants validates the mappings, block accounting, and the write
-// cache's FIFO: every dirty entry queued there is the index's entry for its
-// LSN (popDirty relies on it). Forward, every mapped LSN's sector records
+// cache's FIFO (checkCacheFIFO). Forward, every mapped LSN's sector records
 // that LSN in p2l. Backward, the sectors live reports are exactly the mapped
 // ones: their count per block is blockValid and in total validTotal, and no
 // sector of a free block is live.
 func checkInvariants(t *testing.T, f *FTL) {
 	t.Helper()
-	if c := f.cache; c != nil {
-		for _, e := range c.fifo[c.head:] {
-			if e.state == entryDirty && c.entries.get(e.lsn) != e {
-				t.Fatalf("dirty FIFO entry for lsn %d is not the index's entry %p", e.lsn, c.entries.get(e.lsn))
-			}
-		}
+	if f.cache != nil {
+		checkCacheFIFO(t, f.cache)
 	}
 	mapped := int64(0)
 	for lsn := int64(0); lsn < f.l2p.Len(); lsn++ {
@@ -161,6 +156,52 @@ func checkInvariants(t *testing.T, f *FTL) {
 				t.Fatalf("free block %d of pu %d holds %d live sectors", blk, i, n)
 			}
 		}
+	}
+}
+
+// checkCacheFIFO walks the write cache's linked dirty FIFO from its head.
+// Every entry marked queued is reached exactly once and nothing else is,
+// the walk ends at the tail, no reached entry is on the freelist, and every
+// dirty entry reached is the index's entry for its LSN (popDirty relies on
+// it).
+func checkCacheFIFO(t *testing.T, c *writeCache) {
+	t.Helper()
+	free := map[*cacheEntry]bool{}
+	for e := c.free; e != nil; e = e.next {
+		if free[e] {
+			t.Fatalf("freelist cycles at entry %d", e.h)
+		}
+		free[e] = true
+	}
+	reached := map[*cacheEntry]bool{}
+	var last *cacheEntry
+	for e := c.head; e != nil; e = e.next {
+		switch {
+		case reached[e]:
+			t.Fatalf("FIFO reaches entry %d (lsn %d) twice", e.h, e.lsn)
+		case !e.queued:
+			t.Fatalf("FIFO reaches entry %d (lsn %d), which is not marked queued", e.h, e.lsn)
+		case free[e]:
+			t.Fatalf("FIFO entry %d (lsn %d) is also on the freelist", e.h, e.lsn)
+		case e.state == entryDirty && c.entries.get(e.lsn) != e:
+			t.Fatalf("dirty FIFO entry for lsn %d is not the index's entry %p", e.lsn, c.entries.get(e.lsn))
+		}
+		reached[e] = true
+		last = e
+	}
+	if last != c.tail {
+		t.Fatalf("FIFO walk ends at %p, tail is %p", last, c.tail)
+	}
+	queued := 0
+	for _, b := range c.entries.blocks {
+		for i := range b {
+			if b[i].queued {
+				queued++
+			}
+		}
+	}
+	if queued != len(reached) {
+		t.Fatalf("%d entries marked queued, the FIFO walk reaches %d", queued, len(reached))
 	}
 }
 
@@ -500,6 +541,67 @@ func TestFlushIdempotentAndEmpty(t *testing.T) {
 		t.Errorf("flush completions = %d, want 2", n)
 	}
 }
+
+// TestFlushReentrantWaiter pins the two reused drain-waiter lists: a
+// completion that flushes again lands on the other list, so the waiters
+// still queued behind it all run exactly once at this drain, and the new
+// flushes wait for the data written before them. A flush of a clean drive
+// completes at once, also from inside a completion. Once both lists have
+// grown, a flush allocates nothing.
+func TestFlushReentrantWaiter(t *testing.T) {
+	eng, _, f := newTestFTL(t, smallConfig())
+	var order []string
+	if err := f.Write(0, 8, nil); err != nil {
+		t.Fatal(err)
+	}
+	f.Flush(func() {
+		order = append(order, "a")
+		if err := f.Write(64, 8, nil); err != nil {
+			t.Fatal(err)
+		}
+		// Two flushes from one completion: with one shared list they would
+		// overwrite the waiters still to run at this drain.
+		f.Flush(func() { order = append(order, fmt.Sprintf("c:%d", f.Counters().DataPagesProgrammed)) })
+		f.Flush(func() { order = append(order, fmt.Sprintf("d:%d", f.Counters().DataPagesProgrammed)) })
+	})
+	f.Flush(func() { order = append(order, "b") })
+	eng.Run()
+	want := []string{"a", "b", "c:4", "d:4"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("completions %v, want %v", order, want)
+	}
+
+	order = order[:0]
+	f.Flush(func() {
+		order = append(order, "e")
+		f.Flush(func() { order = append(order, "f") })
+		order = append(order, "e done")
+	})
+	f.Flush(func() { order = append(order, "g") })
+	eng.Run()
+	want = []string{"e", "f", "e done", "g"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("clean-drive completions %v, want %v", order, want)
+	}
+	checkInvariants(t, f)
+
+	if raceEnabled {
+		return
+	}
+	f.Flush(flushNoop)
+	f.Flush(flushNoop)
+	flushFTL = f
+	if n := testing.AllocsPerRun(100, flushAgain); n != 0 {
+		t.Fatalf("a flush of a clean drive made %v allocations, want 0", n)
+	}
+}
+
+// flushFTL and the functions below are package-level so the measured
+// function captures nothing.
+var flushFTL *FTL
+
+func flushNoop()  {}
+func flushAgain() { flushFTL.Flush(flushNoop) }
 
 func TestPSLCCreditsAndIndex(t *testing.T) {
 	cfg := smallConfig()

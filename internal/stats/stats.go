@@ -17,10 +17,16 @@ import (
 // and computes exact order statistics. Exactness matters here: the paper's
 // Figure 3 argument is about the far tail, where histogram bucketing would
 // blur precisely the signal under study.
+//
+// Samples append into a block-built Log, so recording never copies earlier
+// samples. The first query after new samples flattens the log into one
+// buffer and radix-sorts it in place; that sorted buffer stays the log's
+// only block, so after a query the recorder holds its samples and the sort
+// scratch, nothing more.
 type LatencyRecorder struct {
-	samples []sim.Time
+	log     Log[sim.Time]
 	scratch []sim.Time // radix-sort ping-pong buffer, reused across queries
-	sorted  bool
+	sorted  int        // the log is one sorted block while sorted == log.Len()
 	sum     sim.Time
 }
 
@@ -31,27 +37,33 @@ func NewLatencyRecorder() *LatencyRecorder {
 
 // Record adds one latency sample.
 func (r *LatencyRecorder) Record(d sim.Time) {
-	r.samples = append(r.samples, d)
+	r.log.Append(d)
 	r.sum += d
-	r.sorted = false
 }
 
 // Count returns the number of samples.
-func (r *LatencyRecorder) Count() int { return len(r.samples) }
+func (r *LatencyRecorder) Count() int { return r.log.Len() }
 
 // Mean returns the average latency, or 0 with no samples.
 func (r *LatencyRecorder) Mean() float64 {
-	if len(r.samples) == 0 {
+	if r.log.Len() == 0 {
 		return 0
 	}
-	return float64(r.sum) / float64(len(r.samples))
+	return float64(r.sum) / float64(r.log.Len())
 }
 
-func (r *LatencyRecorder) ensureSorted() {
-	if !r.sorted {
-		r.scratch = radixSortTime(r.samples, r.scratch)
-		r.sorted = true
+// isSorted reports whether the memoized sort covers every sample.
+func (r *LatencyRecorder) isSorted() bool { return r.sorted == r.log.Len() }
+
+// sortedSamples returns every sample in ascending order, sorting only if
+// samples arrived since the last query.
+func (r *LatencyRecorder) sortedSamples() []sim.Time {
+	s := r.log.flatten()
+	if !r.isSorted() {
+		r.scratch = radixSortTime(s, r.scratch)
+		r.sorted = len(s)
 	}
+	return s
 }
 
 // Percentile returns the p-th percentile using the nearest-rank method.
@@ -61,61 +73,56 @@ func (r *LatencyRecorder) ensureSorted() {
 // math.Ceil into an undefined int conversion) returns 0, as does an empty
 // recorder.
 func (r *LatencyRecorder) Percentile(p float64) sim.Time {
-	if len(r.samples) == 0 || math.IsNaN(p) {
+	if r.log.Len() == 0 || math.IsNaN(p) {
 		return 0
 	}
 	if p > 100 {
 		p = 100
 	}
-	r.ensureSorted()
-	rank := int(math.Ceil(p / 100 * float64(len(r.samples))))
+	s := r.sortedSamples()
+	rank := int(math.Ceil(p / 100 * float64(len(s))))
 	if rank < 1 {
 		rank = 1
 	}
-	if rank > len(r.samples) {
-		rank = len(r.samples)
+	if rank > len(s) {
+		rank = len(s)
 	}
-	return r.samples[rank-1]
+	return s[rank-1]
 }
 
 // Max returns the largest sample, or 0 with none.
 func (r *LatencyRecorder) Max() sim.Time {
-	if len(r.samples) == 0 {
+	if r.log.Len() == 0 {
 		return 0
 	}
-	r.ensureSorted()
-	return r.samples[len(r.samples)-1]
+	s := r.sortedSamples()
+	return s[len(s)-1]
 }
 
 // TopK returns the k largest samples in ascending order (fewer if the
 // recorder holds fewer; empty for k <= 0). This is the "requests ordered
 // by latency" series of the paper's Figure 3.
 func (r *LatencyRecorder) TopK(k int) []sim.Time {
-	r.ensureSorted()
-	if k < 0 {
-		k = 0
-	}
-	if k > len(r.samples) {
-		k = len(r.samples)
-	}
+	s := r.sortedSamples()
+	k = min(max(k, 0), len(s))
 	out := make([]sim.Time, k)
-	copy(out, r.samples[len(r.samples)-k:])
+	copy(out, s[len(s)-k:])
 	return out
 }
 
 // Snapshot returns a sorted copy of all samples.
 func (r *LatencyRecorder) Snapshot() []sim.Time {
-	r.ensureSorted()
-	out := make([]sim.Time, len(r.samples))
-	copy(out, r.samples)
+	s := r.sortedSamples()
+	out := make([]sim.Time, len(s))
+	copy(out, s)
 	return out
 }
 
 // Reset discards all samples.
 func (r *LatencyRecorder) Reset() {
-	r.samples = r.samples[:0]
+	r.log.Reset()
 	r.sum = 0
-	r.sorted = true
+	r.sorted = 0
 }
 
 // Histogram is a logarithmically bucketed latency histogram (powers of two

@@ -256,31 +256,32 @@ func TestTableRendering(t *testing.T) {
 }
 
 // TestLatencyRecorderSortMemoization pins the sorted-state memo: queries
-// after a sort must not re-sort until a new sample invalidates it, and the
-// memo must never change query results.
+// after a sort must not re-sort until a new sample invalidates it, a query
+// leaves the samples in one block, and the memo must never change query
+// results.
 func TestLatencyRecorderSortMemoization(t *testing.T) {
 	r := NewLatencyRecorder()
 	for _, v := range []sim.Time{300, 100, 200} {
 		r.Record(v)
 	}
-	if r.sorted {
+	if r.isSorted() {
 		t.Fatal("recorder claims sorted before any query")
 	}
 	if got := r.Percentile(50); got != 200 {
 		t.Fatalf("Percentile(50) = %d, want 200", got)
 	}
-	if !r.sorted {
+	if !r.isSorted() {
 		t.Fatal("query did not memoize the sorted state")
 	}
 	// A memoized query must see the same data without invalidation.
 	if got := r.Percentile(0); got != 100 {
 		t.Fatalf("Percentile(0) = %d, want 100", got)
 	}
-	if !r.sorted {
+	if !r.isSorted() {
 		t.Fatal("read-only query dropped the sort memo")
 	}
 	r.Record(50)
-	if r.sorted {
+	if r.isSorted() {
 		t.Fatal("Record did not invalidate the sort memo")
 	}
 	if got := r.Percentile(0); got != 50 {
@@ -294,5 +295,23 @@ func TestLatencyRecorderSortMemoization(t *testing.T) {
 	snap[0] = 999999
 	if got := r.Percentile(0); got != 50 {
 		t.Fatalf("mutating Snapshot() result changed recorder state: Percentile(0) = %d", got)
+	}
+	// Past the first block, a query flattens the blocks into the one sorted
+	// buffer it keeps: no block survives beside it.
+	for i := sim.Time(0); i < 3*maxBlock; i++ {
+		r.Record(3*maxBlock - i)
+	}
+	if r.isSorted() || len(r.log.full) == 0 {
+		t.Fatalf("%d samples: sorted memo %v, %d full blocks", r.Count(), r.isSorted(), len(r.log.full))
+	}
+	if got := r.Percentile(0); got != 1 {
+		t.Fatalf("Percentile(0) over blocks = %d, want 1", got)
+	}
+	if !r.isSorted() || len(r.log.full) != 0 || len(r.log.tail) != r.Count() {
+		t.Fatalf("after a query: sorted memo %v, %d full blocks, tail %d of %d samples",
+			r.isSorted(), len(r.log.full), len(r.log.tail), r.Count())
+	}
+	if got := r.Max(); got != 3*maxBlock {
+		t.Fatalf("Max over blocks = %d, want %d", got, 3*maxBlock)
 	}
 }
