@@ -17,6 +17,7 @@ type logInode struct {
 	blocks []int64 // file block -> device data block (-1 = hole)
 	idx    int32   // slot in LogFS.inodes; 0 once the file is deleted
 	dirty  bool    // in LogFS.dirty, awaiting the next checkpoint
+	dir    bool    // a directory node, named by its directory; no blocks
 }
 
 // blockOwner names the file block a live data block holds. ino is the
@@ -180,7 +181,7 @@ func (fs *LogFS) markNodeDirty(ino *logInode) {
 func (fs *LogFS) markDirDirty(dir string) {
 	ino, ok := fs.dirNodes[dir]
 	if !ok {
-		ino = &logInode{name: "dir:" + dir}
+		ino = &logInode{name: dir, dir: true}
 		fs.addInode(ino)
 		fs.dirNodes[dir] = ino
 	}

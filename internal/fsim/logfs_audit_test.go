@@ -11,15 +11,17 @@ import (
 // files' block maps name the same live blocks (owner slot b holds (ino, fb)
 // exactly when ino.blocks[fb] == b), every owner refers to a live inode in
 // its own slot, and each segment's live count is the number of owned slots
-// in it.
+// in it. It also checks that every live inode is in the file map or, with
+// its directory flag set and no blocks, in the directory map, under its own
+// name. These are the facts LogFS's Materialize rebuilds its tables from.
 func auditLogFS(t *testing.T, what string, fs *LogFS) {
 	t.Helper()
-	live := make([]int32, fs.segCount)
+	owned := make([]int32, fs.segCount)
 	for b, own := range fs.owner {
 		if own.ino == 0 {
 			continue
 		}
-		live[int64(b)/SegmentBlocks]++
+		owned[int64(b)/SegmentBlocks]++
 		if int(own.ino) >= len(fs.inodes) || fs.inodes[own.ino] == nil {
 			t.Fatalf("%s: block %d owned by free inode slot %d", what, b, own.ino)
 		}
@@ -31,14 +33,34 @@ func auditLogFS(t *testing.T, what string, fs *LogFS) {
 			t.Fatalf("%s: block %d owned by %q file block %d, which maps elsewhere", what, b, ino.name, own.fb)
 		}
 	}
-	for s, n := range live {
+	for s, n := range owned {
 		if n != fs.liveCount[s] {
 			t.Fatalf("%s: segment %d has %d owned blocks, liveCount %d", what, s, n, fs.liveCount[s])
+		}
+	}
+	live := 0
+	for _, ino := range fs.inodes {
+		if ino != nil {
+			live++
+		}
+	}
+	if n := len(fs.files) + len(fs.dirNodes); n != live {
+		t.Fatalf("%s: %d live inodes, %d files and directories", what, live, n)
+	}
+	for name, ino := range fs.dirNodes {
+		if ino.idx == 0 || fs.inodes[ino.idx] != ino {
+			t.Fatalf("%s: directory %q is not in its inode slot %d", what, name, ino.idx)
+		}
+		if !ino.dir || ino.name != name || len(ino.blocks) != 0 {
+			t.Fatalf("%s: directory %q holds inode %q (dir %v, %d blocks)", what, name, ino.name, ino.dir, len(ino.blocks))
 		}
 	}
 	for name, ino := range fs.files {
 		if ino.idx == 0 || fs.inodes[ino.idx] != ino {
 			t.Fatalf("%s: file %q is not in its inode slot %d", what, name, ino.idx)
+		}
+		if ino.dir || ino.name != name {
+			t.Fatalf("%s: file %q holds inode %q (dir %v)", what, name, ino.name, ino.dir)
 		}
 		for fb, b := range ino.blocks {
 			if b < 0 {

@@ -3,6 +3,7 @@ package fsim
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -91,4 +92,146 @@ func TestFSImageCloneEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// logState is a LogFS's whole in-memory state in comparable form: inode
+// pointers become slots, and a deleted file's dirty-list entry, which only
+// holds a place until the checkpoint, becomes slot 0.
+type logState struct {
+	Scalars   LogFS // every field but the disk, slices and maps
+	FreeSegs  []int64
+	LiveCount []int32
+	SegType   []uint8
+	Owner     []blockOwner
+	FreeInos  []int32
+	Inodes    []logInode // a free slot is the zero inode
+	Files     map[string]int32
+	Dirs      map[string]int32
+	Dirty     []int32
+}
+
+func logStateOf(fs *LogFS) logState {
+	st := logState{
+		Scalars:   *fs,
+		FreeSegs:  fs.freeSegs,
+		LiveCount: fs.liveCount,
+		SegType:   fs.segType,
+		Owner:     fs.owner,
+		FreeInos:  fs.freeInos,
+		Inodes:    make([]logInode, len(fs.inodes)),
+		Files:     map[string]int32{},
+		Dirs:      map[string]int32{},
+		Dirty:     []int32{},
+	}
+	sc := &st.Scalars
+	sc.disk, sc.freeSegs, sc.liveCount, sc.segType, sc.owner, sc.freeInos = nil, nil, nil, nil, nil, nil
+	sc.inodes, sc.files, sc.dirNodes, sc.dirty = nil, nil, nil, nil
+	for i, ino := range fs.inodes {
+		if ino != nil {
+			st.Inodes[i] = *ino
+			if len(ino.blocks) == 0 {
+				st.Inodes[i].blocks = nil
+			}
+		}
+	}
+	for n, ino := range fs.files {
+		st.Files[n] = ino.idx
+	}
+	for n, ino := range fs.dirNodes {
+		st.Dirs[n] = ino.idx
+	}
+	for _, ino := range fs.dirty {
+		st.Dirty = append(st.Dirty, ino.idx)
+	}
+	return st
+}
+
+// extState is an ExtFS's whole in-memory state in comparable form.
+type extState struct {
+	Scalars   ExtFS // every field but the disk, slices and maps
+	Bitmap    []bool
+	Files     map[string]extInode
+	DirBlocks map[string]int64
+}
+
+func extStateOf(fs *ExtFS) extState {
+	st := extState{Scalars: *fs, Bitmap: fs.bitmap, Files: map[string]extInode{}, DirBlocks: fs.dirBlocks}
+	st.Scalars.disk, st.Scalars.bitmap, st.Scalars.files, st.Scalars.dirBlocks = nil, nil, nil, nil
+	for n, ino := range fs.files {
+		c := *ino
+		if len(c.extents) == 0 {
+			c.extents = nil
+		}
+		st.Files[n] = c
+	}
+	return st
+}
+
+func fsStateOf(fs FS) any {
+	switch fs := fs.(type) {
+	case *LogFS:
+		return logStateOf(fs)
+	case *ExtFS:
+		return extStateOf(fs)
+	}
+	panic("fsim: unknown file system")
+}
+
+// TestFSImageRoundTrip checks that an image keeps everything its
+// materializations need: for both file systems and every ageing profile, a
+// materialized file system equals its source in every field — the tables
+// Materialize rebuilds (LogFS's owner table, live counts and name-to-slot
+// maps; ExtFS's bitmap and file map) and those it copies (freeCount, the
+// cursors, the inodes) — and after traffic through one clone, a second
+// clone of the same image still equals the source.
+func TestFSImageRoundTrip(t *testing.T) {
+	const diskCap = 256 << 20
+	for _, kind := range []string{"extfs", "logfs"} {
+		for _, prof := range []AgingProfile{AgeU, AgeA, AgeM} {
+			t.Run(kind+"-"+prof.String(), func(t *testing.T) {
+				var fs FS
+				var snap func() FSImage
+				switch kind {
+				case "extfs":
+					e := NewExtFS(&MemDisk{Cap: diskCap})
+					fs, snap = e, e.Snapshot
+				case "logfs":
+					l := NewLogFS(&MemDisk{Cap: diskCap})
+					fs, snap = l, l.Snapshot
+				}
+				Age(fs, prof, 7)
+				want := fsStateOf(fs)
+				img := snap()
+
+				d1 := &MemDisk{Cap: diskCap}
+				c1 := img.Materialize(d1)
+				if got := fsStateOf(c1); !reflect.DeepEqual(got, want) {
+					t.Fatalf("materialized state differs from the source in %s", stateDiff(got, want))
+				}
+				driveAfterClone(t, c1, d1)
+				if got := fsStateOf(c1); reflect.DeepEqual(got, want) {
+					t.Fatal("traffic through the clone left its state unchanged")
+				}
+				c2 := img.Materialize(&MemDisk{Cap: diskCap})
+				if got := fsStateOf(c2); !reflect.DeepEqual(got, want) {
+					t.Fatalf("after traffic through the first clone, a second differs from the source in %s", stateDiff(got, want))
+				}
+				if got := fsStateOf(fs); !reflect.DeepEqual(got, want) {
+					t.Fatalf("clones changed the source's %s", stateDiff(got, want))
+				}
+			})
+		}
+	}
+}
+
+// stateDiff names the fields in which two states differ.
+func stateDiff(got, want any) string {
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+	var out []string
+	for i := 0; i < g.NumField(); i++ {
+		if !reflect.DeepEqual(g.Field(i).Interface(), w.Field(i).Interface()) {
+			out = append(out, g.Type().Field(i).Name)
+		}
+	}
+	return strings.Join(out, ", ")
 }

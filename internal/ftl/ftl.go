@@ -101,6 +101,9 @@ type FTL struct {
 	tflash TrackedFlash // flash, when it supports snapshot-able ops; else nil
 	cfg    Config
 	g      nand.Geometry
+	// rng drives rand-greedy victim sampling and the scrub patrol, the only
+	// draws; a config that uses neither gets no source (5 KiB of seeded
+	// state per drive) and leaves both nil.
 	rng    *rand.Rand
 	rngSrc *countingSource // rng's source; draw count replayed on Restore
 
@@ -219,19 +222,20 @@ func New(eng *sim.Engine, flash Flash, cfg Config) *FTL {
 	if g != cfg.Geometry {
 		panic("ftl: flash geometry does not match config geometry")
 	}
-	src := &countingSource{src: rand.NewSource(cfg.Seed)}
 	f := &FTL{
 		eng:         eng,
 		flash:       flash,
 		cfg:         cfg,
 		g:           g,
-		rng:         rand.New(src),
-		rngSrc:      src,
 		secPerPage:  g.PageSize / cfg.SectorSize,
 		pagesPerBlk: g.PagesPerBlock,
 		blksPerPU:   g.BlocksPerPlane,
 		tr:          cfg.Trace,
 		prof:        cfg.Trace.Prof(),
+	}
+	if cfg.GC == GCRandGreedy || cfg.RefreshBits > 0 {
+		f.rngSrc = &countingSource{src: rand.NewSource(cfg.Seed)}
+		f.rng = rand.New(f.rngSrc)
 	}
 	f.secPerBlk = int64(f.secPerPage) * int64(f.pagesPerBlk)
 	f.gatherBuf = make([]int64, f.secPerPage)

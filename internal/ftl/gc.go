@@ -1,6 +1,8 @@
 package ftl
 
 import (
+	"slices"
+
 	"ssdtp/internal/nand"
 	"ssdtp/internal/obs"
 )
@@ -141,12 +143,19 @@ func (f *FTL) collectBlock(pu *puState, victim int32) {
 		job = new(gcJob)
 	}
 	pu.spareJob = nil
-	*job = gcJob{victim: victim, moves: job.moves[:0], readPages: job.readPages[:0]}
 	// The scan stops at the victim's live count: blockValid moves with every
 	// l2p update, so once it has found that many live sectors the rest of
 	// the block is stale, and a fully invalid victim is not scanned at all.
-	blockBase := f.ppnOf(pu.index, victim, 0) * int64(f.secPerPage)
+	// The lists are sized before the scan (at most one read per page, and
+	// a page is read only for a live sector), so a PU's job grows them only
+	// for a victim with more live sectors than any before it.
 	want := int(f.blockValid.At(f.globalBlock(pu.index, victim)))
+	*job = gcJob{
+		victim:    victim,
+		moves:     slices.Grow(job.moves[:0], want),
+		readPages: slices.Grow(job.readPages[:0], min(want, f.pagesPerBlk)),
+	}
+	blockBase := f.ppnOf(pu.index, victim, 0) * int64(f.secPerPage)
 	for p := 0; p < f.pagesPerBlk && len(job.moves) < want; p++ {
 		pageLive := false
 		for s := 0; s < f.secPerPage; s++ {

@@ -124,7 +124,9 @@ func (f *FTL) Snapshot() *State {
 		counters:    f.counters,
 		badBlocks:   f.badBlocks.Clone(),
 		idleStreak:  f.idleStreak,
-		rngDraws:    f.rngSrc.n,
+	}
+	if f.rngSrc != nil {
+		st.rngDraws = f.rngSrc.n
 	}
 	if f.pslcIndex != nil {
 		st.pslcIndex = make(map[int64]int64, len(f.pslcIndex))
@@ -211,10 +213,11 @@ func (f *FTL) Snapshot() *State {
 // a snapshot, then reinstates the in-flight tracked ops and the idle-patrol
 // event in their exact engine order.
 func (f *FTL) Restore(st *State) {
-	if f.allocSeq != 0 || f.validTotal != 0 || f.rngSrc.n != 0 {
+	if f.allocSeq != 0 || f.validTotal != 0 || (f.rngSrc != nil && f.rngSrc.n != 0) {
 		panic("ftl: Restore target must be freshly constructed")
 	}
-	if len(st.pus) != len(f.pus) || (st.pslcIndex != nil) != (f.pslcIndex != nil) {
+	if len(st.pus) != len(f.pus) || (st.pslcIndex != nil) != (f.pslcIndex != nil) ||
+		(st.rngDraws != 0 && f.rng == nil) {
 		panic("ftl: Restore configuration mismatch")
 	}
 	f.allocSeq = st.allocSeq
@@ -260,6 +263,7 @@ func (f *FTL) Restore(st *State) {
 
 	// Replay the rng to its captured stream position: pickVictim and the
 	// scrub patrol must draw the same values the source would have drawn.
+	// A config without a source captures no draws.
 	for i := uint64(0); i < st.rngDraws; i++ {
 		f.rng.Int63()
 	}
