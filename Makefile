@@ -45,18 +45,21 @@ perf-pinned:
 
 # Measured A/B against another revision: REV is exported with git archive,
 # each tree builds perfbench into its own .bench_build, and five alternating
-# pairs of drive-gc-write runs at seed 42 (3 s of timed reps each, calibrated
-# against perfbench's reference kernel) feed cmd/benchdiff, which fails when
-# the median of any end-to-end metric is worse than REV's by more than its
-# BENCHMARK.json bound, or when any run is incorrect.
+# pairs of runs of one perfbench workload at seed 42 (3 s of timed reps each,
+# calibrated against perfbench's reference kernel) feed cmd/benchdiff, which
+# fails when the median of any end-to-end metric is worse than REV's by more
+# than its BENCHMARK.json bound, or when any run is incorrect. WORKLOAD picks
+# the workload, drive-gc-write by default (what CI runs); a change aimed at
+# the fleet pump is measured with WORKLOAD=fleet-256.
+WORKLOAD ?= drive-gc-write
 perf-diff:
-	@test -n "$(REV)" || { echo "usage: make perf-diff REV=<rev>" >&2; exit 2; }
+	@test -n "$(REV)" || { echo "usage: make perf-diff REV=<rev> [WORKLOAD=<name>]" >&2; exit 2; }
 	rm -rf .perf/rev-src .perf/rev.out .perf/head.out
 	mkdir -p .perf/rev-src
 	git archive "$(REV)" | tar -x -C .perf/rev-src
 	for i in 1 2 3 4 5; do \
-		(cd .perf/rev-src && bash perfbench/run.sh --workload drive-gc-write --seed 42 --seconds 3 --trace 0) >> .perf/rev.out || exit 1; \
-		bash perfbench/run.sh --workload drive-gc-write --seed 42 --seconds 3 --trace 0 >> .perf/head.out || exit 1; \
+		(cd .perf/rev-src && bash perfbench/run.sh --workload $(WORKLOAD) --seed 42 --seconds 3 --trace 0) >> .perf/rev.out || exit 1; \
+		bash perfbench/run.sh --workload $(WORKLOAD) --seed 42 --seconds 3 --trace 0 >> .perf/head.out || exit 1; \
 	done
 	$(GO) run ./cmd/benchdiff BENCHMARK.json .perf/rev.out .perf/head.out
 

@@ -10,11 +10,13 @@ import (
 const SegmentBlocks = 512
 
 // logInode is a file or directory node in LogFS: a per-file-block map into
-// the log.
+// the log. A device data block index is stored as int32, like the file
+// block in blockOwner: the owner table holds 8 bytes per data block, so a
+// disk with more than math.MaxInt32 of them is out of reach anyway.
 type logInode struct {
 	name   string
 	size   int64
-	blocks []int64 // file block -> device data block (-1 = hole)
+	blocks []int32 // file block -> device data block (-1 = hole)
 	idx    int32   // slot in LogFS.inodes; 0 once the file is deleted
 	dirty  bool    // in LogFS.dirty, awaiting the next checkpoint
 	dir    bool    // a directory node, named by its directory; no blocks
@@ -144,7 +146,7 @@ func (fs *LogFS) appendDataRun(ino *logInode, fb, n int64) {
 		first := fs.curData*SegmentBlocks + fs.curDataP
 		for b := first; b < first+run; b++ {
 			fs.owner[b] = blockOwner{ino: ino.idx, fb: int32(fb)}
-			ino.blocks[fb] = b
+			ino.blocks[fb] = int32(b)
 			fb++
 		}
 		fs.liveCount[fs.curData] += int32(run)
@@ -352,7 +354,7 @@ func (fs *LogFS) Write(name string, off, n int64) error {
 	}
 	for fb := first; fb <= last; fb++ {
 		if old := ino.blocks[fb]; old >= 0 {
-			fs.invalidate(old)
+			fs.invalidate(int64(old))
 		}
 	}
 	fs.appendDataRun(ino, first, last-first+1)
@@ -395,7 +397,7 @@ func (fs *LogFS) Read(name string, off, n int64) error {
 		runStart, runLen = -1, 0
 	}
 	for fb := first; fb <= last; fb++ {
-		b := ino.blocks[fb]
+		b := int64(ino.blocks[fb])
 		if b < 0 {
 			flush()
 			continue
@@ -419,7 +421,7 @@ func (fs *LogFS) Delete(name string) error {
 	}
 	for _, b := range ino.blocks {
 		if b >= 0 {
-			fs.invalidate(b)
+			fs.invalidate(int64(b))
 		}
 	}
 	fs.usedBytes -= ino.size

@@ -29,7 +29,7 @@ func auditLogFS(t *testing.T, what string, fs *LogFS) {
 		if ino.idx != own.ino {
 			t.Fatalf("%s: inode %q in slot %d records idx %d", what, ino.name, own.ino, ino.idx)
 		}
-		if int(own.fb) >= len(ino.blocks) || ino.blocks[own.fb] != int64(b) {
+		if int(own.fb) >= len(ino.blocks) || ino.blocks[own.fb] != int32(b) {
 			t.Fatalf("%s: block %d owned by %q file block %d, which maps elsewhere", what, b, ino.name, own.fb)
 		}
 	}

@@ -103,7 +103,7 @@ func carve[I, E any](inodes []I, part func(*I) *[]E) {
 }
 
 func extentsOf(ino *extInode) *[]extent { return &ino.extents }
-func blocksOf(ino *logInode) *[]int64   { return &ino.blocks }
+func blocksOf(ino *logInode) *[]int32   { return &ino.blocks }
 
 type logImage struct {
 	// fs holds the scalars, cursors, freeSegs, segType and freeInos; its

@@ -51,6 +51,10 @@ type writeCache struct {
 
 	free *cacheEntry // recycled entries, linked through cacheEntry.next
 
+	// deadQueued counts the dead entries still in the dirty FIFO: sectors
+	// trimmed while dirty, which popDirty would skip.
+	deadQueued int
+
 	admitWaiters []admitWaiter
 }
 
@@ -131,10 +135,48 @@ func (c *writeCache) drop(lsn int64) {
 	case entryFlushing:
 		// flushingBytes released at commit.
 	}
+	// A dirty entry is still queued (popDirty or compact recycles it) and a
+	// flushing one carried by its program (commit recycles it), so the
+	// entry is never free-listed here.
 	e.state = entryDead
-	// A dirty entry is still queued (popDirty recycles it) and a flushing
-	// one carried by its program (commit recycles it), so the entry is never
-	// free-listed here.
+	if e.queued {
+		c.deadQueued++
+		if c.deadQueued > c.dirtyCount+compactSlack {
+			c.compact()
+		}
+	}
+}
+
+// compactSlack is how many more dead entries than dirty ones the dirty FIFO
+// may hold before drop compacts it.
+const compactSlack = 64
+
+// compact unlinks the dead entries from the dirty FIFO and recycles them.
+// Without it, a workload that trims what it writes before a flush reaches
+// it would keep every trimmed entry queued, and the entry arena would grow
+// without bound; drop calls it once dead entries outnumber dirty ones by
+// compactSlack, so each walk is paid for by the drops that made its dead
+// entries. The dirty entries keep their order.
+func (c *writeCache) compact() {
+	var head, tail *cacheEntry
+	for e := c.head; e != nil; {
+		next := e.next
+		e.next = nil
+		if e.state == entryDead {
+			e.queued = false
+			c.recycleIfDead(e)
+		} else {
+			if tail == nil {
+				head = e
+			} else {
+				tail.next = e
+			}
+			tail = e
+		}
+		e = next
+	}
+	c.head, c.tail = head, tail
+	c.deadQueued = 0
 }
 
 // writeCached admits a host write into the data cache, completing after
@@ -145,7 +187,9 @@ func (f *FTL) writeCached(lsn int64, count int, done func()) {
 	attr := f.prof.Cur()
 	for s := int64(0); s < int64(count); s++ {
 		l := lsn + s
-		if e := c.entries.get(l); e != nil {
+		i, d, hit := c.entries.find(l)
+		if hit {
+			e := c.entries.at(i)
 			f.counters.CacheHits++
 			if e.state == entryFlushing {
 				// Supersede the in-flight copy: this entry becomes dirty
@@ -158,8 +202,8 @@ func (f *FTL) writeCached(lsn int64, count int, done func()) {
 			}
 			continue
 		}
-		e := c.newEntry(l)
-		c.entries.put(l, e)
+		e := c.newEntry(l) // grows the arena, never the slot table
+		c.entries.insert(i, d, l, e)
 		c.push(e)
 		c.dirtyBytes += c.sector
 		c.dirtyCount++
@@ -204,7 +248,8 @@ func (c *writeCache) push(e *cacheEntry) {
 
 // popDirty removes and returns the oldest dirty entry, skipping dead ones.
 // The queue was the last reference to a skipped entry, so this is also
-// where trimmed-while-dirty entries return to the freelist.
+// where trimmed-while-dirty entries return to the freelist, unless compact
+// got to them first.
 //
 // A dirty entry is always the index's entry for its LSN, so no index lookup
 // is needed here: both index deletions (drop, commitCachedSector) mark the
@@ -220,6 +265,7 @@ func (c *writeCache) popDirty() *cacheEntry {
 		if e.state == entryDirty {
 			return e
 		}
+		c.deadQueued--
 		c.recycleIfDead(e)
 	}
 	return nil

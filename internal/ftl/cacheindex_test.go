@@ -8,22 +8,32 @@ import (
 	"ssdtp/internal/sim"
 )
 
-// checkIndex verifies x against the oracle map and the linear-probing
-// invariant: every slot between a key's home and its position is occupied,
-// so get reaches it. It also checks the half-load bound.
+// checkIndex verifies x against the oracle map and the Robin Hood
+// invariants: each slot's stored distance is its distance from its key's
+// home, every slot between a key's home and its position is occupied, so
+// get reaches it, and along a run the distance rises by at most one per
+// slot, so find may stop at an entry nearer its home than the probe. It
+// also checks the half-load bound.
 func checkIndex(t *testing.T, step int, x *cacheIndex, oracle map[int64]*cacheEntry) {
 	t.Helper()
 	n := 0
+	m := x.mask()
 	for i, s := range x.slots {
-		if s.h == 0 {
+		if s.hd == 0 {
 			continue
 		}
 		n++
-		if e := x.entry(s.h); oracle[int64(s.lsn)] != e || e.h != s.h {
+		if e := x.entry(s.handle()); oracle[int64(s.lsn)] != e || e.h != s.handle() {
 			t.Fatalf("step %d: slot %d holds lsn %d, which the oracle does not map there", step, i, s.lsn)
 		}
-		for j := x.home(int64(s.lsn)); j != i; j = (j + 1) & x.mask() {
-			if x.slots[j].h == 0 {
+		if want := uint32((i - x.home(int64(s.lsn))) & m); s.dist() != want {
+			t.Fatalf("step %d: slot %d (lsn %d) records distance %d, is %d from home", step, i, s.lsn, s.dist(), want)
+		}
+		if prev := x.slots[(i-1)&m]; s.dist() > 0 && (prev.hd == 0 || s.dist() > prev.dist()+1) {
+			t.Fatalf("step %d: slot %d at distance %d follows slot %+v", step, i, s.dist(), prev)
+		}
+		for j := x.home(int64(s.lsn)); j != i; j = (j + 1) & m {
+			if x.slots[j].hd == 0 {
 				t.Fatalf("step %d: lsn %d at slot %d unreachable: slot %d on its probe path is empty", step, s.lsn, i, j)
 			}
 		}
@@ -39,6 +49,13 @@ func checkIndex(t *testing.T, step int, x *cacheIndex, oracle map[int64]*cacheEn
 			t.Fatalf("step %d: get(%d) = %p, want %p", step, k, got, e)
 		}
 	}
+}
+
+// putEntry indexes e under lsn, which must be absent, as writeCached does:
+// one probe, then an insert where it stopped.
+func putEntry(x *cacheIndex, lsn int64, e *cacheEntry) {
+	i, d, _ := x.find(lsn)
+	x.insert(i, d, lsn, e)
 }
 
 // arenaEntries hands out fresh entries of x's arena, one block at a time.
@@ -83,7 +100,7 @@ func TestCacheIndexProbeRuns(t *testing.T) {
 	step := 0
 	put := func(k int64) {
 		e := arena.next(k)
-		x.put(k, e)
+		putEntry(&x, k, e)
 		oracle[k] = e
 		step++
 		checkIndex(t, step, &x, oracle)
@@ -124,6 +141,79 @@ func TestCacheIndexProbeRuns(t *testing.T) {
 	}
 }
 
+// TestCacheIndexDeleteInGroup fills runs of aligned groups whose slot lines
+// sit back to back, so every slot of those lines holds an entry at its
+// home, and deletes each sector of one group. Each delete must find the
+// sector at its home and stop its shift at the next slot: it touches at
+// most 2 slots, however long the run of occupied slots behind it.
+func TestCacheIndexDeleteInGroup(t *testing.T) {
+	x := newCacheIndex(512)
+	oracle := map[int64]*cacheEntry{}
+	arena := arenaEntries{x: &x}
+	// groupAt returns the first aligned group homed at the line of slot.
+	groupAt := func(slot int) int64 {
+		for g := int64(0); ; g++ {
+			if x.home(g*homeGroup) == slot {
+				return g
+			}
+		}
+	}
+	const lines = 4
+	var groups []int64
+	for l := 0; l < lines; l++ {
+		groups = append(groups, groupAt(64+l*homeGroup))
+	}
+	for _, g := range groups {
+		for k := g * homeGroup; k < (g+1)*homeGroup; k++ {
+			e := arena.next(k)
+			putEntry(&x, k, e)
+			oracle[k] = e
+		}
+	}
+	checkIndex(t, 0, &x, oracle)
+	m := x.mask()
+	for step, k := 1, groups[1]*homeGroup; k < (groups[1]+1)*homeGroup; step, k = step+1, k+1 {
+		i, _, ok := x.find(k)
+		if !ok || i != x.home(k) {
+			t.Fatalf("lsn %d at slot %d (found %v), not at its home %d", k, i, ok, x.home(k))
+		}
+		x.n--
+		if end := x.remove(i); end != (i+1)&m {
+			t.Fatalf("deleting lsn %d from slot %d shifted up to slot %d, want %d", k, i, end, (i+1)&m)
+		}
+		delete(oracle, k)
+		checkIndex(t, step, &x, oracle)
+	}
+}
+
+// TestCacheIndexLongRunDoubles homes more keys at one slot than the
+// distance field can count, at well under half load: the insert that would
+// place a key more than maxDist from its home doubles the table instead of
+// panicking or corrupting a distance.
+func TestCacheIndexLongRunDoubles(t *testing.T) {
+	x := newCacheIndex(2 * maxDist)
+	size := len(x.slots)
+	keys := keysHomedAt(&x, 0, maxDist+8)
+	oracle := map[int64]*cacheEntry{}
+	arena := arenaEntries{x: &x}
+	for i, k := range keys {
+		e := arena.next(k)
+		putEntry(&x, k, e)
+		oracle[k] = e
+		checkIndex(t, i, &x, oracle)
+	}
+	if 2*len(keys) > size || len(x.slots) <= size {
+		t.Fatalf("%d keys in a table of %d slots grew it to %d; the run, not the load, must double it", len(keys), size, len(x.slots))
+	}
+	for i, k := range keys {
+		if got := x.del(k); got != oracle[k] {
+			t.Fatalf("del(%d) = %p, want %p", k, got, oracle[k])
+		}
+		delete(oracle, k)
+		checkIndex(t, len(keys)+i, &x, oracle)
+	}
+}
+
 // TestCacheIndexVsMap drives random put/get/del sequences against a Go map.
 // Every put takes a fresh arena entry, so the entries span many arena
 // blocks and each handle must resolve to its own entry. Keys come from a small range (dense runs, frequent hits) and from sets
@@ -146,7 +236,7 @@ func TestCacheIndexVsMap(t *testing.T) {
 			case 0:
 				if oracle[k] == nil {
 					e := arena.next(k)
-					x.put(k, e)
+					putEntry(&x, k, e)
 					oracle[k] = e
 				}
 			case 1:
@@ -211,6 +301,44 @@ func TestCacheIndexKeepsItsSize(t *testing.T) {
 	}
 	if len(c.entries.slots) != size {
 		t.Fatalf("index grew from %d to %d slots (peak %d entries)", size, len(c.entries.slots), peak)
+	}
+}
+
+// TestWriteCacheTrimChurnBounded writes sectors and trims each before a
+// flush reaches it, so every entry dies while queued and popDirty never runs.
+// The FIFO must shed its dead entries (compact), keeping the entry arena,
+// and with it the index's handles, bounded by the cache rather than by the
+// number of writes; the FIFO audit checks the dead-entry count throughout.
+func TestWriteCacheTrimChurnBounded(t *testing.T) {
+	cfg := smallConfig()
+	eng := sim.NewEngine()
+	f := New(eng, newZAFlash(eng, cfg), cfg)
+	c := f.cache
+	capacity := cfg.CacheBytes / cfg.SectorSize
+	const pairs = 20000
+	for i := int64(0); i < pairs; i++ {
+		l := i % f.logicalSectors
+		done := false
+		if err := f.Write(l, 1, func() { done = true }); err != nil {
+			t.Fatal(err)
+		}
+		if eng.RunWhile(func() bool { return !done }) {
+			t.Fatal("write never completed")
+		}
+		if err := f.Trim(l, 1); err != nil {
+			t.Fatal(err)
+		}
+		if i%997 == 0 {
+			checkCacheFIFO(t, c)
+		}
+	}
+	eng.Run()
+	checkCacheFIFO(t, c)
+	if arena := len(c.entries.blocks) * entryBlock; arena > capacity+compactSlack+2*entryBlock {
+		t.Fatalf("%d write+trim pairs grew the entry arena to %d entries for a %d-sector cache", pairs, arena, capacity)
+	}
+	if f.Counters().CacheEvictions != 0 {
+		t.Fatal("a flush ran; the test needs every entry to die in the FIFO")
 	}
 }
 

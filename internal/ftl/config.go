@@ -254,6 +254,9 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("%w: need positive channel/chip counts", ErrBadConfig)
 	case c.Geometry.PageSize%c.SectorSize != 0:
 		return fmt.Errorf("%w: page size %d not a multiple of sector size %d", ErrBadConfig, c.Geometry.PageSize, c.SectorSize)
+	case c.Cache == CacheData && c.CacheBytes/c.SectorSize > maxCacheSectors:
+		return fmt.Errorf("%w: write cache of %d sectors exceeds the %d the cache index can name",
+			ErrBadConfig, c.CacheBytes/c.SectorSize, maxCacheSectors)
 	case c.OverProvision < 0 || c.OverProvision >= 0.9:
 		return fmt.Errorf("%w: over-provisioning %v out of range", ErrBadConfig, c.OverProvision)
 	case c.GCLowWater < 2:

@@ -175,7 +175,11 @@ func checkCacheFIFO(t *testing.T, c *writeCache) {
 	}
 	reached := map[*cacheEntry]bool{}
 	var last *cacheEntry
+	dead := 0
 	for e := c.head; e != nil; e = e.next {
+		if e.state == entryDead {
+			dead++
+		}
 		switch {
 		case reached[e]:
 			t.Fatalf("FIFO reaches entry %d (lsn %d) twice", e.h, e.lsn)
@@ -191,6 +195,9 @@ func checkCacheFIFO(t *testing.T, c *writeCache) {
 	}
 	if last != c.tail {
 		t.Fatalf("FIFO walk ends at %p, tail is %p", last, c.tail)
+	}
+	if dead != c.deadQueued || dead > c.dirtyCount+compactSlack {
+		t.Fatalf("FIFO holds %d dead entries, counted %d, with %d dirty", dead, c.deadQueued, c.dirtyCount)
 	}
 	queued := 0
 	for _, b := range c.entries.blocks {
@@ -641,6 +648,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := atLimit.Validate(); err != nil {
 		t.Fatalf("drive of math.MaxInt32 physical sectors rejected: %v", err)
 	}
+	// The largest write cache the index's handles can name.
+	bigCache := smallConfig()
+	bigCache.CacheBytes = maxCacheSectors * bigCache.SectorSize
+	if err := bigCache.Validate(); err != nil {
+		t.Fatalf("write cache of %d sectors rejected: %v", maxCacheSectors, err)
+	}
 	cases := []func(*Config){
 		func(c *Config) { c.Channels = 0 },
 		func(c *Config) { c.SectorSize = 3000 },
@@ -648,6 +661,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.RAIN.DataPages = -1 },
 		func(c *Config) { c.GCLowWater = 1 },
 		func(c *Config) { oneChip(c, 1<<30, 2) }, // 2^31 sectors: would truncate
+		func(c *Config) { c.CacheBytes = (maxCacheSectors + 1) * c.SectorSize },
 	}
 	for i, mutate := range cases {
 		cfg := smallConfig()

@@ -16,6 +16,11 @@ package sim
 // whose engine is running right now — its events may submit to other shards
 // and ask for NextTime before the batch ends — sits on the active stack, and
 // NextTime/Step re-key those shards before reading the root.
+//
+// Most of that bookkeeping finds nothing to do, so it is skipped where a key
+// provably cannot have changed: a RunShard with no event due fires nothing
+// and only moves the shard's clock, which is not part of its key, and a
+// re-key that reads back the key the slot already holds does not sift.
 
 // groupShard is one engine attached to a ShardGroup.
 type groupShard struct {
@@ -67,14 +72,17 @@ func (g *ShardGroup) Attach(eng *Engine, base Time) int {
 func (g *ShardGroup) Touch(i int) { g.rekey(i) }
 
 // rekey reads shard i's next event time into its heap slot and sifts the
-// slot to its place.
+// slot to its place. An unchanged key is already in place.
 func (g *ShardGroup) rekey(i int) {
 	s := &g.shards[i]
 	t, ok := s.eng.NextEventTime()
 	p := s.pos
-	g.heap[p].at, g.heap[p].idle = t-s.base, !ok
-	if !g.up(p) {
-		g.down(p)
+	k := &g.heap[p]
+	if at, idle := t-s.base, !ok; k.at != at || k.idle != idle {
+		k.at, k.idle = at, idle
+		if !g.up(p) {
+			g.down(p)
+		}
 	}
 }
 
@@ -129,14 +137,21 @@ func (g *ShardGroup) refresh() {
 	}
 }
 
+// root re-keys the active shards and returns the heap's root, or false when
+// every shard is idle.
+func (g *ShardGroup) root() (shardKey, bool) {
+	g.refresh()
+	if len(g.heap) == 0 || g.heap[0].idle {
+		return shardKey{}, false
+	}
+	return g.heap[0], true
+}
+
 // NextTime returns the group time of the earliest pending event across all
 // shards, or (0, false) when every shard is idle.
 func (g *ShardGroup) NextTime() (Time, bool) {
-	g.refresh()
-	if len(g.heap) == 0 || g.heap[0].idle {
-		return 0, false
-	}
-	return g.heap[0].at, true
+	k, ok := g.root()
+	return k.at, ok
 }
 
 // Step fires the globally earliest event batch: the shard holding the
@@ -144,33 +159,46 @@ func (g *ShardGroup) NextTime() (Time, bool) {
 // instant (including ones those events schedule for the same instant), in
 // its own (time, seq) order. Reports whether anything fired.
 func (g *ShardGroup) Step() bool {
-	g.refresh()
-	if len(g.heap) == 0 || g.heap[0].idle {
-		return false
+	k, ok := g.root()
+	if ok {
+		g.runBatch(int(k.shard), k.at)
 	}
-	root := g.heap[0]
-	g.RunShard(int(root.shard), root.at)
-	return true
+	return ok
 }
 
 // RunUntil fires every event with group time <= t, in (time, shard, seq)
 // order. Shard clocks advance only to their fired events, never to t itself;
 // callers that need a shard synchronized to a later instant use RunShard.
+// Each batch re-keys the active shards once and reads the root once.
 func (g *ShardGroup) RunUntil(t Time) {
 	for {
-		next, ok := g.NextTime()
-		if !ok || next > t {
+		k, ok := g.root()
+		if !ok || k.at > t {
 			return
 		}
-		g.Step()
+		g.runBatch(int(k.shard), k.at)
 	}
 }
 
 // RunShard fires shard i's events with group time <= t and advances its
 // clock to exactly t (Engine.RunUntil on the shard's local clock), then
 // re-keys the shard. Events it fires may run shards re-entrantly, including
-// shard i itself.
+// shard i itself. When no event is due, only the clock moves: the shard's
+// key is its next event's time, which has not changed, so it is not
+// re-keyed (a shard on the active stack is re-keyed when the group next
+// reads its root).
 func (g *ShardGroup) RunShard(i int, t Time) {
+	s := &g.shards[i]
+	lt := s.base + t
+	if next, ok := s.eng.NextEventTime(); !ok || next > lt {
+		s.eng.RunUntil(lt)
+		return
+	}
+	g.runBatch(i, t)
+}
+
+// runBatch is RunShard for a shard with an event due.
+func (g *ShardGroup) runBatch(i int, t Time) {
 	s := &g.shards[i]
 	g.active = append(g.active, i)
 	s.eng.RunUntil(s.base + t)

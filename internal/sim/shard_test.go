@@ -186,11 +186,39 @@ func scanNextTime(g *ShardGroup) (Time, bool) {
 }
 
 func (b *realBackend) check() {
+	if len(b.group.active) == 0 && b.mismatch == "" {
+		b.mismatch = auditShardHeap(&b.group)
+	}
 	gt, gok := b.group.NextTime()
 	st, sok := scanNextTime(&b.group)
 	if (gt != st || gok != sok) && b.mismatch == "" {
 		b.mismatch = fmt.Sprintf("NextTime (%d,%v), scan (%d,%v)", gt, gok, st, sok)
 	}
+}
+
+// auditShardHeap checks every slot of g's heap while no shard is active,
+// when no key may be stale: each slot's key is the one recomputed from its
+// shard's engine, its shard's pos points back at it, and it is not less
+// than its parent. It returns "" or the first violation.
+func auditShardHeap(g *ShardGroup) string {
+	if len(g.heap) != len(g.shards) {
+		return fmt.Sprintf("%d heap slots for %d shards", len(g.heap), len(g.shards))
+	}
+	for p, k := range g.heap {
+		s := &g.shards[k.shard]
+		if s.pos != p {
+			return fmt.Sprintf("slot %d holds shard %d, whose pos is %d", p, k.shard, s.pos)
+		}
+		t, ok := s.eng.NextEventTime()
+		if k.idle != !ok || ok && k.at != t-s.base {
+			return fmt.Sprintf("slot %d: shard %d keyed (%d, idle %v), engine next (%d, %v) base %d",
+				p, k.shard, k.at, k.idle, t, ok, s.base)
+		}
+		if p > 0 && k.less(g.heap[(p-1)/2]) {
+			return fmt.Sprintf("slot %d: shard %d's key is less than its parent's", p, k.shard)
+		}
+	}
+	return ""
 }
 
 func (b *realBackend) runUntil(t Time) { b.group.RunUntil(t) }
@@ -400,6 +428,83 @@ func equalStates(a, b []*shardState) bool {
 		}
 	}
 	return true
+}
+
+// TestShardGroupRunShardFastPath pins RunShard with nothing due: the
+// shard's clock moves to the target, nothing fires, and the heap is left
+// exactly as it was — no slot re-keyed or moved. A due event takes the
+// slow path, fires, and re-keys its shard.
+func TestShardGroupRunShardFastPath(t *testing.T) {
+	var g ShardGroup
+	engs := make([]*Engine, 4)
+	fired := 0
+	for i := range engs {
+		e := NewEngine()
+		engs[i] = e
+		g.Attach(e, Time(10*i))
+	}
+	// Shards 0 and 2 hold one event each; 1 and 3 are idle.
+	engs[0].Schedule(100, func() { fired++ })
+	g.Touch(0)
+	engs[2].Schedule(300, func() { fired++ })
+	g.Touch(2)
+	heap0 := append([]shardKey(nil), g.heap...)
+	pos0 := make([]int, len(g.shards))
+	for i := range g.shards {
+		pos0[i] = g.shards[i].pos
+	}
+	unchanged := func(what string) {
+		t.Helper()
+		for p := range heap0 {
+			if g.heap[p] != heap0[p] {
+				t.Fatalf("%s: heap slot %d changed from %+v to %+v", what, p, heap0[p], g.heap[p])
+			}
+		}
+		for i := range g.shards {
+			if g.shards[i].pos != pos0[i] {
+				t.Fatalf("%s: shard %d moved from slot %d to %d", what, i, pos0[i], g.shards[i].pos)
+			}
+		}
+		if len(g.active) != 0 {
+			t.Fatalf("%s: %d shards left on the active stack", what, len(g.active))
+		}
+		if msg := auditShardHeap(&g); msg != "" {
+			t.Fatalf("%s: %s", what, msg)
+		}
+	}
+	cases := []struct {
+		shard int
+		t     Time
+	}{
+		{0, 50},  // busy shard, event at group time 100
+		{0, 99},  // one tick before it
+		{1, 70},  // idle shard
+		{2, 250}, // busy shard with a non-zero base: event at group time 280
+		{3, 400}, // idle shard past every event
+		{1, 20},  // earlier than the shard's clock: it must not move back
+	}
+	for _, c := range cases {
+		before := engs[c.shard].Now()
+		g.RunShard(c.shard, c.t)
+		what := fmt.Sprintf("RunShard(%d, %d)", c.shard, c.t)
+		if want := max(before, Time(10*c.shard)+c.t); engs[c.shard].Now() != want {
+			t.Fatalf("%s: shard clock %d, want %d", what, engs[c.shard].Now(), want)
+		}
+		if fired != 0 {
+			t.Fatalf("%s: fired %d events", what, fired)
+		}
+		unchanged(what)
+	}
+	g.RunShard(0, 100)
+	if fired != 1 || engs[0].Now() != 100 {
+		t.Fatalf("RunShard(0, 100): fired %d, clock %d; want 1 event at 100", fired, engs[0].Now())
+	}
+	if msg := auditShardHeap(&g); msg != "" {
+		t.Fatalf("after the due batch: %s", msg)
+	}
+	if next, ok := g.NextTime(); !ok || next != 280 {
+		t.Fatalf("NextTime = (%d, %v), want shard 2's event at 280", next, ok)
+	}
 }
 
 // TestShardGroupMatchesReference replays randomized programs on the sharded
