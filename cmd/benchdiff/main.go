@@ -15,6 +15,12 @@
 // the BENCHMARK.json end_to_end list. A result line with "correct":false or a
 // non-zero "failed" count, on either side, fails the comparison, as does a
 // metric missing from any run.
+//
+// Each metric's line also shows how many pairs the head won — the i-th base
+// run against the i-th head run, the order `make perf-diff` alternates them
+// in — and the spread between the base runs' quartiles, the noise a gain
+// must exceed. They inform the reader; the pass/fail rule uses the medians
+// alone.
 package main
 
 import (
@@ -103,6 +109,34 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
+// quartileSpread is the distance between the upper and lower quartiles of
+// xs, each interpolated linearly between order statistics.
+func quartileSpread(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	q := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		lo := int(pos)
+		if lo+1 >= len(s) {
+			return s[lo]
+		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return q(0.75) - q(0.25)
+}
+
+// pairsWon counts the pairs (base[i], head[i]) in which head is strictly
+// better, and how many pairs there are.
+func pairsWon(better string, base, head []float64) (won, pairs int) {
+	pairs = min(len(base), len(head))
+	for i := 0; i < pairs; i++ {
+		if regression(better, base[i], head[i]) < 0 {
+			won++
+		}
+	}
+	return won, pairs
+}
+
 // regression is how much worse head is than base, relative to base: positive
 // when head is worse, negative when it is better.
 func regression(better string, base, head float64) float64 {
@@ -131,8 +165,8 @@ func diff(w io.Writer, specs []metricSpec, base, head []result) []string {
 			}
 		}
 	}
-	fmt.Fprintf(w, "%-16s %14s %14s %9s %7s  (medians of %d base and %d head runs)\n",
-		"metric", "base", "head", "worse by", "bound", len(base), len(head))
+	fmt.Fprintf(w, "%-16s %14s %14s %9s %7s %7s %12s  (medians of %d base and %d head runs)\n",
+		"metric", "base", "head", "worse by", "bound", "won", "base IQR", len(base), len(head))
 	for _, m := range specs {
 		var vals [2][]float64
 		missing := false
@@ -157,7 +191,9 @@ func diff(w io.Writer, specs []metricSpec, base, head []result) []string {
 			status = "FAIL"
 			fails = append(fails, fmt.Sprintf("%s regressed %.1f%% (bound %.0f%%, %s is better)", m.Name, 100*r, 100*m.Bound, m.Better))
 		}
-		fmt.Fprintf(w, "%-16s %14.6g %14.6g %8.1f%% %6.0f%%  %s\n", m.Name, b, h, 100*r, 100*m.Bound, status)
+		won, pairs := pairsWon(m.Better, vals[0], vals[1])
+		fmt.Fprintf(w, "%-16s %14.6g %14.6g %8.1f%% %6.0f%% %7s %12.4g  %s\n", m.Name, b, h, 100*r, 100*m.Bound,
+			fmt.Sprintf("%d/%d", won, pairs), quartileSpread(vals[0]), status)
 	}
 	return fails
 }

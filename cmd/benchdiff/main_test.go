@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -99,5 +100,68 @@ func TestLoadRejects(t *testing.T) {
 	}
 	if _, err := loadResults(write(t, "empty.out", "== drive-gc-write\n")); err == nil {
 		t.Error("loadResults accepted a file without result lines")
+	}
+}
+
+func TestPairsAndSpread(t *testing.T) {
+	for _, c := range []struct {
+		xs   []float64
+		want float64
+	}{
+		{[]float64{1}, 0},
+		{[]float64{1, 2}, 0.5},
+		{[]float64{5, 1, 4, 2, 3}, 2},
+		{[]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 4.5},
+	} {
+		if got := quartileSpread(c.xs); got != c.want {
+			t.Errorf("quartileSpread(%v) = %g, want %g", c.xs, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		better          string
+		base, head      []float64
+		wantWon, wantOf int
+	}{
+		// A tie is not a win.
+		{"lower", []float64{1, 2, 3}, []float64{0.5, 2, 4}, 1, 3},
+		// Pairs stop at the shorter side.
+		{"higher", []float64{100, 100}, []float64{101, 99, 500}, 1, 2},
+	} {
+		if won, of := pairsWon(c.better, c.base, c.head); won != c.wantWon || of != c.wantOf {
+			t.Errorf("pairsWon(%s, %v, %v) = %d/%d, want %d/%d", c.better, c.base, c.head, won, of, c.wantWon, c.wantOf)
+		}
+	}
+
+	// The printed line carries both, and the verdict still follows the
+	// medians: head wins 3 of 5 wall_s pairs, its median 2.9 against 3 is
+	// a gain, and req_per_s loses every pair but within its bound.
+	specs, err := loadSpec(write(t, "BENCHMARK.json", specFixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var baseLines, headLines []string
+	for i, w := range []float64{1, 2, 3, 4, 5} {
+		baseLines = append(baseLines, run(w, 100))
+		headLines = append(headLines, run([]float64{0.9, 2.5, 2.9, 3.9, 6}[i], 95))
+	}
+	base, err := loadResults(write(t, "base.out", strings.Join(baseLines, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := loadResults(write(t, "head.out", strings.Join(headLines, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if fails := diff(&out, specs, base, head); len(fails) != 0 {
+		t.Fatalf("diff failed: %v", fails)
+	}
+	for _, want := range []*regexp.Regexp{
+		regexp.MustCompile(`(?m)^wall_s .* 3/5 +2 +ok$`),
+		regexp.MustCompile(`(?m)^req_per_s .* 0/5 +0 +ok$`),
+	} {
+		if !want.MatchString(out.String()) {
+			t.Errorf("output does not match %s:\n%s", want, out.String())
+		}
 	}
 }

@@ -31,6 +31,7 @@
 package cow
 
 import (
+	"bytes"
 	"math/bits"
 	"unsafe"
 )
@@ -71,7 +72,8 @@ type table[E comparable] struct {
 
 // Image is an immutable snapshot of an Array or a Bytes store. It may be
 // restored onto any number of identically shaped stores, concurrently;
-// holders must never mutate it.
+// holders must never mutate it. Share is the one exception: it repoints
+// chunks at others holding the same bytes, which no reader can tell apart.
 type Image[E comparable] struct {
 	n        int64
 	chunkLen int64
@@ -320,6 +322,34 @@ func (a *table[E]) SnapshotDeep() Image[E] {
 		n: a.n, chunkLen: a.chunkLen, fill: a.fill,
 		chunks: chunks,
 	}
+}
+
+// Share points each chunk of img at prev's chunk of the same index wherever
+// the two hold the same bytes, so the images keep one copy between them and
+// img's own copy is garbage once nothing else holds it. Both images are
+// sealed, so their chunks never change again and a clone of either reads
+// and copies on write exactly as before. Nil chunks, unequal chunks and
+// images of different shapes are left as they are. Share rewrites img's
+// chunk table in place, so nothing may restore from img while it runs.
+func (img *Image[E]) Share(prev Image[E]) {
+	if img.n != prev.n || img.chunkLen != prev.chunkLen || img.fill != prev.fill {
+		return
+	}
+	for i, p := range img.chunks {
+		q := prev.chunks[i]
+		if p == nil || q == nil || p == q {
+			continue
+		}
+		if bytes.Equal(raw(p, img.chunkLen), raw(q, img.chunkLen)) {
+			img.chunks[i] = q
+		}
+	}
+}
+
+// raw is the memory of the chunk of n elements starting at p. Two chunks
+// with equal memory are interchangeable.
+func raw[E any](p *E, n int64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(p)), uintptr(n)*unsafe.Sizeof(*p))
 }
 
 // check panics unless img matches the array's shape.

@@ -162,6 +162,114 @@ func TestDeepCopyPathEquivalence(t *testing.T) {
 	}
 }
 
+// TestImageShare checks Image.Share: a chunk equal to prev's chunk of the
+// same index becomes prev's chunk, while unequal chunks, nil chunks on either
+// side and images of another shape stay as they are. Clones restored from
+// the two images copy the aliased chunk on their first write and change
+// neither image nor each other, with the chunk-sharing path and the
+// deep-copy reference path observing the same contents.
+func TestImageShare(t *testing.T) {
+	const n, chunkLen, fill = 256, 64, int64(-1)
+	// Chunk 0 holds the same values in both arrays, chunk 1 different
+	// ones; chunk 2 is written in a only, chunk 3 in b only.
+	build := func(own int64) *Array[int64] {
+		x := NewArray[int64](n, chunkLen, fill)
+		for i := int64(0); i < chunkLen; i++ {
+			x.Set(i, i)
+			x.Set(chunkLen+i, own)
+		}
+		if own == 1 {
+			x.Set(2*chunkLen, 5)
+		} else {
+			x.Set(3*chunkLen, 5)
+		}
+		return x
+	}
+	run := func(deep bool) (imgA, imgB Image[int64], views [][]int64) {
+		SetDeepCopy(deep)
+		defer SetDeepCopy(false)
+		imgA, imgB = build(1).Snapshot(), build(2).Snapshot()
+		before := append([]*int64(nil), imgB.chunks...)
+		imgB.Share(imgA)
+		if deep {
+			return imgA, imgB, cloneViews(t, imgA, imgB)
+		}
+		for ci, want := range []*int64{imgA.chunks[0], before[1], before[2], before[3]} {
+			if imgB.chunks[ci] != want {
+				t.Errorf("chunk %d after Share: %p, want %p", ci, imgB.chunks[ci], want)
+			}
+		}
+		if imgB.chunks[2] != nil {
+			t.Error("Share filled a nil chunk")
+		}
+		for _, other := range []*Array[int64]{
+			NewArray[int64](2*n, chunkLen, fill),
+			NewArray[int64](n, chunkLen/2, fill),
+			NewArray[int64](n, chunkLen, 0),
+		} {
+			for i := int64(0); i < chunkLen; i++ {
+				other.Set(i, i)
+			}
+			img := other.Snapshot()
+			own := img.chunks[0]
+			img.Share(imgA)
+			if img.chunks[0] != own {
+				t.Errorf("Share aliased a chunk across shapes (n %d, chunk %d, fill %d)", img.n, img.chunkLen, img.fill)
+			}
+		}
+		return imgA, imgB, cloneViews(t, imgA, imgB)
+	}
+	_, _, cowViews := run(false)
+	_, _, deepViews := run(true)
+	for v := range cowViews {
+		for i := range cowViews[v] {
+			if cowViews[v][i] != deepViews[v][i] {
+				t.Fatalf("view %d element %d: chunk sharing %d, deep copy %d", v, i, cowViews[v][i], deepViews[v][i])
+			}
+		}
+	}
+}
+
+// cloneViews restores one clone from each image, writes each inside the
+// chunk the images may alias, and returns what the two clones and fresh
+// restores of the two images read afterwards. It checks that each clone
+// copied exactly that chunk and that neither write reached the other side.
+func cloneViews(t *testing.T, imgA, imgB Image[int64]) [][]int64 {
+	t.Helper()
+	read := func(img Image[int64]) []int64 {
+		x := NewArray[int64](img.n, img.chunkLen, img.fill)
+		x.Restore(img)
+		out := make([]int64, img.n)
+		x.CopyOut(0, img.n, out)
+		return out
+	}
+	ca := NewArray[int64](imgA.n, imgA.chunkLen, imgA.fill)
+	cb := NewArray[int64](imgB.n, imgB.chunkLen, imgB.fill)
+	ca.Restore(imgA)
+	cb.Restore(imgB)
+	ca.Set(5, 100)
+	cb.Set(6, 200)
+	views := [][]int64{read(imgA), read(imgB), make([]int64, imgA.n), make([]int64, imgB.n)}
+	ca.CopyOut(0, imgA.n, views[2])
+	cb.CopyOut(0, imgB.n, views[3])
+	for i, v := range views {
+		want5, want6 := int64(5), int64(6)
+		switch i {
+		case 2:
+			want5 = 100
+		case 3:
+			want6 = 200
+		}
+		if v[5] != want5 || v[6] != want6 {
+			t.Errorf("view %d reads %d, %d at 5, 6; want %d, %d", i, v[5], v[6], want5, want6)
+		}
+	}
+	if !deepCopy && (ca.Stats().CowCopies != 1 || cb.Stats().CowCopies != 1) {
+		t.Errorf("clones copied %d and %d chunks, want 1 each", ca.Stats().CowCopies, cb.Stats().CowCopies)
+	}
+	return views
+}
+
 // TestSetFillIntoAbsentChunkAllocatesNothing pins the lazy representation: a
 // fresh array writes of the fill value stay at zero materialized chunks.
 func TestSetFillIntoAbsentChunkAllocatesNothing(t *testing.T) {

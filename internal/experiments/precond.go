@@ -27,9 +27,18 @@ import (
 // concurrent cells needing the same image block on a single construction.
 type precondEntry struct {
 	once  sync.Once
+	group *precondGroup
 	dev   *ssd.DeviceState
 	img   fsim.FSImage // nil for device-only (fig3 prefill) entries
 	fired int64        // engine events the cached build fired
+}
+
+// precondGroup lists the finished device images of one group — one drive
+// model at one prefill level, or one aged drive model — in the order they
+// were sealed. The prefill images of one group differ only in FTL knobs,
+// and many of their chunks hold the same bytes (DESIGN.md §8).
+type precondGroup struct {
+	images []*ssd.DeviceState // guarded by precondCache's lock
 }
 
 // precondCacheCap bounds retained images; overflow resets the whole cache
@@ -39,9 +48,10 @@ const precondCacheCap = 32
 
 var precondCache = struct {
 	sync.Mutex
-	on bool
-	m  map[string]*precondEntry
-}{on: true, m: map[string]*precondEntry{}}
+	on     bool
+	m      map[string]*precondEntry
+	groups map[string]*precondGroup
+}{on: true, m: map[string]*precondEntry{}, groups: map[string]*precondGroup{}}
 
 // SetSnapshotCache enables or disables the preconditioning cache (the
 // -snapshot-cache flag of cmd/reproduce). Toggling drops every retained
@@ -53,11 +63,13 @@ func SetSnapshotCache(on bool) {
 	defer precondCache.Unlock()
 	precondCache.on = on
 	precondCache.m = map[string]*precondEntry{}
+	precondCache.groups = map[string]*precondGroup{}
 }
 
-// precondEntryFor returns the memo entry for key, or nil when the cache is
-// disabled (callers then build from scratch).
-func precondEntryFor(key string) *precondEntry {
+// precondEntryFor returns the memo entry for key, whose image belongs to
+// group, or nil when the cache is disabled (callers then build from
+// scratch).
+func precondEntryFor(key, group string) *precondEntry {
 	precondCache.Lock()
 	defer precondCache.Unlock()
 	if !precondCache.on {
@@ -67,11 +79,33 @@ func precondEntryFor(key string) *precondEntry {
 	if !ok {
 		if len(precondCache.m) >= precondCacheCap {
 			precondCache.m = map[string]*precondEntry{}
+			precondCache.groups = map[string]*precondGroup{}
 		}
-		e = &precondEntry{}
+		g := precondCache.groups[group]
+		if g == nil {
+			g = &precondGroup{}
+			precondCache.groups[group] = g
+		}
+		e = &precondEntry{group: g}
 		precondCache.m[key] = e
 	}
 	return e
+}
+
+// seal points st's chunks at the equal chunks of the group's finished
+// images (ssd.DeviceState.Share), adds st to the group and stores it as the
+// entry's image. It runs inside e.once, before any cell can restore st, and
+// holds the cache's lock throughout, so two builds of one group finishing
+// together are still compared with each other and the comparison reads
+// sealed images alone.
+func (e *precondEntry) seal(st *ssd.DeviceState) {
+	precondCache.Lock()
+	defer precondCache.Unlock()
+	for _, p := range e.group.images {
+		st.Share(p)
+	}
+	e.group.images = append(e.group.images, st)
+	e.dev = st
 }
 
 // configKey renders a device config into a deterministic cache key. The
@@ -87,22 +121,32 @@ func configKey(cfg ssd.Config) string {
 // sequential fill of fillPct percent of the logical space, one overwrite
 // pass of its first half to mix block ages and create reclaimable space (a
 // fully-valid drive gives garbage collection nothing to collect), then a
-// flush.
+// flush. It panics, naming the drive and the pass, if a pass completes
+// fewer requests than it issues or the flush never completes: a partial
+// prefill must not become a cached image.
 func prefillDevice(dev *ssd.Device, fillPct int64) {
-	fill := dev.Size() * fillPct / 100 / (64 * 1024) * (64 * 1024)
-	workload.Run(dev, workload.Spec{
-		Name: "prefill", Pattern: workload.Sequential, RequestBytes: 64 * 1024,
-		Length: fill,
-	}, workload.Options{MaxRequests: fill / (64 * 1024)})
-	workload.Run(dev, workload.Spec{
-		Name: "prefill2", Pattern: workload.Sequential, RequestBytes: 64 * 1024,
-		Length: fill / 2,
-	}, workload.Options{MaxRequests: fill / 2 / (64 * 1024)})
+	const req = 64 * 1024
+	fill := dev.Size() * fillPct / 100 / req * req
+	for _, pass := range []struct {
+		name  string
+		bytes int64
+	}{{"prefill", fill}, {"prefill2", fill / 2}} {
+		res := workload.Run(dev, workload.Spec{
+			Name: pass.name, Pattern: workload.Sequential, RequestBytes: req,
+			Length: pass.bytes,
+		}, workload.Options{MaxRequests: pass.bytes / req})
+		if res.Requests != pass.bytes/req {
+			panic(fmt.Sprintf("experiments: %s %s completed %d of %d requests",
+				dev.Name(), pass.name, res.Requests, pass.bytes/req))
+		}
+	}
 	done := false
 	if err := dev.FlushAsync(func() { done = true }); err != nil {
 		panic(err)
 	}
-	dev.Engine().RunWhile(func() bool { return !done })
+	if dev.Engine().RunWhile(func() bool { return !done }) {
+		panic(fmt.Sprintf("experiments: %s prefill flush drained without completing", dev.Name()))
+	}
 }
 
 // prefilledDevice returns a device with cfg in prefilled steady state (the
@@ -118,7 +162,8 @@ func prefilledDevice(cfg ssd.Config, tr *obs.Tracer) *ssd.Device {
 // device is prefilled from scratch with tr suspended for the
 // (identical-per-config) priming traffic.
 func prefilledDeviceFrac(cfg ssd.Config, tr *obs.Tracer, fillPct int64) *ssd.Device {
-	if e := precondEntryFor(fmt.Sprintf("prefill|%d|%s", fillPct, configKey(cfg))); e != nil {
+	key := fmt.Sprintf("prefill|%d|%s", fillPct, configKey(cfg))
+	if e := precondEntryFor(key, fmt.Sprintf("prefill|%d|%s", fillPct, cfg.Name)); e != nil {
 		e.once.Do(func() {
 			// Build under a suspended throwaway tracer: it records nothing
 			// (matching the uncached path's suspended prefill) but its engine
@@ -130,7 +175,7 @@ func prefilledDeviceFrac(cfg ssd.Config, tr *obs.Tracer, fillPct int64) *ssd.Dev
 			build.Trace = btr
 			dev := ssd.NewDevice(sim.NewEngine(), build)
 			prefillDevice(dev, fillPct)
-			e.dev = dev.Snapshot()
+			e.seal(dev.Snapshot())
 			e.fired = btr.EventsFired()
 		})
 		cfg.Trace = tr
@@ -165,11 +210,11 @@ func agedFS(model, kind string, prof fsim.AgingProfile, seed int64) (fsim.FS, *s
 		return fs
 	}
 	key := fmt.Sprintf("aged|%s|%s|%s|%d", model, kind, prof, seed)
-	if e := precondEntryFor(key); e != nil {
+	if e := precondEntryFor(key, "aged|"+model); e != nil {
 		e.once.Do(func() {
 			dev := ssd.NewDevice(sim.NewEngine(), fig1Config(model, seed))
 			fs := build(dev)
-			e.dev = dev.Snapshot()
+			e.seal(dev.Snapshot())
 			e.img = fs.(interface{ Snapshot() fsim.FSImage }).Snapshot()
 		})
 		dev := ssd.NewDevice(sim.NewEngine(), fig1Config(model, seed))

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ssdtp/internal/fsim"
@@ -128,4 +129,124 @@ func TestSnapshotCacheTableEquivalence(t *testing.T) {
 	if tabS7On != tabS7Off {
 		t.Errorf("tabS7 table differs with snapshot cache on:\n--- off ---\n%s--- on ---\n%s", tabS7Off, tabS7On)
 	}
+}
+
+// imageChunks restores a cached image onto a fresh device of cfg and returns
+// the identity and size of every image chunk the clone holds.
+func imageChunks(cfg ssd.Config, st *ssd.DeviceState) map[any]int64 {
+	dev := ssd.NewDevice(sim.NewEngine(), cfg)
+	dev.Restore(st)
+	chunks := map[any]int64{}
+	dev.VisitSharedChunks(func(id any, b int64) { chunks[id] = b })
+	return chunks
+}
+
+// mqsimBaseImageBound caps the unique chunk bytes of the five 85 %-full
+// mqsim-base images fig3, transparency and tabS3 cache at seed 42 (four fig3
+// FTL designs, which transparency reuses, and tabS3's GCSuspend drive). They
+// hold 3,400,704 B of chunks in all and 2,510,848 B once equal chunks of
+// one group are shared; the bound allows 2 % over the latter.
+const mqsimBaseImageBound = 2_561_000
+
+// TestPrecondImagesShareChunks checks how the preconditioning cache shares
+// equal chunks within a group of images (DESIGN.md §8). The GCSuspend image
+// holds exactly the bytes of fig3's baseline — a prefill issues no reads,
+// so nothing is ever suspended — and must alias every one of its chunks.
+// The group as a whole must stay under mqsimBaseImageBound. Fleet images of
+// different (model, fill) pairs must share nothing, or cmd/reproduce's
+// fleet memory lines would change.
+func TestPrecondImagesShareChunks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three experiments")
+	}
+	SetSnapshotCache(true) // drops every cached image
+	defer SetSnapshotCache(true)
+	const seed = 42
+	Fig3TailLatency(Quick, seed)
+	Transparency(Quick, seed)
+	TabS3OpenChannel(Quick, seed)
+
+	image := func(cfg ssd.Config, fill int64) *ssd.DeviceState {
+		t.Helper()
+		precondCache.Lock()
+		defer precondCache.Unlock()
+		e := precondCache.m[fmt.Sprintf("prefill|%d|%s", fill, configKey(cfg))]
+		if e == nil {
+			t.Fatalf("no cached image for %s at %d%%", cfg.Name, fill)
+		}
+		return e.dev
+	}
+	base := ssd.MQSimBase()
+	base.FTL.Seed = seed
+	suspend := base
+	suspend.FTL.GCSuspend = true
+	baseChunks := imageChunks(base, image(base, 85))
+	suspendChunks := imageChunks(suspend, image(suspend, 85))
+	if n := shared(suspendChunks, baseChunks); len(suspendChunks) == 0 || n != len(suspendChunks) {
+		t.Errorf("the GCSuspend image shares %d of its %d chunks with the baseline image, want all", n, len(suspendChunks))
+	}
+
+	var group []*ssd.DeviceState
+	precondCache.Lock()
+	if g := precondCache.groups["prefill|85|mqsim-base"]; g != nil {
+		group = append(group, g.images...)
+	}
+	precondCache.Unlock()
+	cfgs := []ssd.Config{suspend}
+	for _, c := range Fig3Configs() {
+		cfg := base
+		c.Mutate(&cfg)
+		cfgs = append(cfgs, cfg)
+	}
+	if len(group) != len(cfgs) {
+		t.Fatalf("the 85%% mqsim-base group holds %d images, want %d (fig3's four designs and tabS3's GCSuspend)", len(group), len(cfgs))
+	}
+	unique := map[any]int64{}
+	var total int64
+	for _, cfg := range cfgs {
+		st := image(cfg, 85)
+		if !slices.Contains(group, st) {
+			t.Fatalf("the image of %+v is not in its group", cfg.FTL)
+		}
+		for id, b := range imageChunks(cfg, st) {
+			unique[id] = b
+			total += b
+		}
+	}
+	var bytes int64
+	for _, b := range unique {
+		bytes += b
+	}
+	t.Logf("85%% mqsim-base group: %d images, %d B of chunks, %d B unique", len(group), total, bytes)
+	if bytes > mqsimBaseImageBound {
+		t.Errorf("the 85%% mqsim-base images hold %d unique chunk bytes, want at most %d", bytes, mqsimBaseImageBound)
+	}
+
+	// The fleet's four (model, fill) images, built as FleetTail builds them.
+	var fleetImgs []map[any]int64
+	for _, model := range []int{0, 1} {
+		for _, fill := range fleetFillLevels {
+			cfg := fleetDriveConfig(model, seed)
+			prefilledDeviceFrac(cfg, nil, fill)
+			fleetImgs = append(fleetImgs, imageChunks(cfg, image(cfg, fill)))
+		}
+	}
+	for i := range fleetImgs {
+		for j := i + 1; j < len(fleetImgs); j++ {
+			if n := shared(fleetImgs[i], fleetImgs[j]); n != 0 {
+				t.Errorf("fleet images %d and %d of different (model, fill) pairs share %d chunks", i, j, n)
+			}
+		}
+	}
+}
+
+// shared counts the chunks of a that b holds too.
+func shared(a, b map[any]int64) int {
+	n := 0
+	for id := range a {
+		if _, ok := b[id]; ok {
+			n++
+		}
+	}
+	return n
 }

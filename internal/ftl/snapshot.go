@@ -208,6 +208,17 @@ func (f *FTL) Snapshot() *State {
 	return st
 }
 
+// Share points the image's table chunks at prev's wherever they hold the
+// same bytes (cow.Image.Share), so two sealed images of like FTLs keep one
+// copy of what they have in common. Share rewrites st's chunk tables, so
+// nothing may restore from st while it runs.
+func (st *State) Share(prev *State) {
+	st.l2p.Share(prev.l2p)
+	st.p2l.Share(prev.p2l)
+	st.blockValid.Share(prev.blockValid)
+	st.blockErases.Share(prev.blockErases)
+}
+
 // Restore overwrites a freshly constructed FTL (same Config, engine already
 // rebased to the capture time, flash chips and buses already restored) with
 // a snapshot, then reinstates the in-flight tracked ops and the idle-patrol

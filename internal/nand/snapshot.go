@@ -53,6 +53,18 @@ func (c *Chip) Snapshot() *ChipState {
 	return s
 }
 
+// Share points the image's array chunks at prev's wherever they hold the
+// same bytes (cow.Image.Share), so two sealed images of like chips keep one
+// copy of what they have in common. Share rewrites s's chunk tables, so
+// nothing may restore from s while it runs.
+func (s *ChipState) Share(prev *ChipState) {
+	s.cursor.Share(prev.cursor)
+	s.erases.Share(prev.erases)
+	s.reads.Share(prev.reads)
+	s.birth.Share(prev.birth)
+	s.data.Share(prev.data)
+}
+
 // Restore overwrites the chip's mutable state with a sealed image by
 // aliasing its chunks; the chip copies a chunk only on first write. The
 // image is only read, so concurrent restores from one ChipState are safe.

@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Sharded event execution (DESIGN.md §10). A ShardGroup coordinates several
 // engines ("shards") as one simulation: each shard keeps its own intrusive
 // heap and clock, offset from a shared group clock by a fixed base, and the
@@ -161,7 +163,7 @@ func (g *ShardGroup) NextTime() (Time, bool) {
 func (g *ShardGroup) Step() bool {
 	k, ok := g.root()
 	if ok {
-		g.runBatch(int(k.shard), k.at)
+		g.fire(k)
 	}
 	return ok
 }
@@ -176,8 +178,21 @@ func (g *ShardGroup) RunUntil(t Time) {
 		if !ok || k.at > t {
 			return
 		}
-		g.runBatch(int(k.shard), k.at)
+		g.fire(k)
 	}
+}
+
+// fire runs the batch the root key k names. The key must be fresh: a shard
+// whose next event is not at k.at would fire nothing (or fire out of
+// order), and a loop that keeps reading the same stale root would spin
+// forever, so that is a panic.
+func (g *ShardGroup) fire(k shardKey) {
+	s := &g.shards[k.shard]
+	if next, ok := s.eng.NextEventTime(); !ok || next != s.base+k.at {
+		panic(fmt.Sprintf("sim: stale shard key: shard %d keyed at group time %d, next event at %d (pending %t)",
+			k.shard, k.at, next-s.base, ok))
+	}
+	g.runBatch(int(k.shard), k.at)
 }
 
 // RunShard fires shard i's events with group time <= t and advances its

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -504,6 +505,35 @@ func TestShardGroupRunShardFastPath(t *testing.T) {
 	}
 	if next, ok := g.NextTime(); !ok || next != 280 {
 		t.Fatalf("NextTime = (%d, %v), want shard 2's event at 280", next, ok)
+	}
+}
+
+// TestShardGroupStaleKeyPanics checks that Step and RunUntil refuse a root
+// key that no longer matches its shard's queue — here an event canceled
+// behind the group's back, without Touch — instead of spinning on a batch
+// that fires nothing.
+func TestShardGroupStaleKeyPanics(t *testing.T) {
+	for _, run := range []struct {
+		name string
+		f    func(*ShardGroup)
+	}{
+		{"Step", func(g *ShardGroup) { g.Step() }},
+		{"RunUntil", func(g *ShardGroup) { g.RunUntil(1000) }},
+	} {
+		var g ShardGroup
+		e := NewEngine()
+		g.Attach(e, 0)
+		ev := e.Schedule(100, func() {})
+		g.Touch(0)
+		ev.Cancel()
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "stale shard key") {
+					t.Errorf("%s over a stale key: recovered %v, want a stale shard key panic", run.name, r)
+				}
+			}()
+			run.f(&g)
+		}()
 	}
 }
 

@@ -70,6 +70,31 @@ func (d *Device) Snapshot() *DeviceState {
 	return st
 }
 
+// Share points every copy-on-write image st holds — the FTL's tables, each
+// chip's arrays and the content store — at prev's chunk of the same index
+// wherever the two hold the same bytes (cow.Image.Share). Sealed chunks
+// never change, so a clone of either snapshot behaves exactly as before,
+// and the two keep one copy of what they have in common. Images of
+// different shapes, including chip grids of different sizes, are left as
+// they are. Share rewrites st's chunk tables, so nothing may restore from
+// st while it runs.
+func (st *DeviceState) Share(prev *DeviceState) {
+	st.fl.Share(prev.fl)
+	if len(st.chips) == len(prev.chips) {
+		for ch, row := range st.chips {
+			if len(row) != len(prev.chips[ch]) {
+				continue
+			}
+			for w, c := range row {
+				c.Share(prev.chips[ch][w])
+			}
+		}
+	}
+	if st.content != nil && prev.content != nil {
+		st.content.Share(*prev.content)
+	}
+}
+
 // Restore stamps a snapshot onto a freshly constructed device (same Config,
 // fresh engine with nothing scheduled). The engine is rebased to the capture
 // time, every layer's state is overwritten bottom-up (chips, buses, FTL),
