@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all test vet profile determinism perf-pinned perf-diff outputs-diff reproduce reproduce-full cover clean
+.PHONY: all test vet profile determinism perf-pinned perf-diff outputs-diff realcover reproduce reproduce-full cover clean
 
 all: test vet
 
@@ -84,6 +84,13 @@ outputs-diff:
 		done; \
 		exit 1; \
 	fi
+
+# Functions under internal/ that no real run enters: every cmd/* built with
+# coverage, run on scripts/outputs.sh's command set plus teardown, sigtrace
+# and fwdump, and the 0.0 % functions listed (scripts/realcover.sh). Not a
+# gate: it is evidence for deleting code that only tests reach.
+realcover:
+	scripts/realcover.sh .realcover
 
 reproduce:
 	$(GO) run ./cmd/reproduce

@@ -331,36 +331,3 @@ func BenchmarkDriveClone(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationStreamSeparation compares hot/cold stream separation
-// (relocated data gets its own open blocks) against mixed streams under a
-// skewed overwrite workload. The outcome is regime-dependent — separation
-// pays clearly with sub-page hot/cold mixing (TestStreamSeparationReducesGC
-// pins that down), while at page-aligned workloads and high utilization the
-// static cold pool can lock capacity instead — which is itself the kind of
-// undocumented behaviour the paper argues devices should disclose.
-func BenchmarkAblationStreamSeparation(b *testing.B) {
-	for _, mixed := range []bool{false, true} {
-		name := "separated"
-		if mixed {
-			name = "mixed"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dev := steadyDevice(func(c *ssd.Config) {
-					c.FTL.MixStreams = mixed
-					c.FTL.OverProvision = 0.25
-				}, int64(i)+1)
-				workload.Run(dev, workload.Spec{
-					Name: "hot", Pattern: workload.Hotspot, RequestBytes: 16384,
-					HotFrac: 0.1, HotAccessFrac: 0.9,
-					QueueDepth: 8, Seed: int64(i),
-				}, workload.Options{Duration: 1500 * sim.Millisecond})
-				c := dev.FTL().Counters()
-				if c.DataPagesProgrammed > 0 {
-					b.ReportMetric(float64(c.GCPagesProgrammed)/float64(c.DataPagesProgrammed), "gc-per-data-page")
-				}
-			}
-		})
-	}
-}

@@ -63,20 +63,19 @@ func main() {
 		for _, w := range []struct{ off, n int64 }{
 			{0, 8192}, {dev.Size() / 8 / 4096 * 4096, 262144}, {dev.Size() / 2 / 4096 * 4096, 65536},
 		} {
-			done := false
-			if err := dev.WriteAsync(w.off, nil, w.n, func() { done = true }); err != nil {
+			if err := dev.Write(w.off, nil, w.n); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			dev.Engine().RunWhile(func() bool { return !done })
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
 		os.Exit(2)
 	}
-	flushed := false
-	dev.FlushAsync(func() { flushed = true })
-	dev.Engine().RunWhile(func() bool { return !flushed })
+	if err := dev.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	an.Stop()
 
 	evs := an.Events()

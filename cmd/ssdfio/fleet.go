@@ -115,14 +115,11 @@ func runFleet(cfg ssd.Config, o fleetOpts) {
 		workload.Run(builder, workload.Spec{
 			Name: "prefill", Pattern: workload.Sequential, RequestBytes: 65536, Length: fill,
 		}, workload.Options{MaxRequests: fill / 65536})
-		// Snapshot requires a drained FTL: flush and run the builder's
-		// engine until the flush callback fires.
-		done := false
-		if err := builder.FlushAsync(func() { done = true }); err != nil {
+		// Snapshot requires a drained FTL.
+		if err := builder.Flush(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		builder.Engine().RunWhile(func() bool { return !done })
 		img = builder.Snapshot()
 		imgEvents = btr.EventsFired()
 	}

@@ -1,8 +1,8 @@
-// Package blockdev defines the logical-block-address interface that SSDs
-// present to hosts ("For backward-compatibility and faster adoption, SSDs
-// present a logical block address (LBA) interface comparable to an HDD" —
-// §1), plus a RAM-backed reference implementation and a tracing middleware
-// used by workload replay and the file-system experiments.
+// Package blockdev holds the logical-block-address view that SSDs present to
+// hosts ("For backward-compatibility and faster adoption, SSDs present a
+// logical block address (LBA) interface comparable to an HDD" — §1): the
+// operations of a block trace, which workload replay plays, and a RAM-backed
+// reference device.
 package blockdev
 
 import (
@@ -10,33 +10,14 @@ import (
 	"fmt"
 )
 
-// Errors returned by devices.
+// Errors returned by CheckAccess, wrapped with the offending access.
 var (
 	ErrOutOfBounds = errors.New("blockdev: access beyond device size")
 	ErrUnaligned   = errors.New("blockdev: access not sector aligned")
 )
 
-// Device is a synchronous logical block device. Offsets and lengths are in
-// bytes but must be sector-aligned; implementations may return richer errors
-// wrapping the sentinel errors above.
-type Device interface {
-	// ReadAt fills p from the device starting at byte offset off.
-	ReadAt(p []byte, off int64) error
-	// WriteAt stores p at byte offset off.
-	WriteAt(p []byte, off int64) error
-	// Trim marks [off, off+length) as unused (TRIM/discard).
-	Trim(off, length int64) error
-	// Flush makes preceding writes durable.
-	Flush() error
-	// Size returns the device capacity in bytes.
-	Size() int64
-	// SectorSize returns the alignment unit in bytes.
-	SectorSize() int
-}
-
 // CheckAccess validates that [off, off+n) is a legal, aligned access for a
-// device of the given size and sector size. Implementations share it so all
-// devices agree on error semantics.
+// device of the given size and sector size.
 func CheckAccess(size int64, sector int, off, n int64) error {
 	if off < 0 || n < 0 || off+n > size {
 		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfBounds, off, n, size)
@@ -47,10 +28,10 @@ func CheckAccess(size int64, sector int, off, n int64) error {
 	return nil
 }
 
-// RAMDisk is a sparse in-memory Device, the baseline "ideal device" against
-// which simulated SSD behaviour is compared. No experiment runs on it: it is
-// the reference a simulated drive's reads can be checked against, byte for
-// byte.
+// RAMDisk is a sparse in-memory block device, the baseline "ideal device"
+// against which simulated SSD behaviour is compared. No experiment runs on
+// it: it is the reference a simulated drive's reads can be checked against,
+// byte for byte.
 type RAMDisk struct {
 	size    int64
 	sector  int
@@ -72,7 +53,7 @@ func (d *RAMDisk) Size() int64 { return d.size }
 // SectorSize returns the sector size in bytes.
 func (d *RAMDisk) SectorSize() int { return d.sector }
 
-// ReadAt implements Device. Unwritten sectors read as zeros.
+// ReadAt fills p from byte offset off. Unwritten sectors read as zeros.
 func (d *RAMDisk) ReadAt(p []byte, off int64) error {
 	if err := CheckAccess(d.size, d.sector, off, int64(len(p))); err != nil {
 		return err
@@ -88,7 +69,7 @@ func (d *RAMDisk) ReadAt(p []byte, off int64) error {
 	return nil
 }
 
-// WriteAt implements Device.
+// WriteAt stores p at byte offset off.
 func (d *RAMDisk) WriteAt(p []byte, off int64) error {
 	if err := CheckAccess(d.size, d.sector, off, int64(len(p))); err != nil {
 		return err
@@ -105,7 +86,7 @@ func (d *RAMDisk) WriteAt(p []byte, off int64) error {
 	return nil
 }
 
-// Trim implements Device by dropping whole sectors.
+// Trim discards [off, off+length) by dropping whole sectors.
 func (d *RAMDisk) Trim(off, length int64) error {
 	if err := CheckAccess(d.size, d.sector, off, length); err != nil {
 		return err
@@ -116,5 +97,5 @@ func (d *RAMDisk) Trim(off, length int64) error {
 	return nil
 }
 
-// Flush implements Device (RAM is always "durable" here).
+// Flush makes preceding writes durable (RAM always is here).
 func (d *RAMDisk) Flush() error { return nil }

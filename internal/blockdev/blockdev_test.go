@@ -120,34 +120,6 @@ func TestRAMDiskMatchesFlatArrayProperty(t *testing.T) {
 	}
 }
 
-func TestTracerRecordsOps(t *testing.T) {
-	d := NewRAMDisk(1<<20, 512)
-	tr := NewTracer(d)
-	_ = tr.WriteAt(make([]byte, 1024), 0)
-	_ = tr.ReadAt(make([]byte, 512), 512)
-	_ = tr.Trim(0, 512)
-	_ = tr.Flush()
-	if len(tr.Ops) != 4 {
-		t.Fatalf("traced %d ops, want 4", len(tr.Ops))
-	}
-	want := []OpKind{OpWrite, OpRead, OpTrim, OpFlush}
-	for i, k := range want {
-		if tr.Ops[i].Kind != k {
-			t.Errorf("op %d = %v, want %v", i, tr.Ops[i].Kind, k)
-		}
-	}
-	if tr.BytesWritten != 1024 || tr.BytesRead != 512 {
-		t.Errorf("bytes = w%d r%d", tr.BytesWritten, tr.BytesRead)
-	}
-	if tr.Size() != d.Size() || tr.SectorSize() != d.SectorSize() {
-		t.Error("tracer does not forward geometry")
-	}
-	tr.Reset()
-	if len(tr.Ops) != 0 || tr.BytesWritten != 0 {
-		t.Error("Reset did not clear tracer")
-	}
-}
-
 func TestOpKindStrings(t *testing.T) {
 	for _, k := range []OpKind{OpRead, OpWrite, OpTrim, OpFlush} {
 		if k.String() == "?" {

@@ -1,9 +1,9 @@
 package blockdev
 
-// OpKind labels a traced block-device operation.
+// OpKind labels one operation of a block trace.
 type OpKind int
 
-// Traced operation kinds.
+// Block trace operation kinds.
 const (
 	OpRead OpKind = iota
 	OpWrite
@@ -26,64 +26,10 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one traced operation.
+// Op is one operation of a block trace (see workload.ParseTrace and
+// workload.Replay).
 type Op struct {
 	Kind OpKind
 	Off  int64
 	Len  int64
-}
-
-// Tracer wraps a Device and records every operation issued through it, in
-// order. It is how the file-system experiments observe what I/O pattern a
-// file system actually produced.
-type Tracer struct {
-	Inner Device
-	Ops   []Op
-	// BytesWritten and BytesRead aggregate payload volume.
-	BytesWritten int64
-	BytesRead    int64
-}
-
-// NewTracer wraps dev.
-func NewTracer(dev Device) *Tracer {
-	return &Tracer{Inner: dev}
-}
-
-// ReadAt implements Device.
-func (t *Tracer) ReadAt(p []byte, off int64) error {
-	t.Ops = append(t.Ops, Op{Kind: OpRead, Off: off, Len: int64(len(p))})
-	t.BytesRead += int64(len(p))
-	return t.Inner.ReadAt(p, off)
-}
-
-// WriteAt implements Device.
-func (t *Tracer) WriteAt(p []byte, off int64) error {
-	t.Ops = append(t.Ops, Op{Kind: OpWrite, Off: off, Len: int64(len(p))})
-	t.BytesWritten += int64(len(p))
-	return t.Inner.WriteAt(p, off)
-}
-
-// Trim implements Device.
-func (t *Tracer) Trim(off, length int64) error {
-	t.Ops = append(t.Ops, Op{Kind: OpTrim, Off: off, Len: length})
-	return t.Inner.Trim(off, length)
-}
-
-// Flush implements Device.
-func (t *Tracer) Flush() error {
-	t.Ops = append(t.Ops, Op{Kind: OpFlush})
-	return t.Inner.Flush()
-}
-
-// Size implements Device.
-func (t *Tracer) Size() int64 { return t.Inner.Size() }
-
-// SectorSize implements Device.
-func (t *Tracer) SectorSize() int { return t.Inner.SectorSize() }
-
-// Reset discards recorded operations and counters.
-func (t *Tracer) Reset() {
-	t.Ops = nil
-	t.BytesWritten = 0
-	t.BytesRead = 0
 }

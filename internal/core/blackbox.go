@@ -100,10 +100,15 @@ func (m WAFMeasurement) WAF(assumedPageBytes int64) float64 {
 // quiesce drains the device write cache so S.M.A.R.T. deltas reflect all
 // the run's traffic (the drive idles between fio runs in the paper's
 // methodology).
-func quiesce(dev *ssd.Device) {
-	done := false
-	dev.FlushAsync(func() { done = true })
-	dev.Engine().RunWhile(func() bool { return !done })
+func quiesce(dev *ssd.Device) { must(dev.Flush()) }
+
+// must panics on a blocking device call's error: every request the toolkit
+// issues is in range and aligned, so a submission error or a stalled engine
+// is a model bug, and a measurement taken past it would be wrong.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 // MeasureWAF runs one workload for the given duration and returns its
@@ -179,9 +184,7 @@ func DetectWriteBufferSize(dev *ssd.Device, maxBytes int64) (int64, []sim.Time) 
 	burst := int64(64 * 1024)
 	for burst <= maxBytes {
 		// Quiesce, then burst.
-		flushed := false
-		dev.FlushAsync(func() { flushed = true })
-		eng.RunWhile(func() bool { return !flushed })
+		quiesce(dev)
 
 		lat := stats.NewLatencyRecorder()
 		pending := 0
@@ -232,15 +235,9 @@ func EstimateParallelism(dev *ssd.Device, maxDepth int) ParallelismEstimate {
 		stride = page
 	}
 	for i := 0; i <= maxDepth; i++ {
-		done := false
-		if err := dev.WriteAsync(int64(i)*stride, nil, page, func() { done = true }); err != nil {
-			panic(err)
-		}
-		eng.RunWhile(func() bool { return !done })
+		must(dev.Write(int64(i)*stride, nil, page))
 	}
-	flushed := false
-	dev.FlushAsync(func() { flushed = true })
-	eng.RunWhile(func() bool { return !flushed })
+	quiesce(dev)
 
 	est := ParallelismEstimate{}
 	var base sim.Time

@@ -125,26 +125,6 @@ func CharacterizeByProbe(dev *ssd.Device) ProbeFindings {
 	rig := attachProbes(dev)
 	defer rig.detach()
 
-	sync := func() {
-		done := false
-		dev.FlushAsync(func() { done = true })
-		eng.RunWhile(func() bool { return !done })
-	}
-	write := func(off, n int64) {
-		done := false
-		if err := dev.WriteAsync(off%dev.Size(), nil, n, func() { done = true }); err != nil {
-			panic(err)
-		}
-		eng.RunWhile(func() bool { return !done })
-	}
-	read := func(off, n int64) {
-		done := false
-		if err := dev.ReadAsync(off, nil, n, func() { done = true }); err != nil {
-			panic(err)
-		}
-		eng.RunWhile(func() bool { return !done })
-	}
-
 	span := int64(512 * 1024)
 
 	// Phase 0: power-on. The controller enumerates its chips; READ ID and
@@ -158,25 +138,25 @@ func CharacterizeByProbe(dev *ssd.Device) ProbeFindings {
 	// Phase A: first write of a span — programs reveal page size, tPROG,
 	// plane ganging, channel fan-out.
 	opsA := rig.capturePhase(func() {
-		write(0, span)
-		sync()
+		must(dev.Write(0, nil, span))
+		quiesce(dev)
 	})
 	// Phase B: immediate rewrite of the same LBAs — row comparison reveals
 	// placement policy.
 	opsB := rig.capturePhase(func() {
-		write(0, span)
-		sync()
+		must(dev.Write(0, nil, span))
+		quiesce(dev)
 	})
 	// Phase C: read back — tR.
 	opsC := rig.capturePhase(func() {
-		read(0, span)
+		must(dev.Read(0, nil, span))
 	})
 	// Phase D: overwrite churn past device capacity — erases and GC.
 	rounds := 4 * dev.Size() / span
 	opsD := rig.capturePhase(func() {
 		for i := int64(0); i < rounds; i++ {
-			write(0, span)
-			sync()
+			must(dev.Write(0, nil, span))
+			quiesce(dev)
 		}
 	})
 	// Phase E: idle window — background operations.

@@ -52,9 +52,7 @@ func InferStriping(dev *ssd.Device, steps int) StripingFindings {
 			}
 		}
 		eng.RunWhile(func() bool { return pending > 0 })
-		flushed := false
-		dev.FlushAsync(func() { flushed = true })
-		eng.RunWhile(func() bool { return !flushed })
+		quiesce(dev)
 	})
 
 	// Collect (issue time, channel) of every program across channels.

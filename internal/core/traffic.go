@@ -35,13 +35,9 @@ func (t FirmwareTraffic) TouchWrite(lsn int64) {
 
 // Quiesce implements Traffic.
 func (t FirmwareTraffic) Quiesce() {
-	dev := t.FW.Device()
-	if dev == nil {
-		return
+	if dev := t.FW.Device(); dev != nil {
+		quiesce(dev)
 	}
-	done := false
-	dev.FlushAsync(func() { done = true })
-	dev.Engine().RunWhile(func() bool { return !done })
 }
 
 // MaxSector implements Traffic: the scaled backing device bounds real I/O.

@@ -49,16 +49,10 @@ func fmtDur(t sim.Time) string {
 // backup boot sector at the end of the volume, $MFT and $MFTMirr zone
 // initialization, and volume metadata files.
 func ntfsFormat(dev *ssd.Device) {
-	eng := dev.Engine()
 	write := func(off, n int64) {
-		if off+n > dev.Size() {
-			return
+		if off+n <= dev.Size() {
+			must(dev.Write(off, nil, n))
 		}
-		done := false
-		if err := dev.WriteAsync(off, nil, n, func() { done = true }); err != nil {
-			panic(err)
-		}
-		eng.RunWhile(func() bool { return !done })
 	}
 	align := func(x int64) int64 { return x / 4096 * 4096 }
 	size := dev.Size()
@@ -68,9 +62,7 @@ func ntfsFormat(dev *ssd.Device) {
 	write(align(size/2), 64*1024)          // $MFTMirr
 	write(align(size/8)+256*1024, 64*1024) // $LogFile
 	write(align(size/8)+320*1024, 32*1024) // $Bitmap
-	done := false
-	dev.FlushAsync(func() { done = true })
-	eng.RunWhile(func() bool { return !done })
+	must(dev.Flush())
 }
 
 // Fig5SignalTrace reproduces Figure 5: probes on flash package 0 of the OCZ

@@ -115,9 +115,7 @@ func TabS5Endurance(scale Scale, seed int64) TabS5Result {
 					break
 				}
 			}
-			done := false
-			dev.FlushAsync(func() { done = true })
-			dev.Engine().RunWhile(func() bool { return !done })
+			must(dev.Flush())
 			c := dev.FTL().Counters()
 			row.HostMBWritten = float64(c.HostSectorsWritten) * 4096 / 1e6
 			row.NANDPages = c.PagesProgrammed()

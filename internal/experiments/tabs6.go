@@ -78,7 +78,9 @@ func TabS6Proportionality(scale Scale, seed int64) TabS6Result {
 		if err := dev.WriteAsync(0, nil, 1<<20, func() { primeDone = true }); err != nil {
 			panic(err)
 		}
-		dev.FlushAsync(nil)
+		if err := dev.FlushAsync(nil); err != nil {
+			panic(err)
+		}
 		eng.RunWhile(func() bool { return !primeDone })
 
 		// Heavy tenant: refill its queue whenever it drains below half.

@@ -27,61 +27,34 @@ type Disk interface {
 	Size() int64
 }
 
-// SSDDisk adapts an ssd.Device to Disk by driving its engine synchronously.
-// Every I/O waits on the one completion flag through the same two prebuilt
-// funcs, so a steady-state I/O allocates nothing. Only one I/O is in flight
-// at a time: each call returns once its own completes.
-type SSDDisk struct {
-	dev     *ssd.Device
-	done    bool
-	finish  func()      // sets done; the device's completion callback
-	pending func() bool // reports !done; the engine's run condition
-}
+// SSDDisk adapts an ssd.Device to Disk through the device's blocking calls:
+// each I/O returns once it completes, so only one is in flight at a time. A
+// submission error or a stalled engine is a model bug here, so it panics.
+type SSDDisk struct{ dev *ssd.Device }
 
 // NewSSDDisk returns a Disk backed by dev.
-func NewSSDDisk(dev *ssd.Device) *SSDDisk {
-	d := &SSDDisk{dev: dev}
-	d.finish = func() { d.done = true }
-	d.pending = func() bool { return !d.done }
-	return d
-}
+func NewSSDDisk(dev *ssd.Device) *SSDDisk { return &SSDDisk{dev: dev} }
 
 // Write implements Disk.
-func (d *SSDDisk) Write(off, n int64) {
-	d.done = false
-	if err := d.dev.WriteAsync(off, nil, n, d.finish); err != nil {
-		panic(err)
-	}
-	d.dev.Engine().RunWhile(d.pending)
-}
+func (d *SSDDisk) Write(off, n int64) { must(d.dev.Write(off, nil, n)) }
 
 // Read implements Disk.
-func (d *SSDDisk) Read(off, n int64) {
-	d.done = false
-	if err := d.dev.ReadAsync(off, nil, n, d.finish); err != nil {
-		panic(err)
-	}
-	d.dev.Engine().RunWhile(d.pending)
-}
+func (d *SSDDisk) Read(off, n int64) { must(d.dev.Read(off, nil, n)) }
 
 // Trim implements Disk.
-func (d *SSDDisk) Trim(off, n int64) {
-	d.done = false
-	if err := d.dev.TrimAsync(off, n, d.finish); err != nil {
-		panic(err)
-	}
-	d.dev.Engine().RunWhile(d.pending)
-}
+func (d *SSDDisk) Trim(off, n int64) { must(d.dev.Trim(off, n)) }
 
 // Sync implements Disk.
-func (d *SSDDisk) Sync() {
-	d.done = false
-	d.dev.FlushAsync(d.finish)
-	d.dev.Engine().RunWhile(d.pending)
-}
+func (d *SSDDisk) Sync() { must(d.dev.Flush()) }
 
 // Size implements Disk.
 func (d *SSDDisk) Size() int64 { return d.dev.Size() }
+
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
 
 // MemDisk is a counting no-op disk for file-system unit tests.
 type MemDisk struct {

@@ -41,13 +41,13 @@ func zaReadBatch() {
 	}
 }
 
-// A synchronous SSDDisk I/O reuses the disk's completion flag and its two
-// prebuilt funcs, so once the device's own pools are warm a write or a read
-// allocates nothing: the file systems issue one per block run, and every
-// aged Figure 1 image is built from hundreds of thousands of them. The
-// device is warmed as the ssd package's own allocation tests warm it, by
-// cycling half its capacity three times so GC and every pool reach steady
-// state. CI runs this test explicitly.
+// A synchronous SSDDisk I/O is a blocking ssd.Device call, which reuses the
+// device's completion flag and its two prebuilt funcs, so once the device's
+// own pools are warm a write or a read allocates nothing: the file systems
+// issue one per block run, and every aged Figure 1 image is built from
+// hundreds of thousands of them. The device is warmed as the ssd package's
+// own allocation tests warm it, by cycling half its capacity three times so
+// GC and every pool reach steady state. CI runs this test explicitly.
 func TestSSDDiskZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not stable under the race detector")

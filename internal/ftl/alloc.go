@@ -42,11 +42,14 @@ func (f *FTL) globalBlock(pu int, blk int32) int64 {
 }
 
 // allocPage hands out the next page of the PU's relevant open block, opening
-// a fresh block from the free list when needed. It returns ok=false when the
+// a fresh block from the free list when needed. Relocated pages get their
+// own open block (hot/cold stream separation, the first-order write-
+// amplification optimization of the literature the paper cites, [39]-[42]):
+// cold data collected together stays together. It returns ok=false when the
 // operation must wait for garbage collection to free a block.
 func (f *FTL) allocPage(pu *puState, kind pageKind) (blk int32, page int, ok bool) {
 	ob := &pu.active
-	if kind == kindGC && !f.cfg.MixStreams {
+	if kind == kindGC {
 		ob = &pu.gcActive
 	}
 	if !ob.open {

@@ -188,13 +188,6 @@ type Config struct {
 	IdleGC    bool
 	IdleDelay int64 // nanoseconds
 
-	// MixStreams disables hot/cold stream separation: garbage-collected
-	// (cold) data shares open blocks with fresh host writes instead of
-	// using its own. An ablation knob — separation is the first-order
-	// write-amplification optimization of the hot/cold literature the
-	// paper cites ([39]-[42]).
-	MixStreams bool
-
 	// WearLevelThreshold enables static wear leveling: when the spread
 	// between the most- and least-erased block of a parallel unit exceeds
 	// this many erases, idle time relocates the coldest block's data so the

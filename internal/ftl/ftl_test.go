@@ -788,45 +788,46 @@ func TestMountReadsAccounting(t *testing.T) {
 	// in the tabS8 experiment test.
 }
 
+// Hot/cold stream separation on a skewed overwrite workload: every
+// relocation page goes to the PU's relocation block, and the relocation
+// traffic stays below what the same workload cost with relocations mixed
+// into the host-write block (9176 relocation pages per 3186 data pages,
+// measured before the mixed mode was removed).
 func TestStreamSeparationReducesGC(t *testing.T) {
-	run := func(mixed bool) (gc, data int64) {
-		cfg := smallConfig()
-		cfg.MixStreams = mixed
-		cfg.Seed = 4
-		eng, _, f := newTestFTL(t, cfg)
-		rng := rand.New(rand.NewSource(12))
-		total := f.LogicalSectors()
-		// Fill, then skewed overwrites: 90% of writes to 10% of space.
-		for lsn := int64(0); lsn < total; lsn += 4 {
-			_ = f.Write(lsn, 4, nil)
-		}
-		f.Flush(nil)
-		eng.Run()
-		hot := total / 10
-		for i := 0; i < 4000; i++ {
-			var lsn int64
-			if rng.Intn(10) < 9 {
-				lsn = rng.Int63n(hot/4) * 4
-			} else {
-				lsn = hot + rng.Int63n((total-hot-4)/4)*4
-			}
-			_ = f.Write(lsn, 4, nil)
-			if i%100 == 0 {
-				eng.Run()
-			}
-		}
-		f.Flush(nil)
-		eng.Run()
-		checkInvariants(t, f)
-		c := f.Counters()
-		return c.GCPagesProgrammed, c.DataPagesProgrammed
+	const mixedGC, mixedData = 9176, 3186
+	cfg := smallConfig()
+	cfg.Seed = 4
+	eng, fl, f := newAuditedFTL(t, cfg)
+	rng := rand.New(rand.NewSource(12))
+	total := f.LogicalSectors()
+	// Fill, then skewed overwrites: 90% of writes to 10% of space.
+	for lsn := int64(0); lsn < total; lsn += 4 {
+		_ = f.Write(lsn, 4, nil)
 	}
-	gcSep, dataSep := run(false)
-	gcMix, dataMix := run(true)
-	wafSep := float64(gcSep) / float64(dataSep)
-	wafMix := float64(gcMix) / float64(dataMix)
-	if wafSep >= wafMix {
-		t.Errorf("separation did not reduce GC traffic: separated %.3f vs mixed %.3f gc/data", wafSep, wafMix)
+	f.Flush(nil)
+	eng.Run()
+	hot := total / 10
+	for i := 0; i < 4000; i++ {
+		var lsn int64
+		if rng.Intn(10) < 9 {
+			lsn = rng.Int63n(hot/4) * 4
+		} else {
+			lsn = hot + rng.Int63n((total-hot-4)/4)*4
+		}
+		_ = f.Write(lsn, 4, nil)
+		if i%100 == 0 {
+			eng.Run()
+		}
+	}
+	f.Flush(nil)
+	eng.Run()
+	checkInvariants(t, f)
+	fl.checkAuditCoverage(f)
+	c := f.Counters()
+	sep := float64(c.GCPagesProgrammed) / float64(c.DataPagesProgrammed)
+	if mixed := float64(mixedGC) / float64(mixedData); sep >= mixed {
+		t.Errorf("separation did not reduce GC traffic: separated %d/%d = %.3f vs mixed %.3f gc/data",
+			c.GCPagesProgrammed, c.DataPagesProgrammed, sep, mixed)
 	}
 }
 
@@ -837,14 +838,33 @@ func TestStreamSeparationReducesGC(t *testing.T) {
 // committing slot by slot under that precondition. The audited ops are the
 // FTL's whole descriptor pool, seeded up front; the test fails if the pool
 // ever outgrows the seed, since an op it did not seed would go unaudited.
+// It also counts the programs that land in a block its PU opened as the
+// relocation block (gcActive, just opened when its page 0 is programmed):
+// with hot/cold separation that is exactly the relocation pages.
 type opAuditFlash struct {
 	*fakeFlash
-	t       *testing.T
-	ops     []*pageOp
-	audited map[pageKind]int
+	t        *testing.T
+	f        *FTL
+	ops      []*pageOp
+	audited  map[pageKind]int
+	gcBlock  map[int64]bool // global block → opened as a relocation block
+	gcStream int64
 }
 
 func (a *opAuditFlash) Program(ch, chip int, addr nand.Addr, slc, background bool, done func(error)) {
+	for i := range a.f.pus {
+		pu := &a.f.pus[i]
+		if pu.ch != ch || pu.chip != chip || pu.die != addr.Die || pu.plane != addr.Plane {
+			continue
+		}
+		gb := a.f.globalBlock(i, int32(addr.Block))
+		if addr.Page == 0 {
+			a.gcBlock[gb] = pu.gcActive.blk == int32(addr.Block) && pu.gcActive.next == 1
+		}
+		if a.gcBlock[gb] {
+			a.gcStream++
+		}
+	}
 	for _, op := range a.ops {
 		if op.lsns == nil || (op.kind != kindData && op.kind != kindGC && op.kind != kindRefresh) {
 			continue
@@ -871,8 +891,10 @@ func newAuditedFTL(t *testing.T, cfg Config) (*sim.Engine, *opAuditFlash, *FTL) 
 		fakeFlash: newFakeFlash(t, eng, cfg.Geometry, cfg.Channels, cfg.ChipsPerChannel),
 		t:         t,
 		audited:   map[pageKind]int{},
+		gcBlock:   map[int64]bool{},
 	}
 	f := New(eng, fl, cfg)
+	fl.f = f
 	for i := 0; i < poolSeed; i++ {
 		fl.ops = append(fl.ops, f.newPageOp(kindData, 0))
 	}
@@ -884,7 +906,8 @@ func newAuditedFTL(t *testing.T, cfg Config) (*sim.Engine, *opAuditFlash, *FTL) 
 
 // checkAuditCoverage fails unless the audit saw every op the FTL used (the
 // pool never outgrew its seed) and saw data pages and relocation pages
-// with live data.
+// with live data, and unless every relocation page, and nothing else, was
+// programmed into the PU's relocation block.
 func (a *opAuditFlash) checkAuditCoverage(f *FTL) {
 	a.t.Helper()
 	pooled := 0
@@ -897,5 +920,8 @@ func (a *opAuditFlash) checkAuditCoverage(f *FTL) {
 	if moved := f.Counters().GCValidMoved; moved == 0 || a.audited[kindGC] == 0 || a.audited[kindData] == 0 {
 		a.t.Fatalf("audited %v (by page kind) and moved %d live sectors; want data and relocation pages with live data",
 			a.audited, moved)
+	}
+	if gc := f.Counters().GCPagesProgrammed; a.gcStream != gc {
+		a.t.Fatalf("%d programs landed in a relocation block, %d relocation pages programmed", a.gcStream, gc)
 	}
 }

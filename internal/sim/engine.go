@@ -289,10 +289,9 @@ func (e *Engine) RunUntil(t Time) {
 // cond still held — for wait loops of the form
 // RunWhile(func() bool { return !done }), a true return means the awaited
 // completion can no longer arrive (the simulation is stuck). It returns
-// false when cond flipped, the normal completion path. Callers that must
-// not tolerate a stuck wait can assert on the return value; most loops in
-// this repository ignore it because their completion event is already
-// queued when they start waiting.
+// false when cond flipped, the normal completion path. A wait on one device
+// request goes through ssd.Device's blocking calls, which turn a true
+// return into ssd.ErrStalled.
 func (e *Engine) RunWhile(cond func() bool) bool {
 	for cond() {
 		if !e.Step() {

@@ -54,9 +54,10 @@ type Config struct {
 	Trace *obs.Tracer
 }
 
-// Device is a complete simulated SSD. All I/O entry points are asynchronous
-// on the simulation engine; Sync* wrappers (sync.go) drive the engine for
-// callers that want a plain block-device view.
+// Device is a complete simulated SSD. Its I/O entry points are asynchronous
+// on the simulation engine (WriteAsync, ReadAsync, TrimAsync, FlushAsync);
+// Write, Read, Trim and Flush (sync.go) submit one and run the engine until
+// it completes, for callers that issue one I/O at a time.
 type Device struct {
 	eng   *sim.Engine
 	cfg   Config
@@ -75,6 +76,8 @@ type Device struct {
 	hostBytesRead    int64
 
 	inflightFlushes int
+
+	blk *blocker // blocking-call state; nil until the first blocking call
 }
 
 // contentChunkSectors is the payload store's chunk length in sectors (64 KiB

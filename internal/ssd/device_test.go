@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
-	"ssdtp/internal/blockdev"
 	"ssdtp/internal/sim"
 	"ssdtp/internal/smart"
 )
@@ -54,41 +54,9 @@ func TestDeviceBounds(t *testing.T) {
 	}
 }
 
-func TestSyncDevImplementsBlockdev(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDevice(eng, tinyConfig())
-	var dev blockdev.Device = SyncDev{D: d}
-	data := bytes.Repeat([]byte{7}, 4096)
-	if err := dev.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	if err := dev.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, data) {
-		t.Error("sync round trip mismatch")
-	}
-	if err := dev.Trim(0, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.ReadAt(buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 0 {
-		t.Error("trimmed sector not zero")
-	}
-	if dev.Size() != d.Size() || dev.SectorSize() != 4096 {
-		t.Error("geometry forwarding broken")
-	}
-}
-
 // Regression: FlushAsync used to have no submission-error path at all, so a
 // caller flooding FLUSH commands would grow the event queue without bound and
-// SyncDev.Flush could not surface the condition. The device now bounds
+// a blocking flush could not surface the condition. The device now bounds
 // outstanding flushes and rejects the excess.
 func TestFlushBacklogRejected(t *testing.T) {
 	eng := sim.NewEngine()
@@ -113,8 +81,128 @@ func TestFlushBacklogRejected(t *testing.T) {
 	}
 }
 
-// SyncDev.Flush must propagate submission errors instead of spinning the
-// engine waiting for a completion that was never scheduled.
+// The blocking calls' contract: a submission error is the async twin's
+// error, returned without running the engine; a request the engine can no
+// longer complete is ErrStalled, naming the device and the op; a blocking
+// call made while another waits panics. TestSyncDevImplementsBlockdev checks
+// that a completed call has done its I/O.
+func TestBlockingCalls(t *testing.T) {
+	fillFlushes := func(d *Device) {
+		for i := 0; i < maxOutstandingFlushes; i++ {
+			if err := d.FlushAsync(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(d *Device)
+		async func(d *Device) error
+		block func(d *Device) error
+	}{
+		{"write/out-of-range", nil,
+			func(d *Device) error { return d.WriteAsync(d.Size(), nil, 4096, nil) },
+			func(d *Device) error { return d.Write(d.Size(), nil, 4096) }},
+		{"write/unaligned", nil,
+			func(d *Device) error { return d.WriteAsync(100, nil, 4096, nil) },
+			func(d *Device) error { return d.Write(100, nil, 4096) }},
+		{"read/out-of-range", nil,
+			func(d *Device) error { return d.ReadAsync(d.Size(), nil, 4096, nil) },
+			func(d *Device) error { return d.Read(d.Size(), nil, 4096) }},
+		{"read/unaligned", nil,
+			func(d *Device) error { return d.ReadAsync(0, nil, 100, nil) },
+			func(d *Device) error { return d.Read(0, nil, 100) }},
+		{"trim/out-of-range", nil,
+			func(d *Device) error { return d.TrimAsync(-4096, 4096, nil) },
+			func(d *Device) error { return d.Trim(-4096, 4096) }},
+		{"trim/unaligned", nil,
+			func(d *Device) error { return d.TrimAsync(4096, 100, nil) },
+			func(d *Device) error { return d.Trim(4096, 100) }},
+		{"flush/backlog", fillFlushes,
+			func(d *Device) error { return d.FlushAsync(nil) },
+			func(d *Device) error { return d.Flush() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			d := NewDevice(eng, tinyConfig())
+			if tc.setup != nil {
+				tc.setup(d)
+			}
+			want := tc.async(d)
+			if want == nil {
+				t.Fatal("async twin accepted the request")
+			}
+			now, pending := eng.Now(), eng.Pending()
+			err := tc.block(d)
+			if err == nil || err.Error() != want.Error() || errors.Is(want, ErrFlushBacklog) != errors.Is(err, ErrFlushBacklog) {
+				t.Fatalf("blocking call = %v, async twin = %v", err, want)
+			}
+			if eng.Now() != now || eng.Pending() != pending {
+				t.Errorf("engine moved: now %d → %d, pending %d → %d", now, eng.Now(), pending, eng.Pending())
+			}
+			// The rejected call released the device for the next one.
+			eng.Run()
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	t.Run("stall", func(t *testing.T) {
+		d := NewDevice(sim.NewEngine(), tinyConfig())
+		d.block() // armed with nothing submitted: done can never be set
+		err := d.await("flush", nil)
+		if !errors.Is(err, ErrStalled) || !strings.Contains(err.Error(), d.Name()+" flush") {
+			t.Fatalf("await on a lost request = %v, want ErrStalled naming %s flush", err, d.Name())
+		}
+	})
+
+	t.Run("nested-panics", func(t *testing.T) {
+		d := NewDevice(sim.NewEngine(), tinyConfig())
+		if err := d.WriteAsync(0, nil, 4096, func() { _ = d.Read(0, nil, 4096) }); err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("blocking call inside a blocking call did not panic")
+			}
+		}()
+		_ = d.Flush()
+	})
+}
+
+// The device's synchronous calls do the I/O they block on: the content
+// store reads back what was written and flushed, and zeros once trimmed.
+func TestSyncDevImplementsBlockdev(t *testing.T) {
+	d := NewDevice(sim.NewEngine(), tinyConfig())
+	data := bytes.Repeat([]byte{7}, 4096)
+	buf := make([]byte, 4096)
+	for _, step := range []func() error{
+		func() error { return d.Write(0, data, 0) },
+		d.Flush,
+		func() error { return d.Read(0, buf, 0) },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(buf, data) {
+		t.Error("read after write and flush returned other bytes")
+	}
+	if err := d.Trim(0, 4096); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Read(0, buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if buf[0] != 0 {
+		t.Error("trimmed sector not zero")
+	}
+}
+
+// A blocking Flush refused for backlog returns ErrFlushBacklog instead of
+// running the engine for a completion that was never scheduled; once the
+// backlog drains, the next blocking Flush completes.
 func TestSyncDevFlushPropagatesBacklog(t *testing.T) {
 	eng := sim.NewEngine()
 	d := NewDevice(eng, tinyConfig())
@@ -123,8 +211,16 @@ func TestSyncDevFlushPropagatesBacklog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := (SyncDev{D: d}).Flush(); !errors.Is(err, ErrFlushBacklog) {
-		t.Fatalf("SyncDev.Flush = %v, want ErrFlushBacklog", err)
+	if err := d.Flush(); !errors.Is(err, ErrFlushBacklog) {
+		t.Fatalf("Flush = %v, want ErrFlushBacklog", err)
+	}
+	eng.Run()
+	before := eng.Now()
+	if err := d.Flush(); err != nil {
+		t.Fatalf("Flush after drain = %v", err)
+	}
+	if eng.Now() == before {
+		t.Error("Flush after drain returned without running the engine")
 	}
 }
 

@@ -1,6 +1,9 @@
 package ssd
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // ErrStalled reports that the simulation's event queue drained before an
 // outstanding synchronous request completed — the completion callback can
@@ -14,66 +17,66 @@ var ErrStalled = errors.New("ssd: event queue drained before request completed")
 // submission error.
 var ErrFlushBacklog = errors.New("ssd: too many outstanding flush commands")
 
-// SyncDev adapts a Device to the synchronous blockdev.Device interface by
-// driving the simulation engine until each request completes. Use it from
-// code structured around blocking I/O (the file systems in fsim); do not mix
-// with concurrently outstanding async requests on the same engine unless the
-// interleaving is intended — the engine will run them too.
-type SyncDev struct {
-	D *Device
+// blocker is the completion state of the device's blocking calls: one flag
+// and the two prebuilt funcs every call hands to the engine, so a
+// steady-state blocking call allocates nothing. The device builds it on its
+// first blocking call; a drive that only ever submits asynchronously (a
+// fleet clone) never does.
+type blocker struct {
+	busy    bool        // a blocking call is waiting on the engine
+	done    bool        // the awaited request completed
+	finish  func()      // sets done; the request's completion callback
+	pending func() bool // reports !done; the engine's run condition
 }
 
-// ReadAt implements blockdev.Device.
-func (s SyncDev) ReadAt(p []byte, off int64) error {
-	done := false
-	if err := s.D.ReadAsync(off, p, 0, func() { done = true }); err != nil {
-		return err
+// block arms the device's blocker for one blocking call and returns the
+// completion callback to submit with. A blocking call made while another is
+// waiting (from an event the outer call's engine run fired) would share the
+// flag, so it panics.
+func (d *Device) block() func() {
+	b := d.blk
+	if b == nil {
+		b = &blocker{}
+		b.finish = func() { b.done = true }
+		b.pending = func() bool { return !b.done }
+		d.blk = b
 	}
-	if s.D.eng.RunWhile(func() bool { return !done }) {
-		return ErrStalled
+	if b.busy {
+		panic(fmt.Sprintf("ssd %s: blocking call while another is in progress", d.cfg.Name))
 	}
-	return nil
+	b.busy, b.done = true, false
+	return b.finish
 }
 
-// WriteAt implements blockdev.Device.
-func (s SyncDev) WriteAt(p []byte, off int64) error {
-	done := false
-	if err := s.D.WriteAsync(off, p, 0, func() { done = true }); err != nil {
-		return err
+// await runs the engine until the armed request completes. A submission
+// error comes back as it is, without running the engine; a queue that
+// drains first yields ErrStalled, wrapped with the device and op.
+func (d *Device) await(op string, err error) error {
+	if err == nil && d.eng.RunWhile(d.blk.pending) {
+		err = fmt.Errorf("ssd %s %s: %w", d.cfg.Name, op, ErrStalled)
 	}
-	if s.D.eng.RunWhile(func() bool { return !done }) {
-		return ErrStalled
-	}
-	return nil
+	d.blk.busy = false
+	return err
 }
 
-// Trim implements blockdev.Device.
-func (s SyncDev) Trim(off, length int64) error {
-	done := false
-	if err := s.D.TrimAsync(off, length, func() { done = true }); err != nil {
-		return err
-	}
-	if s.D.eng.RunWhile(func() bool { return !done }) {
-		return ErrStalled
-	}
-	return nil
+// Write submits WriteAsync(off, data, n) and runs the engine until it
+// completes.
+func (d *Device) Write(off int64, data []byte, n int64) error {
+	return d.await("write", d.WriteAsync(off, data, n, d.block()))
 }
 
-// Flush implements blockdev.Device. Submission errors (ErrFlushBacklog) and
-// stalls (ErrStalled) propagate, matching ReadAt/WriteAt/Trim.
-func (s SyncDev) Flush() error {
-	done := false
-	if err := s.D.FlushAsync(func() { done = true }); err != nil {
-		return err
-	}
-	if s.D.eng.RunWhile(func() bool { return !done }) {
-		return ErrStalled
-	}
-	return nil
+// Read submits ReadAsync(off, buf, n) and runs the engine until it
+// completes.
+func (d *Device) Read(off int64, buf []byte, n int64) error {
+	return d.await("read", d.ReadAsync(off, buf, n, d.block()))
 }
 
-// Size implements blockdev.Device.
-func (s SyncDev) Size() int64 { return s.D.Size() }
+// Trim submits TrimAsync(off, n) and runs the engine until it completes.
+func (d *Device) Trim(off, n int64) error {
+	return d.await("trim", d.TrimAsync(off, n, d.block()))
+}
 
-// SectorSize implements blockdev.Device.
-func (s SyncDev) SectorSize() int { return s.D.SectorSize() }
+// Flush submits FlushAsync and runs the engine until the flush completes.
+func (d *Device) Flush() error {
+	return d.await("flush", d.FlushAsync(d.block()))
+}

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -97,88 +96,6 @@ func TestRecorderRadixEquivalence(t *testing.T) {
 		if r.Percentile(0) != want[0] || r.Max() != want[len(want)-1] {
 			t.Fatalf("round %d: Min/Max = %d/%d, want %d/%d", round, r.Percentile(0), r.Max(), want[0], want[len(want)-1])
 		}
-	}
-}
-
-// Every bucket boundary of the bits.Len64 bucket computation, pinned against
-// the shift-loop definition: bucket 0 is [0, 1µs), bucket b is [2^(b-1),
-// 2^b) µs, and the top bucket clamps.
-func TestHistogramBucketBoundaries(t *testing.T) {
-	shiftLoopBucket := func(d sim.Time) int { // the original implementation
-		b := 0
-		for v := d / sim.Microsecond; v > 0 && b < 39; v >>= 1 {
-			b++
-		}
-		return b
-	}
-	cases := []struct {
-		d    sim.Time
-		want int
-	}{
-		{0, 0},
-		{1, 0},
-		{sim.Microsecond - 1, 0},
-		{sim.Microsecond, 1},
-		{2*sim.Microsecond - 1, 1},
-		{2 * sim.Microsecond, 2},
-		{4*sim.Microsecond - 1, 2},
-		{4 * sim.Microsecond, 3},
-		{1024 * sim.Microsecond, 11},
-		{(1<<38 - 1) * sim.Microsecond, 38},
-		{1 << 38 * sim.Microsecond, 39},
-		{math.MaxInt64, 39}, // top-bucket clamp
-	}
-	for _, c := range cases {
-		var h Histogram
-		h.Add(c.d)
-		got := -1
-		for b, n := range h.buckets {
-			if n > 0 {
-				got = b
-			}
-		}
-		if got != c.want {
-			t.Errorf("Add(%d) landed in bucket %d, want %d", c.d, got, c.want)
-		}
-		if ref := shiftLoopBucket(c.d); got != ref {
-			t.Errorf("Add(%d): bits.Len64 bucket %d != shift-loop bucket %d", c.d, got, ref)
-		}
-	}
-}
-
-// The rendered output must be byte-identical to the shift-loop histogram's
-// for a sweep of samples covering every boundary.
-func TestHistogramRenderByteIdentical(t *testing.T) {
-	var h Histogram
-	ref := make(map[int]int64) // shift-loop bucket -> count
-	rng := rand.New(rand.NewSource(9))
-	samples := []sim.Time{0, 1, 999, 1000, 1999, 2000, math.MaxInt64}
-	for i := 0; i < 2000; i++ {
-		samples = append(samples, rng.Int63n(int64(100*sim.Millisecond)))
-	}
-	for _, d := range samples {
-		h.Add(d)
-		b := 0
-		for v := d / sim.Microsecond; v > 0 && b < 39; v >>= 1 {
-			b++
-		}
-		ref[b]++
-	}
-	want := ""
-	lo := int64(0)
-	for b := 0; b < 40; b++ {
-		hi := int64(1) << uint(b)
-		if n := ref[b]; n > 0 {
-			if b == 39 {
-				want += fmt.Sprintf("[%6dµs..  +inf): %d\n", lo, n)
-			} else {
-				want += fmt.Sprintf("[%6dµs..%6dµs): %d\n", lo, hi, n)
-			}
-		}
-		lo = hi
-	}
-	if got := h.String(); got != want {
-		t.Fatalf("rendered histogram diverged:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -1,14 +1,12 @@
 // Package stats provides the measurement plumbing the paper's experiments
-// rely on: latency recorders with exact percentile extraction, log-scaled
-// histograms, write-amplification arithmetic, and small fixed-width tables
-// for experiment reports. (Throughput-over-time views live in the workload
+// rely on: latency recorders with exact percentile extraction, the §2.2
+// weighted write-amplification model, and small fixed-width tables for
+// experiment reports. (Throughput-over-time views live in the workload
 // package's Timeline, next to the completions that feed them.)
 package stats
 
 import (
-	"fmt"
 	"math"
-	"math/bits"
 
 	"ssdtp/internal/sim"
 )
@@ -123,62 +121,6 @@ func (r *LatencyRecorder) Reset() {
 	r.log.Reset()
 	r.sum = 0
 	r.sorted = 0
-}
-
-// Histogram is a logarithmically bucketed latency histogram (powers of two
-// from 1 µs), suitable for compact printing of long-tailed distributions.
-type Histogram struct {
-	buckets [40]int64
-	count   int64
-}
-
-// Add records one sample. The bucket index is the bit length of the sample
-// in microseconds (bucket b >= 1 covers [2^(b-1), 2^b) µs; bucket 0 is
-// sub-microsecond), computed with a single bits.Len64 instead of a shift
-// loop; the top bucket clamps everything beyond the table.
-func (h *Histogram) Add(d sim.Time) {
-	b := 0
-	if v := d / sim.Microsecond; v > 0 {
-		b = bits.Len64(uint64(v))
-		if b > len(h.buckets)-1 {
-			b = len(h.buckets) - 1
-		}
-	}
-	h.buckets[b]++
-	h.count++
-}
-
-// Count returns the total number of samples.
-func (h *Histogram) Count() int64 { return h.count }
-
-// String renders non-empty buckets as "[lo..hi)µs: n" lines. The first
-// bucket is [0..1µs) (sub-microsecond samples land there), and the last is
-// open-ended: Add clamps everything at or above its lower bound into it, so
-// an honest label is "[lo..  +inf)", not a bounded range.
-func (h *Histogram) String() string {
-	out := ""
-	lo := int64(0)
-	for b, n := range h.buckets {
-		hi := int64(1) << uint(b)
-		if n > 0 {
-			if b == len(h.buckets)-1 {
-				out += fmt.Sprintf("[%6dµs..  +inf): %d\n", lo, n)
-			} else {
-				out += fmt.Sprintf("[%6dµs..%6dµs): %d\n", lo, hi, n)
-			}
-		}
-		lo = hi
-	}
-	return out
-}
-
-// WAF computes a write-amplification factor as the ratio of NAND bytes to
-// host bytes. It returns 0 when hostBytes is 0.
-func WAF(nandBytes, hostBytes int64) float64 {
-	if hostBytes == 0 {
-		return 0
-	}
-	return float64(nandBytes) / float64(hostBytes)
 }
 
 // WeightedWAF combines per-workload WAFs weighted by each workload's IOPS,

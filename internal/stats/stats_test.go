@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -165,58 +164,6 @@ func TestSnapshotSortedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	var h Histogram
-	h.Add(500 * sim.Nanosecond)  // bucket 0
-	h.Add(3 * sim.Microsecond)   // 3µs -> bucket 2
-	h.Add(100 * sim.Millisecond) // deep bucket
-	if h.Count() != 3 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	if !strings.Contains(h.String(), "µs") {
-		t.Error("histogram rendering missing unit")
-	}
-}
-
-// The first bucket covers [0..1µs) — sub-microsecond samples get an honest
-// lower bound of zero, not a phantom 1µs floor.
-func TestHistogramSubMicrosecondLabel(t *testing.T) {
-	var h Histogram
-	h.Add(500 * sim.Nanosecond)
-	h.Add(0)
-	s := h.String()
-	if !strings.Contains(s, "[     0µs..     1µs): 2") {
-		t.Errorf("sub-µs bucket label wrong:\n%s", s)
-	}
-}
-
-// Regression: Add clamps every sample at or above 2^38µs into the final
-// bucket, so String must render it as open-ended rather than the bounded
-// [2^38..2^39) range it used to claim.
-func TestHistogramOverflowBucketOpenEnded(t *testing.T) {
-	var h Histogram
-	top := sim.Time(1) << 38 * sim.Microsecond // exactly the last bucket's lower bound
-	h.Add(top)
-	h.Add(math.MaxInt64) // far past any bounded bucket
-	s := h.String()
-	want := fmt.Sprintf("[%6dµs..  +inf): 2\n", int64(1)<<38)
-	if s != want {
-		t.Errorf("overflow bucket rendering:\ngot:  %q\nwant: %q", s, want)
-	}
-	if strings.Contains(s, fmt.Sprintf("%dµs)", int64(1)<<39)) {
-		t.Errorf("overflow bucket still claims a bounded upper edge:\n%s", s)
-	}
-}
-
-func TestWAF(t *testing.T) {
-	if got := WAF(150, 100); got != 1.5 {
-		t.Errorf("WAF = %v", got)
-	}
-	if WAF(10, 0) != 0 {
-		t.Error("WAF with zero host bytes should be 0")
 	}
 }
 

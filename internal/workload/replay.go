@@ -7,11 +7,10 @@ import (
 	"ssdtp/internal/stats"
 )
 
-// Replay drives a recorded block trace (from blockdev.Tracer) against a
-// target, preserving order, and returns per-operation latency statistics.
-// Record once on one device model, replay on another: the cross-device
-// comparisons of the paper's Figure 1 argument, without re-running the
-// application.
+// Replay drives a recorded block trace (see ParseTrace) against a target,
+// preserving order, and returns per-operation latency statistics. Record
+// once on one device model, replay on another: the cross-device comparisons
+// of the paper's Figure 1 argument, without re-running the application.
 //
 // Traces recorded on a larger device are folded into the target's address
 // space (see clampOff). Operations that cannot be played at all — a length

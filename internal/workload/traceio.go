@@ -18,8 +18,8 @@ import (
 //	F
 //
 // Lines starting with '#' and blank lines are ignored. The format matches
-// what a blkparse-style post-processor or the blockdev.Tracer dump
-// produces, so traces move between tools as plain text.
+// what a blkparse-style post-processor produces, so traces move between
+// tools as plain text.
 
 // WriteTrace serializes ops in the text format. It is ParseTrace's inverse,
 // which the trace fuzzer round-trips through.
