@@ -18,7 +18,9 @@ func Example_bitBangedExploration() {
 	fmt.Printf("cores %d, channels %d\n",
 		dbg.ReadWord(firmware.MMIOBase+firmware.RegCoreCount),
 		dbg.ReadWord(firmware.MMIOBase+firmware.RegChannelCount))
+	fmt.Printf("%d TCK edges driven\n", probe.Edges())
 	// Output:
 	// IDCODE 0x4ba00477
 	// cores 3, channels 8
+	// 243 TCK edges driven
 }

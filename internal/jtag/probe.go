@@ -65,33 +65,43 @@ func (p *Probe) Reset() {
 // register, shifting n bits of `out` LSB-first, and returns the captured
 // bits; it exits via Update back to Run-Test/Idle. n must be 1 to 64: no
 // caller scans an empty or wider register, and either would leave the TAP
-// off Run-Test/Idle or drop bits.
+// off Run-Test/Idle or drop bits. The TAP must be in Run-Test/Idle with TCK
+// low, where Reset and every scan leave it; shift panics otherwise, before
+// driving any edge.
+//
+// It drives the same n+5 edges (n+6 for IR) as pulsing each one through the
+// pins, and leaves the TAP, the pins and Edges as that would, but clocks the
+// navigation edges straight on the TAP and the n data edges as one
+// TAP.shiftRun.
 func (p *Probe) shift(ir bool, out uint64, n int) uint64 {
 	if n < 1 || n > 64 {
 		panic(fmt.Sprintf("jtag: scan width %d outside 1..64", n))
 	}
+	tap := p.pins.tap
+	if tap.state != RunTestIdle {
+		panic(fmt.Sprintf("jtag: scan entered in %v, not Run-Test/Idle", tap.state))
+	}
+	if p.pins.TCK {
+		panic("jtag: scan entered with TCK high")
+	}
+	edges := int64(n + 5)
 	// Run-Test/Idle -> Select-DR-Scan (-> Select-IR-Scan if IR)
-	p.pins.Pulse(true, false)
+	tap.Clock(true, false)
 	if ir {
-		p.pins.Pulse(true, false)
+		tap.Clock(true, false)
+		edges++
 	}
 	// -> Capture, -> Shift (the entry edge does not shift)
-	p.pins.Pulse(false, false)
-	p.pins.Pulse(false, false)
-	var in uint64
-	for i := 0; i < n; i++ {
-		last := i == n-1
-		bit := out&1 != 0
-		out >>= 1
-		// Each edge shifts one bit; the last exits to Exit1.
-		tdo := p.pins.Pulse(last, bit)
-		if tdo {
-			in |= 1 << uint(i)
-		}
-	}
+	tap.Clock(false, false)
+	tap.Clock(false, false)
+	// Each data edge shifts one bit; the last exits to Exit1.
+	in := tap.shiftRun(out, n)
 	// Exit1 -> Update -> Run-Test/Idle
-	p.pins.Pulse(true, false)
-	p.pins.Pulse(false, false)
+	tap.Clock(true, false)
+	pins := p.pins
+	pins.TDO = tap.Clock(false, false)
+	pins.TMS, pins.TDI = false, false
+	pins.Edges += edges
 	return in
 }
 

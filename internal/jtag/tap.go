@@ -85,9 +85,10 @@ type Target interface {
 	// must be constant: NewTAP reads it once.
 	IRWidth() int
 	// CaptureDR returns the value parallel-loaded into the DR shift chain
-	// when Capture-DR passes with the given latched instruction.
+	// when Capture-DR passes with the given latched instruction. Bits at or
+	// above the chain's width have no cell to load into and are dropped.
 	CaptureDR(ir uint64) uint64
-	// DRWidth returns the DR chain length for the instruction.
+	// DRWidth returns the DR chain length for the instruction, 1 to 64.
 	DRWidth(ir uint64) int
 	// UpdateDR commits a shifted-in DR value on Update-DR.
 	UpdateDR(ir uint64, value uint64)
@@ -99,8 +100,19 @@ type Target interface {
 // IRBypass is the all-ones BYPASS instruction (width-agnostic).
 func IRBypass(width int) uint64 { return (1 << uint(width)) - 1 }
 
+// lowBits returns a mask of the n low bits, for 0 <= n <= 64.
+func lowBits(n int) uint64 { return ^uint64(0) >> uint(64-n) }
+
+// checkWidth panics unless a register width is within 1..64, the chains a
+// uint64 shift register holds.
+func checkWidth(what string, w int) {
+	if w < 1 || w > 64 {
+		panic(fmt.Sprintf("jtag: %s %d outside 1..64", what, w))
+	}
+}
+
 // TAP is the state machine plus shift registers, clocked one TCK edge at a
-// time.
+// time by Clock, or one Shift-IR/Shift-DR run at a time by shiftRun.
 type TAP struct {
 	target  Target
 	irWidth int    // Target.IRWidth, read once
@@ -116,6 +128,7 @@ type TAP struct {
 // NewTAP wires a TAP to its target, starting in Test-Logic-Reset.
 func NewTAP(t Target) *TAP {
 	w := t.IRWidth()
+	checkWidth("IR width", w)
 	tap := &TAP{target: t, irWidth: w, irMask: IRBypass(w), state: TestLogicReset}
 	tap.ir = tap.irMask // 1149.1: reset latches IDCODE or BYPASS
 	t.ResetTAP()
@@ -155,10 +168,43 @@ func (t *TAP) Clock(tms, tdi bool) (tdo bool) {
 		t.ir = t.shiftIR & t.irMask
 	case CaptureDR:
 		t.drWidth = t.target.DRWidth(t.ir)
-		t.shiftDR = t.target.CaptureDR(t.ir)
+		checkWidth("DR width", t.drWidth)
+		t.shiftDR = t.target.CaptureDR(t.ir) & lowBits(t.drWidth)
 	case UpdateDR:
 		t.target.UpdateDR(t.ir, t.shiftDR)
 	}
 	t.state = next
 	return tdo
+}
+
+// shiftRun clocks a whole Shift-IR or Shift-DR run as one word operation:
+// n edges (1 to 64) with TDI taken LSB-first from out and TMS high on the
+// last only, which exits to Exit1. It returns the n TDO bits, LSB-first.
+// The result, the register and the state equal those of n Clock calls: the
+// w-bit register r presents the stream of r's w bits followed by out's n
+// bits, shifts out the stream's first n bits and keeps the next w. That
+// holds because no register bit at or above w is ever set (Capture-IR loads
+// 0b01, Capture-DR masks to the chain), and because no Target call falls
+// inside a shift run.
+func (t *TAP) shiftRun(out uint64, n int) (in uint64) {
+	var r *uint64
+	var w int
+	switch t.state {
+	case ShiftIR:
+		r, w = &t.shiftIR, t.irWidth
+	case ShiftDR:
+		r, w = &t.shiftDR, t.drWidth
+	default:
+		panic(fmt.Sprintf("jtag: shift run in %v", t.state))
+	}
+	m := lowBits(n)
+	if n <= w {
+		in = *r & m
+		*r = *r>>uint(n) | (out&m)<<uint(w-n)
+	} else {
+		in = (*r | out<<uint(w)) & m
+		*r = out >> uint(n-w) & lowBits(w)
+	}
+	t.state = NextState(t.state, true)
+	return in
 }
