@@ -36,20 +36,6 @@ import (
 	"unsafe"
 )
 
-// deepCopy routes Snapshot/Restore through the retained deep-copy reference
-// path (SnapshotDeep/RestoreDeep) instead of chunk sharing. The two paths are
-// observationally indistinguishable — pinned by property tests in this
-// package and in internal/nand — and the deep path doubles as the baseline
-// for clone benchmarks. Toggle only while no snapshots are in flight.
-var deepCopy bool
-
-// SetDeepCopy selects the deep-copy reference path for all subsequent
-// Snapshot/Restore calls. Results are identical either way: it exists so
-// tests here and in internal/nand can compare chunk sharing against the deep
-// copy, and so BenchmarkDriveClone can time the deep copy as its baseline.
-// Not safe to toggle concurrently with snapshot activity.
-func SetDeepCopy(on bool) { deepCopy = on }
-
 // table is the chunk store behind Array and Bytes: the chunks, their share
 // bits, and every operation that addresses a range of elements rather than
 // one element (MutSpan, CopyOut, FillRange) or the whole store (Snapshot,
@@ -292,12 +278,8 @@ func (a *table[E]) FillRange(lo, hi int64) {
 
 // Snapshot freezes the array's current contents as an Image. Every
 // materialized chunk becomes shared: the source keeps reading it in place
-// and copies it on its next write. O(chunks), no element copies. With the
-// deep-copy reference path selected it delegates to SnapshotDeep.
+// and copies it on its next write. O(chunks), no element copies.
 func (a *table[E]) Snapshot() Image[E] {
-	if deepCopy {
-		return a.SnapshotDeep()
-	}
 	for i, p := range a.chunks {
 		if p != nil {
 			a.shared[i] = true
@@ -306,21 +288,6 @@ func (a *table[E]) Snapshot() Image[E] {
 	return Image[E]{
 		n: a.n, chunkLen: a.chunkLen, fill: a.fill,
 		chunks: append([]*E(nil), a.chunks...),
-	}
-}
-
-// SnapshotDeep is the retained deep-copy reference path: the image gets
-// private copies of every chunk and the source keeps exclusive ownership.
-func (a *table[E]) SnapshotDeep() Image[E] {
-	chunks := make([]*E, len(a.chunks))
-	for i, p := range a.chunks {
-		if p != nil {
-			chunks[i] = a.clone(p)
-		}
-	}
-	return Image[E]{
-		n: a.n, chunkLen: a.chunkLen, fill: a.fill,
-		chunks: chunks,
 	}
 }
 
@@ -362,40 +329,15 @@ func (a *table[E]) check(img Image[E]) {
 // Restore overwrites the array with an image's contents by aliasing its
 // chunks, every one marked shared. The image is only read — any number of
 // goroutines may restore from the same image concurrently. Resets the
-// copy-on-write counter. With the deep-copy reference path selected it
-// delegates to RestoreDeep.
+// copy-on-write counter.
 //
 // The chunk pointers are copied into the array's own table, which no Image
 // ever aliases (Snapshot copies it), so restoring allocates nothing.
 func (a *table[E]) Restore(img Image[E]) {
-	if deepCopy {
-		a.RestoreDeep(img)
-		return
-	}
 	a.check(img)
 	copy(a.chunks, img.chunks)
 	for i := range a.shared {
 		a.shared[i] = a.chunks[i] != nil
-	}
-	a.cowed = 0
-}
-
-// RestoreDeep is the retained deep-copy reference path: every image chunk is
-// copied into a chunk the array owns exclusively.
-func (a *table[E]) RestoreDeep(img Image[E]) {
-	a.check(img)
-	for i, p := range img.chunks {
-		if p == nil {
-			a.chunks[i] = nil
-			a.shared[i] = false
-			continue
-		}
-		if dst := a.chunks[i]; dst != nil && !a.shared[i] {
-			copy(a.span(dst), a.span(p))
-			continue
-		}
-		a.chunks[i] = a.clone(p)
-		a.shared[i] = false
 	}
 	a.cowed = 0
 }

@@ -131,8 +131,6 @@ func TestDeepCopyPathEquivalence(t *testing.T) {
 		script = append(script, o)
 	}
 	run := func(deep bool) []int64 {
-		SetDeepCopy(deep)
-		defer SetDeepCopy(false)
 		a := NewArray[int64](n, chunkLen, 0)
 		var imgs []Image[int64]
 		for _, o := range script {
@@ -142,10 +140,10 @@ func TestDeepCopyPathEquivalence(t *testing.T) {
 			case 2:
 				a.FillRange(o.i, o.j)
 			case 3:
-				imgs = append(imgs, a.Snapshot())
+				imgs = append(imgs, snapshot(a, deep))
 			case 4, 5:
 				if len(imgs) > 0 {
-					a.Restore(imgs[int(o.v)%len(imgs)])
+					restore(a, imgs[int(o.v)%len(imgs)], deep)
 				}
 			}
 		}
@@ -186,13 +184,11 @@ func TestImageShare(t *testing.T) {
 		return x
 	}
 	run := func(deep bool) (imgA, imgB Image[int64], views [][]int64) {
-		SetDeepCopy(deep)
-		defer SetDeepCopy(false)
-		imgA, imgB = build(1).Snapshot(), build(2).Snapshot()
+		imgA, imgB = snapshot(build(1), deep), snapshot(build(2), deep)
 		before := append([]*int64(nil), imgB.chunks...)
 		imgB.Share(imgA)
 		if deep {
-			return imgA, imgB, cloneViews(t, imgA, imgB)
+			return imgA, imgB, cloneViews(t, imgA, imgB, true)
 		}
 		for ci, want := range []*int64{imgA.chunks[0], before[1], before[2], before[3]} {
 			if imgB.chunks[ci] != want {
@@ -217,7 +213,7 @@ func TestImageShare(t *testing.T) {
 				t.Errorf("Share aliased a chunk across shapes (n %d, chunk %d, fill %d)", img.n, img.chunkLen, img.fill)
 			}
 		}
-		return imgA, imgB, cloneViews(t, imgA, imgB)
+		return imgA, imgB, cloneViews(t, imgA, imgB, false)
 	}
 	_, _, cowViews := run(false)
 	_, _, deepViews := run(true)
@@ -230,23 +226,24 @@ func TestImageShare(t *testing.T) {
 	}
 }
 
-// cloneViews restores one clone from each image, writes each inside the
-// chunk the images may alias, and returns what the two clones and fresh
-// restores of the two images read afterwards. It checks that each clone
-// copied exactly that chunk and that neither write reached the other side.
-func cloneViews(t *testing.T, imgA, imgB Image[int64]) [][]int64 {
+// cloneViews restores (with deep set, deep-copies) one clone from each image,
+// writes each inside the chunk the images may alias, and returns what the
+// two clones and fresh restores of the two images read afterwards. It checks
+// that each clone copied exactly that chunk and that neither write reached
+// the other side.
+func cloneViews(t *testing.T, imgA, imgB Image[int64], deep bool) [][]int64 {
 	t.Helper()
 	read := func(img Image[int64]) []int64 {
 		x := NewArray[int64](img.n, img.chunkLen, img.fill)
-		x.Restore(img)
+		restore(x, img, deep)
 		out := make([]int64, img.n)
 		x.CopyOut(0, img.n, out)
 		return out
 	}
 	ca := NewArray[int64](imgA.n, imgA.chunkLen, imgA.fill)
 	cb := NewArray[int64](imgB.n, imgB.chunkLen, imgB.fill)
-	ca.Restore(imgA)
-	cb.Restore(imgB)
+	restore(ca, imgA, deep)
+	restore(cb, imgB, deep)
 	ca.Set(5, 100)
 	cb.Set(6, 200)
 	views := [][]int64{read(imgA), read(imgB), make([]int64, imgA.n), make([]int64, imgB.n)}
@@ -264,7 +261,7 @@ func cloneViews(t *testing.T, imgA, imgB Image[int64]) [][]int64 {
 			t.Errorf("view %d reads %d, %d at 5, 6; want %d, %d", i, v[5], v[6], want5, want6)
 		}
 	}
-	if !deepCopy && (ca.Stats().CowCopies != 1 || cb.Stats().CowCopies != 1) {
+	if !deep && (ca.Stats().CowCopies != 1 || cb.Stats().CowCopies != 1) {
 		t.Errorf("clones copied %d and %d chunks, want 1 each", ca.Stats().CowCopies, cb.Stats().CowCopies)
 	}
 	return views

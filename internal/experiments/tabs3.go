@@ -157,7 +157,7 @@ func (r TabS4Result) Table() string {
 }
 
 // TabS4DesignSweep runs the full factorial (3 GC x 2 cache x 4 alloc = 24
-// points; CacheNone is excluded as not a realistic drive). The 24 design
+// points). The 24 design
 // points are independent simulations replaying identical host traffic,
 // fanned out on the installed runner pool.
 func TabS4DesignSweep(scale Scale, seed int64) TabS4Result {

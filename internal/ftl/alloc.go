@@ -88,9 +88,6 @@ func (f *FTL) submitPage(op *pageOp) {
 	}
 	pu := &f.pus[op.pu]
 	if !f.tryIssue(pu, op) {
-		// Parked for a free block: the host request (if any) is now waiting
-		// on collection to reclaim space — GC interference by definition.
-		op.req.Mark(obs.PhaseGCStall)
 		pu.waiters = append(pu.waiters, op)
 	}
 }
@@ -105,15 +102,11 @@ func (f *FTL) tryIssue(pu *puState, op *pageOp) bool {
 	f.blockInflight[gb]++
 	ppn := f.ppnOf(pu.index, blk, page)
 	addr := nand.Addr{Die: pu.die, Plane: pu.plane, Block: int(blk), Page: page}
-	// With suspension enabled, everything except a foreground (direct)
-	// data write is deferrable background work: relocations, refresh, map
-	// journaling, parity, and cache writeback — the host has the data
-	// buffered; a demand read is always more urgent.
-	background := f.cfg.GCSuspend &&
-		(op.kind != kindData || op.entries != nil)
+	// With suspension enabled, every program is deferrable background work:
+	// relocations, refresh, map journaling, parity, and cache writeback —
+	// the host has the data buffered; a demand read is always more urgent.
 	op.blk, op.gb, op.ppn = blk, gb, ppn
-	f.prof.SetOp(op.req)
-	f.flash.Program(pu.ch, pu.chip, addr, op.slc, background, op.progDone)
+	f.flash.Program(pu.ch, pu.chip, addr, op.slc, f.cfg.GCSuspend, op.progDone)
 	return true
 }
 
@@ -159,11 +152,10 @@ func (f *FTL) programFailed(pu *puState, op *pageOp, blk int32, gb int64) {
 // any store, so a page's l2p cache misses overlap instead of each one
 // waiting behind the previous slot's commit. The gather equals what a
 // one-pass commit would read because:
-//   - a page never carries one LSN twice: writeDirect fills a data page from
-//     one contiguous range, startCacheFlush from distinct dirty entries (the
-//     write cache indexes one entry per LSN), and a relocation page from
-//     distinct live sectors, which live maps to distinct LSNs (each live
-//     sector is its LSN's l2p entry); and
+//   - a page never carries one LSN twice: startCacheFlush fills a data page
+//     from distinct dirty entries (the write cache indexes one entry per
+//     LSN), and a relocation page from distinct live sectors, which live
+//     maps to distinct LSNs (each live sector is its LSN's l2p entry); and
 //   - nothing pass 2 runs rewrites another slot's l2p entry: wakeStarvedPU
 //     defers its kick through the engine, and journal, parity and GC
 //     programs that a commit submits complete (and commit) later, as every
@@ -185,15 +177,7 @@ func (f *FTL) commitPage(pu *puState, op *pageOp, ppn int64, gb int64) {
 				f.counters.PaddedSectors++
 				continue
 			}
-			if op.entries != nil {
-				e := op.entries[i]
-				f.commitCachedSector(e, op, lsn, psn, cur[i])
-				continue
-			}
-			f.commitMapping(lsn, psn, cur[i])
-			if op.slc && f.pslcIndex != nil {
-				f.pslcIndex[lsn] = psn
-			}
+			f.commitCachedSector(op.entries[i], op, lsn, psn, cur[i])
 		}
 	case kindGC, kindRefresh:
 		if op.kind == kindGC {

@@ -360,11 +360,3 @@ func (f *FTL) releaseAdmitWaiters() {
 		f.scheduleDone(w.done)
 	}
 }
-
-// cacheDirtySectors is exposed for tests and drain logic.
-func (f *FTL) cacheDirtySectors() int {
-	if f.cache == nil {
-		return 0
-	}
-	return f.cache.dirtyCount
-}

@@ -54,7 +54,9 @@ func (p GCPolicy) String() string {
 }
 
 // CacheKind selects what the on-board RAM cache is designated for — one of
-// the three knobs of the paper's §2.1 experiment.
+// the three knobs of the paper's §2.1 experiment. Either way every host write
+// passes through the write cache; the designation only sizes it and sets how
+// lazily mapping updates journal.
 type CacheKind int
 
 // Cache designations.
@@ -69,10 +71,6 @@ const (
 	// backpressure; map journaling is lazy in proportion to the cache
 	// size.
 	CacheMapping
-	// CacheNone disables data buffering entirely: every write programs
-	// flash before completing, with request-private coalescing only. An
-	// ablation point, not a realistic drive.
-	CacheNone
 )
 
 func (k CacheKind) String() string {
@@ -81,8 +79,6 @@ func (k CacheKind) String() string {
 		return "data-cache"
 	case CacheMapping:
 		return "mapping-cache"
-	case CacheNone:
-		return "no-cache"
 	default:
 		return "?"
 	}
@@ -247,6 +243,12 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("%w: need positive channel/chip counts", ErrBadConfig)
 	case c.Geometry.PageSize%c.SectorSize != 0:
 		return fmt.Errorf("%w: page size %d not a multiple of sector size %d", ErrBadConfig, c.Geometry.PageSize, c.SectorSize)
+	case c.GC < GCGreedy || c.GC > GCFIFO:
+		return fmt.Errorf("%w: GC %d is not a GCPolicy", ErrBadConfig, int(c.GC))
+	case c.Cache != CacheData && c.Cache != CacheMapping:
+		return fmt.Errorf("%w: Cache %d is not a CacheKind", ErrBadConfig, int(c.Cache))
+	case c.Alloc < AllocCWDP || c.Alloc > AllocDPCW:
+		return fmt.Errorf("%w: Alloc %d is not an AllocOrder", ErrBadConfig, int(c.Alloc))
 	case c.Cache == CacheData && c.CacheBytes/c.SectorSize > maxCacheSectors:
 		return fmt.Errorf("%w: write cache of %d sectors exceeds the %d the cache index can name",
 			ErrBadConfig, c.CacheBytes/c.SectorSize, maxCacheSectors)

@@ -68,11 +68,10 @@ type pageOp struct {
 	kind    pageKind
 	lsns    []int64       // per slot; <0 means padding/metadata
 	old     []int64       // kindGC/kindRefresh: expected current psn per slot
-	entries []*cacheEntry // kindData via cache: entry per slot (nil slots padded)
+	entries []*cacheEntry // kindData: entry per slot (nil slots padded)
 	pu      int
 	slc     bool
 	done    func()
-	req     *obs.ReqAttr // host request this program serves; nil for background
 
 	// Issue-time placement, recorded by tryIssue so the prebuilt progDone
 	// callback can route the flash completion without a per-program closure.
@@ -84,8 +83,7 @@ type pageOp struct {
 	progDone func(error)
 
 	// Backing arrays (length secPerPage) retained across recycling; the
-	// slices above are views into these — or nil, which several call sites
-	// use to distinguish op flavors (entries==nil means a direct write).
+	// slices above are views into these, or nil.
 	lsnsBuf    []int64
 	oldBuf     []int64
 	entriesBuf []*cacheEntry
@@ -129,7 +127,7 @@ type FTL struct {
 
 	pus []puState
 
-	cache *writeCache // nil when cfg.Cache == CacheNone
+	cache *writeCache
 
 	// RAIN stripe progress (data pages since last parity).
 	stripeProgress int
@@ -210,6 +208,15 @@ const (
 	dimP
 )
 
+// allocOrderDims lists each allocation order's dimensions, fastest-varying
+// first.
+var allocOrderDims = [...][4]int{
+	AllocCWDP: {dimC, dimW, dimD, dimP},
+	AllocPDWC: {dimP, dimD, dimW, dimC},
+	AllocWDPC: {dimW, dimD, dimP, dimC},
+	AllocDPCW: {dimD, dimP, dimC, dimW},
+}
+
 // New builds an FTL over flash with the given configuration. It panics on
 // invalid configuration or on a flash/config geometry mismatch: both are
 // construction-time programming errors.
@@ -248,18 +255,7 @@ func New(eng *sim.Engine, flash Flash, cfg Config) *FTL {
 	}
 	f.numPU = f.dims[dimC] * f.dims[dimW] * f.dims[dimD] * f.dims[dimP]
 	f.puTotal = int64(f.numPU)
-	switch cfg.Alloc {
-	case AllocCWDP:
-		f.orderDims = [4]int{dimC, dimW, dimD, dimP}
-	case AllocPDWC:
-		f.orderDims = [4]int{dimP, dimD, dimW, dimC}
-	case AllocWDPC:
-		f.orderDims = [4]int{dimW, dimD, dimP, dimC}
-	case AllocDPCW:
-		f.orderDims = [4]int{dimD, dimP, dimC, dimW}
-	default:
-		panic("ftl: unknown allocation order")
-	}
+	f.orderDims = allocOrderDims[cfg.Alloc]
 	f.puOrder = make([]int, f.numPU)
 	for i := range f.puOrder {
 		f.puOrder[i] = f.puForSeq(int64(i))
@@ -320,24 +316,14 @@ func New(eng *sim.Engine, flash Flash, cfg Config) *FTL {
 	}
 	f.idleTickFn = f.idleTick
 
-	switch cfg.Cache {
-	case CacheData:
-		f.cache = newWriteCache(cfg.CacheBytes, cfg.SectorSize)
-	case CacheMapping:
-		f.cache = newWriteCache(stagingBytes, cfg.SectorSize)
-	}
-
 	f.entriesPerMapPage = int64(g.PageSize / mapEntryBytes)
-	switch cfg.Cache {
-	case CacheMapping:
-		th := int64(cfg.CacheBytes) / mapEntryBytes
-		if th < f.entriesPerMapPage {
-			th = f.entriesPerMapPage
-		}
-		f.journalThreshold = th
-	default:
-		f.journalThreshold = f.entriesPerMapPage
+	f.journalThreshold = f.entriesPerMapPage
+	cacheBytes := cfg.CacheBytes
+	if cfg.Cache == CacheMapping {
+		cacheBytes = stagingBytes
+		f.journalThreshold = max(int64(cfg.CacheBytes)/mapEntryBytes, f.entriesPerMapPage)
 	}
+	f.cache = newWriteCache(cacheBytes, cfg.SectorSize)
 
 	if cfg.PSLCBytes > 0 {
 		f.pslcCredits = int64(cfg.PSLCBytes)
@@ -418,25 +404,17 @@ func (f *FTL) FreeBlocks() int {
 // dirty cache contents).
 func (f *FTL) ValidSectors() int64 { return f.validTotal }
 
-// DirtyCacheBytes returns the bytes currently dirty in the write cache (0
-// without a data cache) — a telemetry gauge for the timeline view.
-func (f *FTL) DirtyCacheBytes() int64 {
-	if f.cache == nil {
-		return 0
-	}
-	return int64(f.cache.dirtyBytes)
-}
+// DirtyCacheBytes returns the bytes currently dirty in the write cache — a
+// telemetry gauge for the timeline view.
+func (f *FTL) DirtyCacheBytes() int64 { return int64(f.cache.dirtyBytes) }
 
 // BacklogDepth returns how many operations are queued behind resource
 // shortages right now: page programs parked for a free block plus host writes
 // stalled on cache admission.
 func (f *FTL) BacklogDepth() int64 {
-	var n int64
+	n := int64(len(f.cache.admitWaiters))
 	for i := range f.pus {
 		n += int64(len(f.pus[i].waiters))
-	}
-	if f.cache != nil {
-		n += int64(len(f.cache.admitWaiters))
 	}
 	return n
 }
@@ -494,13 +472,8 @@ func (f *FTL) GCVictimValidPPM() int64 {
 	return sum / n
 }
 
-// CacheCapBytes returns the write cache's capacity (0 without a data cache).
-func (f *FTL) CacheCapBytes() int64 {
-	if f.cache == nil {
-		return 0
-	}
-	return int64(f.cache.capBytes)
-}
+// CacheCapBytes returns the write cache's capacity.
+func (f *FTL) CacheCapBytes() int64 { return int64(f.cache.capBytes) }
 
 // RefreshPending returns how many blocks are queued for read-disturb refresh
 // but not yet rewritten — the log page's background-work debt gauge.
@@ -609,12 +582,10 @@ func (f *FTL) newPageOp(kind pageKind, pu int) *pageOp {
 
 // releaseOp recycles a committed op. Callers must be done with every view:
 // the entry pointers are cleared so recycled cache entries are not pinned,
-// and the slice views are reset so the next tenant's kind checks (entries
-// == nil, old == nil) see a clean op.
+// and the slice views are reset for the next tenant.
 func (f *FTL) releaseOp(op *pageOp) {
 	op.done = nil
 	op.slc = false
-	op.req = nil
 	op.lsns, op.old, op.entries = nil, nil, nil
 	for i := range op.entriesBuf {
 		op.entriesBuf[i] = nil
@@ -721,9 +692,8 @@ func (f *FTL) checkRange(lsn int64, count int) error {
 }
 
 // Write submits a host write of count sectors starting at lsn; done fires
-// when the request is durable per the cache designation (admitted to the
-// data cache, or programmed to flash). The returned error covers only
-// immediate argument problems.
+// once the write cache has admitted the request. The returned error covers
+// only immediate argument problems.
 func (f *FTL) Write(lsn int64, count int, done func()) error {
 	if err := f.checkRange(lsn, count); err != nil {
 		return err
@@ -735,37 +705,8 @@ func (f *FTL) Write(lsn int64, count int, done func()) error {
 		f.scheduleDone(done)
 		return nil
 	}
-	if f.cache != nil {
-		f.writeCached(lsn, count, done)
-	} else {
-		f.writeDirect(lsn, count, done)
-	}
+	f.writeCached(lsn, count, done)
 	return nil
-}
-
-// writeDirect (mapping-cache designation) coalesces only within the request:
-// sectors group into pages, the tail page is padded, and the request
-// completes when every page program has committed.
-func (f *FTL) writeDirect(lsn int64, count int, done func()) {
-	pages := (count + f.secPerPage - 1) / f.secPerPage
-	req := f.newHostReq(pages, done)
-	for p := 0; p < pages; p++ {
-		op := f.newPageOp(kindData, f.nextPU())
-		lsns := op.lsnsBuf
-		for i := range lsns {
-			s := int(int64(p)*int64(f.secPerPage)) + i
-			if s < count {
-				lsns[i] = lsn + int64(s)
-			} else {
-				lsns[i] = -1
-			}
-		}
-		op.lsns = lsns
-		op.slc = f.takePSLCCredit()
-		op.req = f.prof.Cur()
-		op.done = req.fire
-		f.submitPage(op)
-	}
 }
 
 // Read submits a host read; done fires when all sectors are available
@@ -785,11 +726,9 @@ func (f *FTL) Read(lsn int64, count int, done func()) error {
 	pages := f.readScratch[:0]
 	for s := int64(0); s < int64(count); s++ {
 		l := lsn + s
-		if f.cache != nil {
-			if f.cache.entries.get(l) != nil {
-				f.counters.CacheReadHits++
-				continue
-			}
+		if f.cache.entries.get(l) != nil {
+			f.counters.CacheReadHits++
+			continue
 		}
 		psn := f.l2p.At(l)
 		if psn < 0 {
@@ -836,9 +775,7 @@ func (f *FTL) Trim(lsn int64, count int) error {
 	f.touchIdle()
 	for s := int64(0); s < int64(count); s++ {
 		l := lsn + s
-		if f.cache != nil {
-			f.cache.drop(l)
-		}
+		f.cache.drop(l)
 		if psn := f.l2p.At(l); psn >= 0 {
 			f.invalidate(psn)
 			f.l2p.Set(l, psnFree)
@@ -867,15 +804,11 @@ func (f *FTL) pumpDrain() {
 	if len(f.drainWaiters) == 0 {
 		return
 	}
-	if f.cache != nil {
-		for f.cache.dirtyCount > 0 && f.cache.inflight < maxFlushInflight {
-			f.startCacheFlush()
-		}
-		if f.cache.dirtyCount > 0 || f.cache.inflight > 0 {
-			return
-		}
+	c := f.cache
+	for c.dirtyCount > 0 && c.inflight < maxFlushInflight {
+		f.startCacheFlush()
 	}
-	if f.inflightPages > 0 {
+	if c.dirtyCount > 0 || c.inflight > 0 || f.inflightPages > 0 {
 		return
 	}
 	// Journal residual mapping updates only once relocation traffic has

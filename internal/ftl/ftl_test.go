@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ssdtp/internal/nand"
@@ -117,9 +118,7 @@ func newTestFTL(t *testing.T, cfg Config) (*sim.Engine, *fakeFlash, *FTL) {
 // sector of a free block is live.
 func checkInvariants(t *testing.T, f *FTL) {
 	t.Helper()
-	if f.cache != nil {
-		checkCacheFIFO(t, f.cache)
-	}
+	checkCacheFIFO(t, f.cache)
 	mapped := int64(0)
 	for lsn := int64(0); lsn < f.l2p.Len(); lsn++ {
 		psn := f.l2p.At(lsn)
@@ -213,15 +212,20 @@ func checkCacheFIFO(t *testing.T, c *writeCache) {
 }
 
 func TestWriteFlushMapsSectors(t *testing.T) {
-	eng, _, f := newTestFTL(t, smallConfig())
+	eng, fl, f := newTestFTL(t, smallConfig())
 	var wrote, flushed bool
-	if err := f.Write(0, 8, func() { wrote = true }); err != nil {
+	var wroteAt sim.Time
+	if err := f.Write(0, 8, func() { wrote, wroteAt = true, eng.Now() }); err != nil {
 		t.Fatal(err)
 	}
 	f.Flush(func() { flushed = true })
 	eng.Run()
 	if !wrote || !flushed {
 		t.Fatalf("wrote=%v flushed=%v", wrote, flushed)
+	}
+	// The write completes on cache admission, not after a program.
+	if wroteAt >= fl.progDelay {
+		t.Errorf("write completed at %d, should be well under tPROG %d", wroteAt, fl.progDelay)
 	}
 	if f.ValidSectors() != 8 {
 		t.Errorf("ValidSectors = %d, want 8", f.ValidSectors())
@@ -254,56 +258,6 @@ func TestCacheAbsorbsOverwrites(t *testing.T) {
 		t.Errorf("programs after flush = %d, want 1", got)
 	}
 	checkInvariants(t, f)
-}
-
-func TestDirectModeProgramsPerRequest(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Cache = CacheNone
-	cfg.CacheBytes = 1 << 20
-	eng, _, f := newTestFTL(t, cfg)
-	done := 0
-	for i := 0; i < 5; i++ {
-		if err := f.Write(int64(i), 1, func() { done++ }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Run()
-	if done != 5 {
-		t.Fatalf("completions = %d, want 5", done)
-	}
-	c := f.Counters()
-	if c.DataPagesProgrammed != 5 {
-		t.Errorf("DataPagesProgrammed = %d, want 5 (one per sub-page request)", c.DataPagesProgrammed)
-	}
-	if c.PaddedSectors != 5*3 {
-		t.Errorf("PaddedSectors = %d, want 15", c.PaddedSectors)
-	}
-	checkInvariants(t, f)
-}
-
-func TestDirectModeLatencyIncludesProgram(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Cache = CacheNone
-	eng, fl, f := newTestFTL(t, cfg)
-	var end sim.Time
-	if err := f.Write(0, 1, func() { end = eng.Now() }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if end < fl.progDelay {
-		t.Errorf("direct write completed at %d, before tPROG %d", end, fl.progDelay)
-	}
-	// Cached mode completes far faster.
-	cfg2 := smallConfig()
-	eng2, fl2, f2 := newTestFTL(t, cfg2)
-	var end2 sim.Time
-	if err := f2.Write(0, 1, func() { end2 = eng2.Now() }); err != nil {
-		t.Fatal(err)
-	}
-	eng2.Run()
-	if end2 >= fl2.progDelay {
-		t.Errorf("cached write completed at %d, should be well under tPROG", end2)
-	}
 }
 
 func TestTrimUnmaps(t *testing.T) {
@@ -654,20 +608,32 @@ func TestConfigValidate(t *testing.T) {
 	if err := bigCache.Validate(); err != nil {
 		t.Fatalf("write cache of %d sectors rejected: %v", maxCacheSectors, err)
 	}
-	cases := []func(*Config){
-		func(c *Config) { c.Channels = 0 },
-		func(c *Config) { c.SectorSize = 3000 },
-		func(c *Config) { c.OverProvision = 0.95 },
-		func(c *Config) { c.RAIN.DataPages = -1 },
-		func(c *Config) { c.GCLowWater = 1 },
-		func(c *Config) { oneChip(c, 1<<30, 2) }, // 2^31 sectors: would truncate
-		func(c *Config) { c.CacheBytes = (maxCacheSectors + 1) * c.SectorSize },
+	// want, when set, is a substring the error must carry: an unknown enum
+	// value is reported with its field and the value.
+	cases := []struct {
+		mutate func(*Config)
+		want   string
+	}{
+		{func(c *Config) { c.Channels = 0 }, ""},
+		{func(c *Config) { c.SectorSize = 3000 }, ""},
+		{func(c *Config) { c.OverProvision = 0.95 }, ""},
+		{func(c *Config) { c.RAIN.DataPages = -1 }, ""},
+		{func(c *Config) { c.GCLowWater = 1 }, ""},
+		{func(c *Config) { oneChip(c, 1<<30, 2) }, ""}, // 2^31 sectors: would truncate
+		{func(c *Config) { c.CacheBytes = (maxCacheSectors + 1) * c.SectorSize }, ""},
+		{func(c *Config) { c.Cache = CacheMapping + 1 }, "Cache 2 "},
+		{func(c *Config) { c.Cache = -1 }, "Cache -1 "},
+		{func(c *Config) { c.GC = GCFIFO + 1 }, "GC 3 "},
+		{func(c *Config) { c.Alloc = AllocDPCW + 1 }, "Alloc 4 "},
 	}
-	for i, mutate := range cases {
+	for i, tc := range cases {
 		cfg := smallConfig()
-		mutate(&cfg)
-		if err := cfg.Validate(); !errors.Is(err, ErrBadConfig) {
+		tc.mutate(&cfg)
+		err := cfg.Validate()
+		if !errors.Is(err, ErrBadConfig) {
 			t.Errorf("case %d: Validate = %v, want ErrBadConfig", i, err)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: Validate = %v, want it to name %q", i, err, tc.want)
 		}
 	}
 }
@@ -686,14 +652,25 @@ func TestOverProvisionSizing(t *testing.T) {
 
 // Property: arbitrary interleavings of writes, trims, reads and flushes
 // preserve all mapping invariants under every GC policy and cache kind, and
-// no data or relocation page ever carries one LSN twice (opAuditFlash).
+// no data or relocation page ever carries one LSN twice (opAuditFlash). The
+// flush-each-write variant flushes the mapping cache after every write, so
+// each request programs its own padded pages while host reads and other
+// requests' programs are in flight.
 func TestRandomOpsInvariantProperty(t *testing.T) {
-	for _, cache := range []CacheKind{CacheData, CacheMapping, CacheNone} {
+	for _, v := range []struct {
+		name       string
+		cache      CacheKind
+		flushWrite bool
+	}{
+		{"data-cache", CacheData, false},
+		{"mapping-cache", CacheMapping, false},
+		{"flush-each-write", CacheMapping, true},
+	} {
 		for _, gc := range []GCPolicy{GCGreedy, GCRandGreedy} {
-			name := fmt.Sprintf("%v-%v", cache, gc)
+			name := fmt.Sprintf("%s-%v", v.name, gc)
 			t.Run(name, func(t *testing.T) {
 				cfg := smallConfig()
-				cfg.Cache = cache
+				cfg.Cache = v.cache
 				cfg.GC = gc
 				cfg.Seed = 99
 				// Exercise the full feature set under churn.
@@ -720,6 +697,9 @@ func TestRandomOpsInvariantProperty(t *testing.T) {
 					default:
 						if err := f.Write(lsn, n, nil); err != nil {
 							t.Fatal(err)
+						}
+						if v.flushWrite {
+							f.Flush(nil)
 						}
 					}
 					if i%50 == 0 {

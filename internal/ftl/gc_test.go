@@ -54,7 +54,7 @@ func TestGCJobListsPresized(t *testing.T) {
 		t.Skip("alloc counts are meaningless under the race detector")
 	}
 	cfg := smallConfig()
-	cfg.Cache = CacheNone
+	cfg.Cache = CacheMapping
 	eng := sim.NewEngine()
 	f := New(eng, newZAFlash(eng, cfg), cfg)
 	for psn := int64(0); psn < f.p2l.Len(); psn += mapChunk {

@@ -68,7 +68,7 @@ func staleSectors(f *FTL) int64 {
 // overwritten sector's old location.
 func TestOverwriteCopiesNoOldP2LChunk(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Cache = CacheNone
+	cfg.Cache = CacheMapping
 	eng, fl, src := newTestFTL(t, cfg)
 	if perPU := src.secPerBlk * int64(src.blksPerPU); perPU%mapChunk != 0 {
 		t.Fatalf("a PU's %d sectors straddle p2l chunks of %d", perPU, mapChunk)

@@ -100,11 +100,9 @@ func (f *FTL) Snapshot() *State {
 	if f.refreshing.Any() {
 		panic("ftl: Snapshot with refresh programs outstanding")
 	}
-	if c := f.cache; c != nil {
-		if c.entries.n != 0 || c.dirtyCount != 0 || c.dirtyBytes != 0 ||
-			c.flushingBytes != 0 || c.inflight != 0 || len(c.admitWaiters) != 0 {
-			panic("ftl: Snapshot with a non-clean cache")
-		}
+	if c := f.cache; c.entries.n != 0 || c.dirtyCount != 0 || c.dirtyBytes != 0 ||
+		c.flushingBytes != 0 || c.inflight != 0 || len(c.admitWaiters) != 0 {
+		panic("ftl: Snapshot with a non-clean cache")
 	}
 	for i := range f.blockInflight {
 		if f.blockInflight[i] != 0 {

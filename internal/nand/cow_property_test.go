@@ -4,37 +4,66 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
-
-	"ssdtp/internal/cow"
 )
 
 // The COW conversion's correctness contract is observational: a chip whose
-// snapshots alias chunks must be byte-indistinguishable from one whose
-// snapshots deep-copy. This property test drives a COW chip and a deep-copy
-// reference chip (cow.SetDeepCopy toggled around every Snapshot/Restore)
-// through the same random interleaving of program/read/erase/Snapshot/
-// Restore/clone — including double-clone, write-after-share, and
-// share-after-write orders — and compares full-state digests after every
-// restore and at the end. Run it under -race: the shared chunks crossing
-// chips are exactly the aliasing the detector would flag if any write
-// touched them.
+// snapshots alias chunks must be byte-indistinguishable from a fresh chip
+// that replays, from scratch, every mutation that produced the COW chip's
+// current state. This property test drives a COW chip through a random
+// interleaving of program/read/erase/Snapshot/Restore/clone — including
+// double-clone, write-after-share, and share-after-write orders — while
+// recording the current state's history: each mutation with the clock it
+// ran at, and each observation's reads. A snapshot keeps the history up to
+// its capture and a restore adopts it. After every restore and at the end a
+// fresh chip replays the history and must observe identically. Run it under
+// -race: the shared chunks crossing chips are exactly the aliasing the
+// detector would flag if any write touched them.
 func TestChipCowVsDeepCopyProperty(t *testing.T) {
-	defer cow.SetDeepCopy(false)
+	type stepKind uint8
+	const (
+		stepProgram stepKind = iota
+		stepRead
+		stepErase
+		stepObserve // observe's reads
+	)
+	// step is one recorded mutation and whether the COW chip accepted it.
+	type step struct {
+		kind    stepKind
+		clock   int64
+		addr    Addr
+		payload []byte
+		ok      bool
+	}
+	type snap struct {
+		state *ChipState
+		hist  []step
+	}
 	for seed := int64(0); seed < 12; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			var clock int64
 			mk := func() *Chip { return snapTestChip(&clock) }
+			apply := func(c *Chip, s step) error {
+				switch s.kind {
+				case stepProgram:
+					return c.Program(s.addr, s.payload)
+				case stepRead:
+					return c.Read(s.addr, nil)
+				case stepErase:
+					return c.Erase(s.addr)
+				}
+				observe(t, c)
+				return nil
+			}
 
-			cowChip, refChip := mk(), mk()
-			// snapshot pairs captured so far: [i][0] from the COW chip,
-			// [i][1] from the deep-copy reference.
-			var snaps [][2]*ChipState
+			cowChip := mk()
+			var hist []step // the COW chip's current state, from a fresh chip
+			var snaps []snap
 			rng := rand.New(rand.NewSource(seed))
 			g := cowChip.Geometry()
-			payload := make([]byte, g.PageSize)
 
 			randAddr := func() Addr {
 				return Addr{
@@ -44,42 +73,52 @@ func TestChipCowVsDeepCopyProperty(t *testing.T) {
 					Page:  rng.Intn(g.PagesPerBlock),
 				}
 			}
-			// both applies one mutation to both chips and insists they
-			// agree on the outcome (errors included — out-of-order
-			// programs and worn-out erases must fail identically).
-			both := func(op func(c *Chip) error) {
-				e1, e2 := op(cowChip), op(refChip)
-				if (e1 == nil) != (e2 == nil) {
-					t.Fatalf("cow/ref divergence: %v vs %v", e1, e2)
+			// do applies one mutation to the COW chip and records it with
+			// its outcome (out-of-order programs and worn-out erases fail).
+			do := func(s step) {
+				s.clock = clock
+				s.ok = apply(cowChip, s) == nil
+				hist = append(hist, s)
+			}
+			// replay builds a fresh chip from hist, each step at the clock
+			// it first ran at, and insists every step has its recorded
+			// outcome.
+			replay := func(hist []step) *Chip {
+				now := clock
+				defer func() { clock = now }()
+				c := mk()
+				for i, s := range hist {
+					clock = s.clock
+					if ok := apply(c, s) == nil; ok != s.ok {
+						t.Fatalf("replayed step %d (%+v): ok = %v, COW chip %v", i, s, ok, s.ok)
+					}
 				}
+				return c
 			}
 			check := func(when string) {
-				a, b := observe(t, cowChip), observe(t, refChip)
-				if !bytes.Equal(a, b) {
-					t.Fatalf("cow chip diverges from deep-copy reference %s", when)
+				want := observe(t, replay(hist))
+				got := observe(t, cowChip)
+				hist = append(hist, step{kind: stepObserve, clock: clock, ok: true})
+				if !bytes.Equal(got, want) {
+					t.Fatalf("cow chip diverges from its replayed history %s", when)
 				}
 			}
 
 			for op := 0; op < 400; op++ {
 				switch k := rng.Intn(100); {
 				case k < 35: // program (often rejected: out of order)
-					a := randAddr()
+					payload := make([]byte, g.PageSize)
 					rng.Read(payload)
 					clock += 100
-					both(func(c *Chip) error { return c.Program(a, payload) })
+					do(step{kind: stepProgram, addr: randAddr(), payload: payload})
 				case k < 55: // read (accumulates disturb counters)
-					a := randAddr()
-					both(func(c *Chip) error { return c.Read(a, nil) })
+					do(step{kind: stepRead, addr: randAddr()})
 				case k < 70: // erase a whole block
 					a := randAddr()
 					a.Page = 0
-					both(func(c *Chip) error { return c.Erase(a) })
+					do(step{kind: stepErase, addr: a})
 				case k < 85: // share-after-write: seal the current state
-					cs := cowChip.Snapshot()
-					cow.SetDeepCopy(true)
-					rs := refChip.Snapshot()
-					cow.SetDeepCopy(false)
-					snaps = append(snaps, [2]*ChipState{cs, rs})
+					snaps = append(snaps, snap{cowChip.Snapshot(), slices.Clip(hist)})
 				default: // write-after-share: restore or clone an old image
 					if len(snaps) == 0 {
 						continue
@@ -88,12 +127,10 @@ func TestChipCowVsDeepCopyProperty(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						// double-clone: a fresh chip joins the sharing set
 						// and replaces the current one.
-						cowChip, refChip = mk(), mk()
+						cowChip = mk()
 					}
-					cowChip.Restore(s[0])
-					cow.SetDeepCopy(true)
-					refChip.Restore(s[1])
-					cow.SetDeepCopy(false)
+					cowChip.Restore(s.state)
+					hist = s.hist
 					check("after restore")
 				}
 			}
@@ -101,16 +138,12 @@ func TestChipCowVsDeepCopyProperty(t *testing.T) {
 			check("at end")
 
 			// The images must have survived every mutation since capture:
-			// restore each pair into fresh chips and compare.
+			// restore each into a fresh chip and compare with its replay.
 			for i, s := range snaps {
-				cc, rc := mk(), mk()
-				cc.Restore(s[0])
-				cow.SetDeepCopy(true)
-				rc.Restore(s[1])
-				cow.SetDeepCopy(false)
-				a, b := observe(t, cc), observe(t, rc)
-				if !bytes.Equal(a, b) {
-					t.Fatalf("retained snapshot %d diverges between cow and deep-copy", i)
+				c := mk()
+				c.Restore(s.state)
+				if !bytes.Equal(observe(t, c), observe(t, replay(s.hist))) {
+					t.Fatalf("retained snapshot %d diverges from its replayed history", i)
 				}
 			}
 		})

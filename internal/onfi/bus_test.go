@@ -31,7 +31,7 @@ func TestProgramThenRead(t *testing.T) {
 		}
 		programmed = true
 		buf := make([]byte, 2048)
-		b.Read(0, a, buf, func(err error) {
+		b.ReadEx(0, a, buf, func(_ int, err error) {
 			if err != nil {
 				t.Errorf("read: %v", err)
 			}
@@ -97,42 +97,6 @@ func TestDieParallelism(t *testing.T) {
 	if ends2[1] != 2*(xfer+tm.ProgramPage) {
 		t.Errorf("same-die second program at %d, want %d", ends2[1], 2*(xfer+tm.ProgramPage))
 	}
-}
-
-func TestMultiPlaneProgramSingleArrayOp(t *testing.T) {
-	eng, b := testBus(t, 1)
-	tm := b.Timing()
-	addrs := []nand.Addr{{Plane: 0, Block: 1}, {Plane: 1, Block: 1}}
-	var end sim.Time
-	b.ProgramMulti(0, addrs, [][]byte{nil, nil}, func(err error) {
-		if err != nil {
-			t.Errorf("multi-plane program: %v", err)
-		}
-		end = eng.Now()
-	})
-	eng.Run()
-	perPlane := 2*tm.CmdCycle + 5*tm.AddrCycle + tm.TransferTime(2048)
-	want := 2*perPlane + tm.ProgramPage // one tPROG for both planes
-	if end != want {
-		t.Errorf("multi-plane completed at %d, want %d", end, want)
-	}
-	chip := b.chips[0]
-	for _, a := range addrs {
-		st, _ := chip.State(a)
-		if st != nand.PageProgrammed {
-			t.Errorf("page %v not programmed", a)
-		}
-	}
-}
-
-func TestMultiPlaneAcrossDiesPanics(t *testing.T) {
-	_, b := testBus(t, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("cross-die multi-plane did not panic")
-		}
-	}()
-	b.ProgramMulti(0, []nand.Addr{{Die: 0}, {Die: 1}}, [][]byte{nil, nil}, nil)
 }
 
 func TestProgramErrorPropagates(t *testing.T) {
@@ -216,7 +180,7 @@ func TestBusStats(t *testing.T) {
 	eng, b := testBus(t, 2)
 	b.Program(0, nand.Addr{}, nil, nil)
 	b.Program(1, nand.Addr{}, nil, nil)
-	b.Read(0, nand.Addr{}, nil, nil)
+	b.ReadEx(0, nand.Addr{}, nil, nil)
 	b.Erase(1, nand.Addr{}, nil)
 	eng.Run()
 	s := b.Stats()

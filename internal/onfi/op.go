@@ -23,8 +23,7 @@ import (
 //     its die suspendable until its array phase ends;
 //   - a priority read that suspends a background op (ReadPri) skips the die
 //     queue, pays SuspendOverhead on top of tR, and leaves the die to the
-//     op it suspended;
-//   - a multi-plane program (ProgramMulti) loops over the pages it holds.
+//     op it suspended.
 
 // OpKind is the type of a bus operation. Only reads and erases are ever
 // tracked, so only they appear in an OpState.
@@ -86,13 +85,8 @@ type flashOp struct {
 	kind  OpKind
 	phase OpPhase
 	chip  int
-	die   int // the die every page of the op lives on
-	// addrs are the op's pages, all on one die, and data holds one program
-	// payload or read destination per page (entries may be nil). Both
-	// backing arrays survive recycling, so a multi-plane program allocates
-	// nothing once its descriptor has grown.
-	addrs []nand.Addr
-	data  [][]byte
+	addr  nand.Addr // the op's page (an erase's block)
+	data  []byte    // program payload or read destination; may be nil
 
 	tprog sim.Time // program: array time (SLC-derated for pSLC)
 	bits  int      // read: bit errors, computed at issue
@@ -111,7 +105,7 @@ type flashOp struct {
 	sp obs.Span
 	ax *obs.ReqAttr
 
-	done     func(error)      // program, erase, plain Read
+	done     func(error)      // program, erase
 	doneBits func(int, error) // ReadEx, ReadPri, ReadTracked
 	next     *flashOp         // bus freelist link
 }
@@ -130,10 +124,8 @@ func (b *Bus) newOp(kind OpKind, chip int, addr nand.Addr, data []byte) *flashOp
 	} else {
 		op = &flashOp{}
 	}
-	op.b, op.kind, op.chip, op.die = b, kind, chip, addr.Die
+	op.b, op.kind, op.chip, op.addr, op.data = b, kind, chip, addr, data
 	op.bits, op.suspendable, op.pri, op.tracked = 0, false, false, false
-	op.addrs = append(op.addrs, addr)
-	op.data = append(op.data, data)
 	op.idx = len(b.ops)
 	b.ops = append(b.ops, op)
 	return op
@@ -152,14 +144,7 @@ func (b *Bus) finish(op *flashOp, err error) {
 	b.ops[last] = nil
 	b.ops = b.ops[:last]
 	done, doneBits, bits := op.done, op.doneBits, op.bits
-	// An index loop, not clear(): the range-clear idiom and clear() both
-	// call into the runtime, which costs more than the page or two an op
-	// holds.
-	for i := 0; i < len(op.data); i++ {
-		op.data[i] = nil
-	}
-	op.addrs, op.data = op.addrs[:0], op.data[:0]
-	op.err, op.tag, op.ev, op.ax = nil, nil, sim.Event{}, nil
+	op.data, op.err, op.tag, op.ev, op.ax = nil, nil, nil, sim.Event{}, nil
 	op.done, op.doneBits = nil, nil
 	op.next = b.free
 	b.free = op
@@ -192,7 +177,7 @@ func (op *flashOp) eventStage(p OpPhase) func(any) {
 func (op *flashOp) beginSpan(name string) {
 	b := op.b
 	op.sp = b.tr.Begin(name,
-		obs.Int("ch", int64(b.id)), obs.Int("chip", int64(op.chip)), obs.Int("die", int64(op.die)))
+		obs.Int("ch", int64(b.id)), obs.Int("chip", int64(op.chip)), obs.Int("die", int64(op.addr.Die)))
 }
 
 // endSpan ends op's span, if it opened one, and clears it for reuse.
@@ -209,22 +194,15 @@ func (b *Bus) issue(op *flashOp) {
 	if !op.tracked {
 		op.ax = b.prof.TakeOp()
 	}
-	op.ax.Mark(b.dieWaitPhase(op.chip, op.die))
-	b.dies[op.chip][op.die].AcquireArg(op.queueStage(OpDieQueue), op)
+	op.ax.Mark(b.dieWaitPhase(op.chip, op.addr.Die))
+	b.dies[op.chip][op.addr.Die].AcquireArg(op.queueStage(OpDieQueue), op)
 }
 
 // --- Entry points --------------------------------------------------------
 
-// Read fills buf (PageSize bytes, or nil) from addr on chip and calls
-// done(err) when the payload has fully transferred.
-func (b *Bus) Read(chip int, addr nand.Addr, buf []byte, done func(error)) {
-	op := b.newOp(OpRead, chip, addr, buf)
-	op.done = done
-	b.issue(op)
-}
-
-// ReadEx is Read with the chip's raw bit-error count for the page delivered
-// alongside completion — what the controller's ECC engine reports and the
+// ReadEx fills buf (PageSize bytes, or nil) from addr on chip and calls
+// done with the chip's raw bit-error count for the page once the payload has
+// fully transferred — the count the controller's ECC engine reports and the
 // FTL's refresh logic consumes.
 func (b *Bus) ReadEx(chip int, addr nand.Addr, buf []byte, done func(bitErrors int, err error)) {
 	b.issue(b.readEx(chip, addr, buf, done))
@@ -296,25 +274,6 @@ func (b *Bus) ProgramBG(chip int, addr nand.Addr, data []byte, slc bool, done fu
 	b.issue(b.program(chip, addr, data, tprog, true, done))
 }
 
-// ProgramMulti issues a multi-plane program: all addresses must be on the
-// same die. Payloads transfer sequentially on the bus; the single array
-// operation covers all planes. done(err) fires at completion with the first
-// commit error, if any.
-func (b *Bus) ProgramMulti(chip int, addrs []nand.Addr, data [][]byte, done func(error)) {
-	if len(addrs) == 0 || len(data) != len(addrs) {
-		panic("onfi: ProgramMulti needs matching non-empty addrs and data")
-	}
-	for _, a := range addrs[1:] {
-		if a.Die != addrs[0].Die {
-			panic("onfi: multi-plane program spans dies")
-		}
-	}
-	op := b.program(chip, addrs[0], data[0], b.timing.ProgramPage, false, done)
-	op.addrs = append(op.addrs, addrs[1:]...)
-	op.data = append(op.data, data[1:]...)
-	b.issue(op)
-}
-
 func (b *Bus) program(chip int, addr nand.Addr, data []byte, tprog sim.Time, background bool, done func(error)) *flashOp {
 	op := b.newOp(opProgram, chip, addr, data)
 	op.tprog, op.done = tprog, done
@@ -353,7 +312,7 @@ func (b *Bus) erase(chip int, addr nand.Addr, background bool, done func(error))
 func (b *Bus) setBackground(op *flashOp, background bool) {
 	op.suspendable = background
 	if background {
-		b.markSuspendable(op.chip, op.die, true)
+		b.markSuspendable(op.chip, op.addr.Die, true)
 	}
 }
 
@@ -368,33 +327,25 @@ func dieGranted(arg any) {
 	op.b.wires.AcquireArg(op.queueStage(OpWireQueue1), op)
 }
 
-// wiresGranted puts the command sequence on the bus, per page: setup
-// command, address cycles (an erase sends the row bytes only), the program
-// payload, and the confirm command — a plane confirm on all but the last
-// page of a multi-plane program.
+// wiresGranted puts the command sequence on the bus: setup command, address
+// cycles (an erase sends the row bytes only), the program payload, and the
+// confirm command.
 func wiresGranted(arg any) {
 	op := arg.(*flashOp)
 	b := op.b
 	k := &kinds[op.kind]
 	op.ax.Mark(obs.PhaseNAND)
-	var dur sim.Time
-	for i, a := range op.addrs {
-		dur += b.emitCmdAddrAt(op.chip, k.setup, op.kind != OpErase, a, dur)
-		confirm := k.confirm
-		if op.kind == opProgram {
-			n := b.chips[op.chip].Geometry().PageSize
-			xfer := b.timing.TransferTime(n)
-			if b.observed() {
-				b.emit(BusEvent{Time: b.eng.Now() + dur, Dur: xfer, Bus: b.id, Chip: op.chip, Die: op.die, Kind: EventDataIn, Len: n})
-			}
-			dur += xfer
-			b.stats.BytesIn += int64(n)
-			if i < len(op.addrs)-1 {
-				confirm = CmdProgramPlane
-			}
+	dur := b.emitCmdAddrAt(op.chip, k.setup, op.kind != OpErase, op.addr, 0)
+	if op.kind == opProgram {
+		n := b.chips[op.chip].Geometry().PageSize
+		xfer := b.timing.TransferTime(n)
+		if b.observed() {
+			b.emit(BusEvent{Time: b.eng.Now() + dur, Dur: xfer, Bus: b.id, Chip: op.chip, Die: op.addr.Die, Kind: EventDataIn, Len: n})
 		}
-		dur += b.emitCmdAt(op.chip, op.die, confirm, dur)
+		dur += xfer
+		b.stats.BytesIn += int64(n)
 	}
+	dur += b.emitCmdAt(op.chip, op.addr.Die, k.confirm, dur)
 	op.ev = b.eng.ScheduleArg(dur, op.eventStage(OpCmd), op)
 }
 
@@ -402,7 +353,7 @@ func wiresGranted(arg any) {
 func cmdDone(arg any) {
 	op := arg.(*flashOp)
 	b := op.b
-	b.emitEdge(op.chip, op.die, EventBusy)
+	b.emitEdge(op.chip, op.addr.Die, EventBusy)
 	b.wires.Release()
 	var t sim.Time
 	switch op.kind {
@@ -425,24 +376,18 @@ func arrayDone(arg any) {
 	b := op.b
 	c := b.chips[op.chip]
 	var err error
-	for i, a := range op.addrs {
-		var e error
-		if op.kind == OpErase {
-			e = c.Erase(a)
-			b.stats.Erases++
-		} else {
-			e = c.Program(a, op.data[i])
-			b.stats.Programs++
-		}
-		if err == nil {
-			err = e
-		}
+	if op.kind == OpErase {
+		err = c.Erase(op.addr)
+		b.stats.Erases++
+	} else {
+		err = c.Program(op.addr, op.data)
+		b.stats.Programs++
 	}
-	b.emitEdge(op.chip, op.die, EventReady)
+	b.emitEdge(op.chip, op.addr.Die, EventReady)
 	op.endSpan()
-	b.dies[op.chip][op.die].Release()
+	b.dies[op.chip][op.addr.Die].Release()
 	if op.suspendable {
-		b.markSuspendable(op.chip, op.die, false)
+		b.markSuspendable(op.chip, op.addr.Die, false)
 	}
 	b.finish(op, err)
 }
@@ -452,8 +397,8 @@ func arrayDone(arg any) {
 func readArrayDone(arg any) {
 	op := arg.(*flashOp)
 	b := op.b
-	op.err = b.chips[op.chip].Read(op.addrs[0], op.data[0])
-	b.emitEdge(op.chip, op.die, EventReady)
+	op.err = b.chips[op.chip].Read(op.addr, op.data)
+	b.emitEdge(op.chip, op.addr.Die, EventReady)
 	if op.pri {
 		// The fixed suspend overhead within the array interval is GC
 		// interference (the read only pays it because a background op held
@@ -472,7 +417,7 @@ func xferGranted(arg any) {
 	op.ax.Mark(obs.PhaseNAND)
 	xfer := b.timing.TransferTime(n)
 	if b.observed() {
-		b.emit(BusEvent{Time: b.eng.Now(), Dur: xfer, Bus: b.id, Chip: op.chip, Die: op.die, Kind: EventDataOut, Len: n})
+		b.emit(BusEvent{Time: b.eng.Now(), Dur: xfer, Bus: b.id, Chip: op.chip, Die: op.addr.Die, Kind: EventDataOut, Len: n})
 	}
 	b.stats.BytesOut += int64(n)
 	b.stats.Reads++
@@ -487,7 +432,7 @@ func xferDone(arg any) {
 	b.wires.Release()
 	op.endSpan()
 	if !op.pri {
-		b.dies[op.chip][op.die].Release()
+		b.dies[op.chip][op.addr.Die].Release()
 	}
 	b.finish(op, op.err)
 }

@@ -47,7 +47,7 @@ func (b *Bus) SnapshotOps() []OpState {
 			continue
 		}
 		st := OpState{
-			Ch: b.id, Kind: op.kind, Chip: op.chip, Addr: op.addrs[0], Phase: op.phase,
+			Ch: b.id, Kind: op.kind, Chip: op.chip, Addr: op.addr, Phase: op.phase,
 			Bits: op.bits, Err: op.err, Suspendable: op.suspendable, QSeq: op.qseq,
 			EnqueuedAt: op.enq, Tag: op.tag,
 		}

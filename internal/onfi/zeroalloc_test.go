@@ -19,8 +19,6 @@ var zaBus struct {
 	eng              *sim.Engine
 	b                *Bus
 	readEnd, progEnd sim.Time
-	planes           []nand.Addr
-	payloads         [][]byte
 }
 
 var zaTag any = "za"
@@ -52,16 +50,6 @@ func zaPriorityRead() {
 	s.eng.Run()
 }
 
-func zaMultiPlane() {
-	s := &zaBus
-	s.b.ProgramMulti(0, s.planes, s.payloads, zaProgDone)
-	s.eng.Run()
-	for _, a := range s.planes {
-		s.b.Erase(0, a, zaEraseDone)
-	}
-	s.eng.Run()
-}
-
 func TestBusZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under the race detector")
@@ -73,12 +61,9 @@ func TestBusZeroAlloc(t *testing.T) {
 		{"tracked-read", zaTrackedRead},
 		{"tracked-erase", zaTrackedErase},
 		{"priority-read-suspend", zaPriorityRead},
-		{"multi-plane-program", zaMultiPlane},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			zaBus.eng, zaBus.b = testBus(t, 1)
-			zaBus.planes = []nand.Addr{{Plane: 0, Block: 4}, {Plane: 1, Block: 4}}
-			zaBus.payloads = make([][]byte, len(zaBus.planes))
 			zaBus.b.Program(0, nand.Addr{Block: 1}, nil, nil)
 			zaBus.eng.Run()
 			for i := 0; i < 4; i++ {

@@ -57,7 +57,7 @@ func TestDecodeReadAndErase(t *testing.T) {
 	eng, bus, an := probeRig(t)
 	a := nand.Addr{Block: 2}
 	bus.Program(0, a, nil, func(error) {
-		bus.Read(0, a, nil, func(error) {
+		bus.ReadEx(0, a, nil, func(int, error) {
 			bus.Erase(0, a, nil)
 		})
 	})
@@ -77,12 +77,35 @@ func TestDecodeReadAndErase(t *testing.T) {
 	}
 }
 
+// TestDecodeMultiPlane feeds a hand-built two-plane program, the sequence a
+// real drive's bus carries for one: per plane the setup command, address
+// cycles and payload, a plane confirm after the first page and the final
+// confirm after the second, then one busy interval for both.
 func TestDecodeMultiPlane(t *testing.T) {
-	eng, bus, an := probeRig(t)
 	addrs := []nand.Addr{{Plane: 0, Block: 1}, {Plane: 1, Block: 1}}
-	bus.ProgramMulti(0, addrs, [][]byte{nil, nil}, nil)
-	eng.Run()
-	ops := Decode(an.Events())
+	var evs []onfi.BusEvent
+	at := func(ev onfi.BusEvent) {
+		ev.Time = sim.Time(len(evs))
+		evs = append(evs, ev)
+	}
+	for i, a := range addrs {
+		at(onfi.BusEvent{Kind: onfi.EventCmd, Byte: onfi.CmdProgramSetup})
+		for range onfi.ColumnAddrCycles {
+			at(onfi.BusEvent{Kind: onfi.EventAddr})
+		}
+		for _, b := range onfi.RowBytes(rigGeom.RowAddress(a)) {
+			at(onfi.BusEvent{Kind: onfi.EventAddr, Byte: b})
+		}
+		at(onfi.BusEvent{Kind: onfi.EventDataIn, Len: rigGeom.PageSize})
+		confirm := onfi.CmdProgramPlane
+		if i == len(addrs)-1 {
+			confirm = onfi.CmdProgramConfirm
+		}
+		at(onfi.BusEvent{Kind: onfi.EventCmd, Byte: confirm})
+	}
+	at(onfi.BusEvent{Kind: onfi.EventBusy})
+	at(onfi.BusEvent{Kind: onfi.EventReady})
+	ops := Decode(evs)
 	if len(ops) != 1 {
 		t.Fatalf("decoded %d ops, want 1", len(ops))
 	}
@@ -91,6 +114,11 @@ func TestDecodeMultiPlane(t *testing.T) {
 	}
 	if ops[0].DataBytes != 8192 {
 		t.Errorf("data bytes = %d", ops[0].DataBytes)
+	}
+	for i, row := range ops[0].Rows {
+		if got := rigGeom.AddrOf(int64(row)); got != addrs[i] {
+			t.Errorf("row %d decodes to %v, want %v", i, got, addrs[i])
+		}
 	}
 }
 
@@ -203,7 +231,7 @@ func TestDecodeIgnoresUnknownPrefix(t *testing.T) {
 func TestWriteVCD(t *testing.T) {
 	eng, bus, an := probeRig(t)
 	bus.Program(0, nand.Addr{}, nil, func(error) {
-		bus.Read(0, nand.Addr{}, nil, nil)
+		bus.ReadEx(0, nand.Addr{}, nil, nil)
 	})
 	eng.Run()
 	var buf strings.Builder
@@ -287,7 +315,7 @@ func TestDecodeRoundTripProperty(t *testing.T) {
 					issued[key{OpProgram, die}]++
 				}
 			case 1:
-				bus.Read(0, nand.Addr{Die: die}, nil, nil)
+				bus.ReadEx(0, nand.Addr{Die: die}, nil, nil)
 				issued[key{OpRead, die}]++
 			case 2:
 				bus.Erase(0, nand.Addr{Die: die}, nil)

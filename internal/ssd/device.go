@@ -99,9 +99,6 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 	fcfg.Channels = cfg.Channels
 	fcfg.ChipsPerChannel = cfg.ChipsPerChannel
 	fcfg.Trace = cfg.Trace
-	if fcfg.SectorSize == 0 {
-		fcfg.SectorSize = 4096
-	}
 	cfg.Trace.BindEngine(eng)
 	if cfg.CounterUnitBytes == 0 {
 		cfg.CounterUnitBytes = cfg.Geometry.PageSize
@@ -120,14 +117,14 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 	})
 	array.SetTrace(cfg.Trace)
 	d := &Device{
-		eng:        eng,
-		cfg:        cfg,
-		array:      array,
-		fl:         ftl.New(eng, array, fcfg),
-		tr:         cfg.Trace,
-		prof:       cfg.Trace.Prof(),
-		sectorSize: fcfg.SectorSize,
+		eng:   eng,
+		cfg:   cfg,
+		array: array,
+		fl:    ftl.New(eng, array, fcfg),
+		tr:    cfg.Trace,
+		prof:  cfg.Trace.Prof(),
 	}
+	d.sectorSize = d.fl.SectorSize()
 	if cfg.StoreContent {
 		// Chunked copy-on-write payload store: sectors the host never wrote
 		// read back as zeros (implicit-fill chunks cost nothing), and
