@@ -6,36 +6,25 @@
 // -parallel value; progress lines and per-cell wall-clock timings go to
 // stderr so redirected output stays clean.
 //
-// With -trace FILE the traced experiments (fig3, fleet, transparency, tabS3,
-// tabS4) also emit a JSONL span stream, with -trace-perfetto FILE a Chrome
-// trace-event JSON document loadable in Perfetto/chrome://tracing, with
-// -telemetry FILE a JSONL stream of transparency log pages (the
-// host-visible disclosure interface of DESIGN.md §14, sampled every
-// -telemetry-ms), with -timeline FILE the same log page as CSV (columns
-// cell,t_ns then the JSONL fields, sampled every -timeline-ms), and with
-// -metrics FILE a Prometheus-style text dump of per-cell counters. Each
-// traced cell records its log page once, at the greatest common divisor of
-// the two intervals, and -telemetry and -timeline render the rows on their
-// own grids, so both cover the same cells. All are timestamped with the
+// The observability flags (-trace, -trace-perfetto, -trace-cap, -timeline,
+// -timeline-ms, -telemetry, -telemetry-ms, -metrics, -http) are shared with
+// ssdfio and described in package cliutil. Here the traced experiments
+// (fig3, fleet, transparency, tabS3, tabS4) feed the span, Perfetto and
+// log-page exports and every cell its metrics; all are timestamped with the
 // simulated clock and ordered by cell label, so they too are byte-identical
-// for any -parallel value.
-//
-// -http ADDR serves a live ops endpoint while the run is in flight:
-// net/http/pprof and expvar, a /metrics snapshot of completed cells, a
-// /progress JSON view with cells/sec throughput and ETA, and a /telemetry
-// JSONL view of completed cells' transparency log pages.
+// for any -parallel value. -http serves a live ops endpoint while the run is
+// in flight, whose /progress view carries cells/sec throughput and ETA.
 //
 // Expensive preconditioning (the fig3-family steady-state prefill, the aged
 // file systems of fig1/tabS7) is built once per distinct image and cloned
 // per cell via drive-state snapshots; -snapshot-cache=false rebuilds every
 // cell from scratch instead. Output is byte-identical either way.
 //
-// Every output path (-trace, -trace-perfetto, -timeline, -metrics, the -csv
-// directory) is opened and validated before any experiment runs, so a bad
-// path fails in milliseconds rather than after a long -full regeneration;
-// so is every sampling interval in use (-timeline-ms and -telemetry-ms must
-// be positive) and every -run id (an unknown one is a flag error that lists
-// the valid ids).
+// Every output path (the observability files and the -csv directory) is
+// opened and validated before any experiment runs, so a bad path fails in
+// milliseconds rather than after a long -full regeneration; so is every
+// sampling interval in use and every -run id (an unknown one is a flag
+// error that lists the valid ids).
 //
 // Usage:
 //
@@ -54,9 +43,7 @@ import (
 	"ssdtp/internal/cliutil"
 	"ssdtp/internal/experiments"
 	"ssdtp/internal/fleet"
-	"ssdtp/internal/obs"
 	"ssdtp/internal/runner"
-	"ssdtp/internal/sim"
 )
 
 func main() {
@@ -66,15 +53,7 @@ func main() {
 	csvDir := flag.String("csv", "", "also write plottable CSV series into this directory")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "experiment cells run concurrently (results are identical for any value)")
 	quiet := flag.Bool("quiet", false, "suppress per-cell progress lines on stderr")
-	traceFile := flag.String("trace", "", "write a JSONL span trace of the traced experiments to this file")
-	perfettoFile := flag.String("trace-perfetto", "", "write a Chrome trace-event/Perfetto JSON trace of the traced experiments to this file")
-	traceCap := flag.Int("trace-cap", 0, "per-cell trace record cap (0 = default 1<<20; negative = unbounded); drops are counted in ssdtp_trace_dropped_spans_total")
-	timelineFile := flag.String("timeline", "", "write the transparency log page as CSV (cell,t_ns then the -telemetry fields) to this file")
-	timelineMS := flag.Int64("timeline-ms", 10, "-timeline sampling interval in simulated milliseconds (must be positive)")
-	telemetryFile := flag.String("telemetry", "", "write a JSONL stream of transparency log pages to this file")
-	telemetryMS := flag.Int64("telemetry-ms", 1, "-telemetry and /telemetry sampling interval in simulated milliseconds (must be positive)")
-	metricsFile := flag.String("metrics", "", "write a Prometheus-style text dump of per-cell metrics to this file")
-	httpAddr := flag.String("http", "", "serve a live ops endpoint (pprof, expvar, /metrics, /progress) on this address, e.g. :6060")
+	obsFlags := cliutil.RegisterObs(flag.CommandLine)
 	snapCache := flag.Bool("snapshot-cache", true, "build each distinct preconditioned drive/file-system image once and clone it per cell (results are identical either way)")
 	flag.Parse()
 
@@ -82,22 +61,8 @@ func main() {
 	if err != nil {
 		cliutil.Failf("run", "%v", err)
 	}
-	// Open and validate every output destination before any experiment runs:
-	// a bad -metrics path must fail now, not after a multi-minute -full
-	// regeneration (and with the flag it belongs to, not a bare OS error).
-	// A non-positive interval would sample nothing and leave the requested
-	// export empty; reject it before creating any file.
-	if *timelineFile != "" {
-		cliutil.MustInterval("timeline-ms", *timelineMS, 1)
-	}
-	if *telemetryFile != "" || *httpAddr != "" {
-		cliutil.MustInterval("telemetry-ms", *telemetryMS, 1)
-	}
-	traceOut := cliutil.MustOpen("trace", *traceFile)
-	perfettoOut := cliutil.MustOpen("trace-perfetto", *perfettoFile)
-	timelineOut := cliutil.MustOpen("timeline", *timelineFile)
-	telemetryOut := cliutil.MustOpen("telemetry", *telemetryFile)
-	metricsOut := cliutil.MustOpen("metrics", *metricsFile)
+	// Validate every output destination before any experiment runs: a bad
+	// path must fail now, not after a multi-minute -full regeneration.
 	if err := cliutil.Dir("csv", *csvDir); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -121,62 +86,20 @@ func main() {
 	}
 	experiments.SetPool(&runner.Pool{Workers: *parallel, Progress: progress})
 
-	var col *obs.Collector
-	if traceOut.Enabled() || perfettoOut.Enabled() || timelineOut.Enabled() || telemetryOut.Enabled() || metricsOut.Enabled() || *httpAddr != "" {
-		col = obs.NewCollector()
-		if *traceCap != 0 {
-			col.SetRecordCap(*traceCap)
+	// /progress reports run progress plus, once a fleet cell has completed,
+	// the tier's COW image residency (atomically published; never reads
+	// in-flight simulation state).
+	experiments.SetObserver(obsFlags.Start(func() any {
+		s := tracker.Snapshot()
+		if mem := experiments.FleetMemSnapshot(); mem != nil {
+			return struct {
+				runner.Snapshot
+				FleetMemPolicy string          `json:"fleet_mem_policy"`
+				FleetMem       fleet.MemReport `json:"fleet_mem"`
+			}{s, mem.Policy, mem.Report}
 		}
-		// Each traced cell samples its log page once, at the GCD of these
-		// intervals; -timeline and -telemetry (and /telemetry) each render
-		// the rows on their own grid.
-		if timelineOut.Enabled() {
-			col.SetTimeline(sim.Time(*timelineMS) * sim.Millisecond)
-		}
-		if telemetryOut.Enabled() || *httpAddr != "" {
-			col.SetTelemetry(sim.Time(*telemetryMS) * sim.Millisecond)
-		}
-		experiments.SetObserver(col)
-	}
-	if *httpAddr != "" {
-		// /progress reports run progress plus, once a fleet cell has
-		// completed, the tier's COW image residency (atomically published;
-		// never reads in-flight simulation state).
-		addr, shutdown, err := obs.ServeOps(*httpAddr, col, func() any {
-			s := tracker.Snapshot()
-			if mem := experiments.FleetMemSnapshot(); mem != nil {
-				return struct {
-					runner.Snapshot
-					FleetMemPolicy string          `json:"fleet_mem_policy"`
-					FleetMem       fleet.MemReport `json:"fleet_mem"`
-				}{s, mem.Policy, mem.Report}
-			}
-			return s
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer shutdown()
-		fmt.Fprintf(os.Stderr, "(ops endpoint on http://%s)\n", addr)
-	}
-	writeObs := func(o *cliutil.Out, write func(f *os.File) error) {
-		if !o.Enabled() {
-			return
-		}
-		if err := o.Finish(write); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "(wrote %s)\n", o.Path())
-	}
-	flushObs := func() {
-		writeObs(traceOut, func(f *os.File) error { return col.WriteJSONL(f) })
-		writeObs(perfettoOut, func(f *os.File) error { return col.WritePerfetto(f) })
-		writeObs(timelineOut, func(f *os.File) error { return col.WriteTimelineCSV(f) })
-		writeObs(telemetryOut, func(f *os.File) error { return col.WriteTelemetryJSONL(f) })
-		writeObs(metricsOut, func(f *os.File) error { return col.WriteMetrics(f) })
-	}
+		return s
+	}))
 
 	writeCSV := func(name string, header string, rows func(w *os.File)) {
 		if *csvDir == "" {
@@ -320,10 +243,10 @@ func main() {
 		fmt.Print(res.Table())
 		if !res.AllOK() {
 			fmt.Fprintln(os.Stderr, "fig6: findings did not match planted ground truth")
-			flushObs()
+			obsFlags.Finish()
 			os.Exit(1)
 		}
 	}
 	endSection()
-	flushObs()
+	obsFlags.Finish()
 }

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"ssdtp/internal/cliutil"
 	"ssdtp/internal/sigtrace"
@@ -20,7 +21,7 @@ import (
 )
 
 func main() {
-	model := flag.String("model", "Vertex2", "device model: MX500|EVO840|Vertex2")
+	model := flag.String("model", "Vertex2", "device model: "+strings.Join(ssd.ModelNames(), "|"))
 	channel := flag.Int("channel", 0, "channel to probe")
 	wl := flag.String("workload", "format", "workload: format|seq|rand")
 	width := flag.Int("width", 96, fmt.Sprintf("waveform columns (at least %d)", sigtrace.MinWaveformWidth))
@@ -31,16 +32,9 @@ func main() {
 		cliutil.Failf("width", "%v", err)
 	}
 
-	var cfg ssd.Config
-	switch *model {
-	case "MX500":
-		cfg = ssd.MX500()
-	case "EVO840":
-		cfg = ssd.EVO840()
-	case "Vertex2":
-		cfg = ssd.Vertex2()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
+	cfg, err := ssd.Model(*model)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	dev := ssd.NewDevice(sim.NewEngine(), cfg)

@@ -40,18 +40,15 @@ type fleetOpts struct {
 	seed       int64
 	ms         int64
 	prefill    bool
-
-	col                                                          *obs.Collector
-	traceOut, perfettoOut, timelineOut, telemetryOut, metricsOut *cliutil.Out
-	showSMART                                                    bool
+	showSMART  bool
 }
 
 // runFleet is ssdfio's -fleet mode: N identical-model drives behind a
 // placement tier, shared by -tenants copies of the flag-configured workload
 // (distinct seeds), reporting per-tenant tail percentiles and GC blast
 // radius. The same co-simulation substrate as the fleet experiment, but with
-// every knob on the command line.
-func runFleet(cfg ssd.Config, o fleetOpts) {
+// every knob on the command line. The tier is col's only cell.
+func runFleet(cfg ssd.Config, col *obs.Collector, o fleetOpts) {
 	if o.tenants <= 0 {
 		fmt.Fprintf(os.Stderr, "-tenants must be positive, got %d\n", o.tenants)
 		os.Exit(2)
@@ -72,11 +69,8 @@ func runFleet(cfg ssd.Config, o fleetOpts) {
 		os.Exit(2)
 	}
 
-	var tr *obs.Tracer
 	label := fmt.Sprintf("fleet/%s/%dd", pl.Name(), o.drives)
-	if o.col != nil {
-		tr = o.col.Cell(label)
-	}
+	tr := col.Cell(label)
 
 	// Size the tenant volumes before any drive is prefilled: a request
 	// larger than a volume is a -size error, not a panic mid-run. Every
@@ -86,7 +80,7 @@ func runFleet(cfg ssd.Config, o fleetOpts) {
 		groups[t] = pl.Group(t)
 	}
 	driveSize := ssd.NewDevice(sim.NewEngine(), cfg).Size()
-	volBytes := fleetVolBytes(driveSize, groups, o.drives, stripe)
+	volBytes := fleet.VolumeBytes(driveSize, groups, o.drives, stripe)
 	if err := checkFits(o.size, "tenant volume", volBytes); err != nil {
 		cliutil.Failf("size", "%v", err)
 	}
@@ -111,12 +105,13 @@ func runFleet(cfg ssd.Config, o fleetOpts) {
 		b.FTL.Seed = int64(runner.CellSeed(o.seed, 0))
 		b.Trace = btr
 		builder := ssd.NewDevice(sim.NewEngine(), b)
-		fill := builder.Size() * 85 / 100 / 65536 * 65536
-		workload.Run(builder, workload.Spec{
-			Name: "prefill", Pattern: workload.Sequential, RequestBytes: 65536, Length: fill,
-		}, workload.Options{MaxRequests: fill / 65536})
-		// Snapshot requires a drained FTL.
-		if err := builder.Flush(); err != nil {
+		// A short prefill must not become every drive's image, and Snapshot
+		// requires a drained FTL.
+		err := prefillDevice(builder)
+		if err == nil {
+			err = builder.Flush()
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -140,11 +135,9 @@ func runFleet(cfg ssd.Config, o fleetOpts) {
 		devs[i] = dev
 	}
 	f := fleet.New(host, devs, stripe)
-	if tr != nil {
-		// Binds the tier-level log page, summed across drives on host-clock
-		// boundaries, to the tracer's page recorder.
-		f.BindObs(tr)
-	}
+	// Binds the tier-level log page, summed across drives on host-clock
+	// boundaries, to the tracer's page recorder.
+	f.BindObs(tr)
 
 	vols := make([]*fleet.Volume, o.tenants)
 	targets := make([]workload.Target, o.tenants)
@@ -203,53 +196,6 @@ func runFleet(cfg ssd.Config, o fleetOpts) {
 		}
 	}
 
-	if tr != nil {
-		f.PublishMetrics(tr)
-		o.col.MarkDone(label)
-		writeObsFile(o.traceOut, func(w *os.File) error { return tr.WriteJSONL(w) })
-		writeObsFile(o.perfettoOut, func(w *os.File) error { return tr.WritePerfetto(w) })
-		writeObsFile(o.timelineOut, func(w *os.File) error { return o.col.WriteTimelineCSV(w) })
-		writeObsFile(o.telemetryOut, func(w *os.File) error { return o.col.WriteTelemetryJSONL(w) })
-		writeObsFile(o.metricsOut, func(w *os.File) error { return tr.WriteMetrics(w) })
-	}
-}
-
-// fleetVolBytes sizes every tenant volume so each drive fits all the tenants
-// placed on it: the binding drive is the most-loaded one, which can devote at
-// most size/load (less one stripe of slack) to each of its tenants.
-func fleetVolBytes(driveSize int64, groups [][]int, drives int, stripe int64) int64 {
-	loads := make([]int64, drives)
-	for _, g := range groups {
-		for _, d := range g {
-			loads[d]++
-		}
-	}
-	g := int64(len(groups[0]))
-	best := int64(1) << 62
-	for _, l := range loads {
-		if l == 0 {
-			continue
-		}
-		if b := g * (driveSize/l - stripe); b < best {
-			best = b
-		}
-	}
-	if best < stripe {
-		return stripe
-	}
-	return best / stripe * stripe
-}
-
-// writeObsFile delivers one observability export into its startup-opened
-// destination, or does nothing when the flag was not given. Errors arrive
-// already wrapped with the owning flag and path.
-func writeObsFile(o *cliutil.Out, write func(f *os.File) error) {
-	if !o.Enabled() {
-		return
-	}
-	if err := o.Finish(write); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "(wrote %s)\n", o.Path())
+	f.PublishMetrics(tr)
+	col.MarkDone(label)
 }

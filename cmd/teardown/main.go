@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"ssdtp/internal/core"
 	"ssdtp/internal/nand"
@@ -21,11 +22,11 @@ import (
 )
 
 func main() {
-	model := flag.String("model", "MX500", "device model")
+	model := flag.String("model", "MX500", "device model: "+strings.Join(ssd.ModelNames(), "|"))
 	report := flag.Bool("report", true, "run the full transparency work-up after the inventory")
 	flag.Parse()
 
-	cfg, err := modelByName(*model)
+	cfg, err := ssd.Model(*model)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -64,24 +65,5 @@ func main() {
 	if *report {
 		fmt.Println()
 		fmt.Print(core.FullReport(dev).Render())
-	}
-}
-
-func modelByName(name string) (ssd.Config, error) {
-	switch name {
-	case "MX500":
-		return ssd.MX500(), nil
-	case "EVO840":
-		return ssd.EVO840(), nil
-	case "Vertex2":
-		return ssd.Vertex2(), nil
-	case "S64":
-		return ssd.S64(), nil
-	case "S120":
-		return ssd.S120(), nil
-	case "mqsim-base":
-		return ssd.MQSimBase(), nil
-	default:
-		return ssd.Config{}, fmt.Errorf("unknown model %q", name)
 	}
 }

@@ -24,7 +24,9 @@ func main() {
 			panic(err)
 		}
 	}
-	dev.FlushAsync(nil)
+	if err := dev.FlushAsync(nil); err != nil {
+		panic(err)
+	}
 	eng.Run()
 	fmt.Printf("1 MB written and flushed by t=%.2f ms\n",
 		float64(writeDone)/float64(sim.Millisecond))

@@ -1,10 +1,30 @@
 // Package cliutil holds the output-path plumbing shared by the repository's
-// command-line tools. Every file-producing flag (-trace, -metrics, -timeline,
-// -trace-perfetto, -csv) is opened and validated at startup, before any
-// simulation runs: a misspelled directory fails in milliseconds instead of
-// after a multi-minute -full regeneration, and every error — open, write, or
-// the deferred write surfaced by close — is wrapped with the flag name and
-// path it belongs to, so "input/output error" never shows up bare on stderr.
+// command-line tools. Every file-producing flag is opened and validated at
+// startup, before any simulation runs: a misspelled directory fails in
+// milliseconds instead of after a multi-minute -full regeneration, and every
+// error — open, write, or the deferred write surfaced by close — is wrapped
+// with the flag name and path it belongs to, so "input/output error" never
+// shows up bare on stderr.
+//
+// The simulating commands (reproduce, and ssdfio in both its single-device
+// and -fleet modes) share one observability front end, Obs, and so one flag
+// set with one meaning:
+//
+//	-trace FILE           JSONL span trace of the traced cells
+//	-trace-perfetto FILE  the same spans as Chrome trace-event JSON (Perfetto)
+//	-trace-cap N          per-cell trace record cap (0 = 1<<20, negative = none)
+//	-timeline FILE        the transparency log page as CSV (cell,t_ns, fields)
+//	-timeline-ms N        -timeline sampling interval, default 10, at least 1
+//	-telemetry FILE       the transparency log page as JSONL
+//	-telemetry-ms N       -telemetry and /telemetry interval, default 1, at least 1
+//	-metrics FILE         Prometheus-style text of per-cell metrics
+//	-http ADDR            live ops endpoint (pprof, expvar, /metrics,
+//	                      /telemetry, /progress)
+//
+// Each traced cell records its log page once, at the greatest common divisor
+// of the two intervals, and -timeline and -telemetry render the rows on their
+// own grids. Every export orders cells by label, so it is byte-identical for
+// any worker count.
 package cliutil
 
 import (

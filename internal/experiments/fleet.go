@@ -76,32 +76,6 @@ func fleetSpecs(vols []*fleet.Volume, seed int64) []workload.Spec {
 	}
 }
 
-// fleetVolumeBytes sizes the per-tenant volume so every drive fits all its
-// tenants' extents: a drive carrying L tenants devotes at most
-// volBytes/groupSize (rounded up to a whole stripe) to each.
-func fleetVolumeBytes(driveSize int64, groups [][]int, drives int) int64 {
-	loads := make([]int64, drives)
-	for _, g := range groups {
-		for _, d := range g {
-			loads[d]++
-		}
-	}
-	g := int64(len(groups[0]))
-	best := int64(1) << 62
-	for _, l := range loads {
-		if l == 0 {
-			continue
-		}
-		if b := g * (driveSize/l - fleetStripe); b < best {
-			best = b
-		}
-	}
-	if best < fleetStripe {
-		return fleetStripe
-	}
-	return best / fleetStripe * fleetStripe
-}
-
 // FleetTenant is one tenant's summary under one placement policy.
 type FleetTenant struct {
 	Policy string
@@ -269,7 +243,7 @@ func FleetTail(scale Scale, seed int64) FleetResult {
 				for t := range groups {
 					groups[t] = pl.Group(t)
 				}
-				volBytes := fleetVolumeBytes(devs[0].Size(), groups, drives)
+				volBytes := fleet.VolumeBytes(devs[0].Size(), groups, drives, fleetStripe)
 				vols := make([]*fleet.Volume, fleetTenants)
 				targets := make([]workload.Target, fleetTenants)
 				for t := range vols {

@@ -155,7 +155,7 @@ func TestFleetCloneSharesEverything(t *testing.T) {
 	for tn := range groups {
 		groups[tn] = pl.Group(tn)
 	}
-	volBytes := fleetVolumeBytes(devs[0].Size(), groups, drives)
+	volBytes := fleet.VolumeBytes(devs[0].Size(), groups, drives, fleetStripe)
 	for tn := 0; tn < fleetTenants; tn++ {
 		if _, err := f.AddVolume(fmt.Sprintf("t%d", tn), groups[tn], volBytes); err != nil {
 			t.Fatal(err)

@@ -58,9 +58,11 @@ func TestFig3CellExportsPinned(t *testing.T) {
 			tb.Write(line)
 		}
 	}
-	if err := col.Cell(label).WriteMetrics(&mb); err != nil {
+	all.Reset()
+	if err := col.WriteMetrics(&all); err != nil {
 		t.Fatal(err)
 	}
+	mb.Write(cellMetrics(all.Bytes(), label))
 	if tb.Len() == 0 || mb.Len() == 0 {
 		t.Fatalf("%s: empty telemetry (%d B) or metrics (%d B)", label, tb.Len(), mb.Len())
 	}
@@ -70,6 +72,23 @@ func TestFig3CellExportsPinned(t *testing.T) {
 	if got := sha256Hex(mb.Bytes()); got != wantMetrics {
 		t.Errorf("%s metrics sha256 = %s, want %s", label, got, wantMetrics)
 	}
+}
+
+// cellMetrics cuts one cell's lines out of a Collector's metrics export:
+// each of the cell's sample lines under its metric's "# TYPE" header, the
+// bytes the export holds when that cell is the only one.
+func cellMetrics(all []byte, label string) []byte {
+	tag := []byte("{cell=" + strconv.Quote(label) + "} ")
+	var out, header []byte
+	for _, line := range bytes.SplitAfter(all, []byte("\n")) {
+		switch {
+		case bytes.HasPrefix(line, []byte("# TYPE ")):
+			header = line
+		case bytes.Contains(line, tag):
+			out = append(append(out, header...), line...)
+		}
+	}
+	return out
 }
 
 // pageRow is one exported log-page row: its (cell, t) key, its timestamp,

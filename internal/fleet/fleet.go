@@ -225,6 +225,34 @@ type slot struct {
 	start, step int64
 }
 
+// VolumeBytes sizes one volume per drive group so that AddVolume can carve
+// them all, every volume the same size: the binding drive is the most
+// loaded one, which can give each of its tenants at most
+// driveSize/load less one stripe of slack, times the group size. The result
+// is a whole number of stripes, at least one.
+func VolumeBytes(driveSize int64, groups [][]int, drives int, stripe int64) int64 {
+	loads := make([]int64, drives)
+	for _, g := range groups {
+		for _, d := range g {
+			loads[d]++
+		}
+	}
+	g := int64(len(groups[0]))
+	best := int64(1) << 62
+	for _, l := range loads {
+		if l == 0 {
+			continue
+		}
+		if b := g * (driveSize/l - stripe); b < best {
+			best = b
+		}
+	}
+	if best < stripe {
+		return stripe
+	}
+	return best / stripe * stripe
+}
+
 // AddVolume carves a tenant volume of the given byte size, striped in extent
 // (stripe-size) units across the drive group in order. Capacity is allocated
 // from each drive's cursor; an error is returned when the group cannot hold

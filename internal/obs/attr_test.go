@@ -180,7 +180,7 @@ func TestAttrRowCap(t *testing.T) {
 		t.Fatalf("nand total = %d, want 5µs", p.totals[PhaseNAND])
 	}
 	var sb strings.Builder
-	if err := tr.WriteMetrics(&sb); err != nil {
+	if err := writeMetricsText(&sb, []*Tracer{tr}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `ssdtp_attr_dropped_rows_total{cell="cell"} 3`) {

@@ -65,20 +65,11 @@ func (t *Tracer) sealEngineMetrics() {
 	t.met.Set("ssdtp_trace_dropped_spans_total", t.droppedRecs)
 }
 
-// WriteMetrics renders the tracer's metrics as Prometheus-style text: a
-// "# TYPE <name> gauge" header per metric, then one sample line, with the
-// cell label (when set) as a {cell="..."} label. Output is sorted by metric
-// name — byte-identical for identical metric sets.
-func (t *Tracer) WriteMetrics(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	return writeMetricsText(w, []*Tracer{t})
-}
-
-// writeMetricsText renders the union of the given tracers' metrics grouped
-// by metric name, cells sorted within each name. Callers pass cells already
-// sorted by label.
+// writeMetricsText renders the union of the given tracers' metrics as
+// Prometheus-style text: per metric name, sorted, a "# TYPE <name> gauge"
+// header, then one sample line per cell that has it, with the cell label
+// (when set) as a {cell="..."} label. Callers pass cells already sorted by
+// label, so the bytes are a pure function of the metric sets.
 func writeMetricsText(w io.Writer, cells []*Tracer) error {
 	for _, t := range cells {
 		t.sealEngineMetrics()

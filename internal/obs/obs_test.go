@@ -34,9 +34,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	if err := tr.WriteJSONL(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
 	if sb.Len() != 0 {
 		t.Fatalf("nil tracer exported %q", sb.String())
 	}
@@ -123,7 +120,7 @@ func TestEngineHookMetrics(t *testing.T) {
 	}
 	eng.Run()
 	var sb strings.Builder
-	if err := tr.WriteMetrics(&sb); err != nil {
+	if err := writeMetricsText(&sb, []*Tracer{tr}); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -208,7 +208,8 @@ func perfettoCell(pid int, t *Tracer) (meta [][]byte, events []pfEvent) {
 }
 
 // writePerfetto renders the cells (already sorted by label) as one Chrome
-// trace-event JSON document.
+// trace-event JSON document loadable in ui.perfetto.dev, one process per
+// cell.
 func writePerfetto(w io.Writer, cells []*Tracer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
@@ -248,13 +249,4 @@ func writePerfetto(w io.Writer, cells []*Tracer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// WritePerfetto renders the tracer's records as a Chrome trace-event JSON
-// document loadable in ui.perfetto.dev.
-func (t *Tracer) WritePerfetto(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	return writePerfetto(w, []*Tracer{t})
 }

@@ -57,7 +57,7 @@ func perfettoFixture(t *testing.T) *Tracer {
 func TestPerfettoValidJSON(t *testing.T) {
 	tr := perfettoFixture(t)
 	var sb strings.Builder
-	if err := tr.WritePerfetto(&sb); err != nil {
+	if err := writePerfetto(&sb, []*Tracer{tr}); err != nil {
 		t.Fatal(err)
 	}
 	var doc pfDoc
@@ -88,7 +88,7 @@ func TestPerfettoValidJSON(t *testing.T) {
 func TestPerfettoTracksWellFormed(t *testing.T) {
 	tr := perfettoFixture(t)
 	var sb strings.Builder
-	if err := tr.WritePerfetto(&sb); err != nil {
+	if err := writePerfetto(&sb, []*Tracer{tr}); err != nil {
 		t.Fatal(err)
 	}
 	var doc pfDoc
@@ -180,7 +180,7 @@ func TestRecordCapDropsCounted(t *testing.T) {
 		t.Fatalf("dropped = %d, want 3", tr.DroppedRecords())
 	}
 	var sb strings.Builder
-	if err := tr.WriteMetrics(&sb); err != nil {
+	if err := writeMetricsText(&sb, []*Tracer{tr}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `ssdtp_trace_dropped_spans_total{cell="c"} 3`) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -299,6 +300,36 @@ func TestModelsConstruct(t *testing.T) {
 		if d.FTL().Counters().PagesProgrammed() == 0 {
 			t.Errorf("%s: nothing programmed after write+flush", cfg.Name)
 		}
+	}
+}
+
+// Model resolves every listed name to its constructor's config, and an
+// unknown name is an error that lists the valid ones.
+func TestModel(t *testing.T) {
+	want := map[string]func() Config{
+		"MX500": MX500, "EVO840": EVO840, "Vertex2": Vertex2,
+		"S64": S64, "S120": S120, "mqsim-base": MQSimBase,
+	}
+	names := ModelNames()
+	if len(names) != len(want) {
+		t.Fatalf("ModelNames() = %v, want the %d presets", names, len(want))
+	}
+	for _, name := range names {
+		mk, ok := want[name]
+		if !ok {
+			t.Fatalf("ModelNames() lists %q, which is no preset", name)
+		}
+		cfg, err := Model(name)
+		if err != nil {
+			t.Fatalf("Model(%q): %v", name, err)
+		}
+		if !reflect.DeepEqual(cfg, mk()) {
+			t.Errorf("Model(%q) differs from its constructor's config", name)
+		}
+	}
+	_, err := Model("mx500")
+	if err == nil || !strings.Contains(err.Error(), strings.Join(names, "|")) {
+		t.Errorf("Model(\"mx500\") = %v, want an error listing %v", err, names)
 	}
 }
 

@@ -1,6 +1,9 @@
 package ssd
 
 import (
+	"fmt"
+	"strings"
+
 	"ssdtp/internal/ftl"
 	"ssdtp/internal/nand"
 	"ssdtp/internal/sim"
@@ -191,4 +194,28 @@ func MQSimBase() Config {
 		},
 		HostOverhead: 8 * sim.Microsecond,
 	}
+}
+
+// models are the presets Model resolves by name, in ModelNames order.
+var models = []func() Config{MX500, EVO840, Vertex2, S64, S120, MQSimBase}
+
+// ModelNames lists the preset names Model accepts: each preset's
+// Config.Name, the value of the command-line tools' -model flag.
+func ModelNames() []string {
+	names := make([]string, len(models))
+	for i, mk := range models {
+		names[i] = mk().Name
+	}
+	return names
+}
+
+// Model returns the preset whose Config.Name is name, or an error that
+// lists the valid names.
+func Model(name string) (Config, error) {
+	for _, mk := range models {
+		if cfg := mk(); cfg.Name == name {
+			return cfg, nil
+		}
+	}
+	return Config{}, fmt.Errorf("unknown model %q (want %s)", name, strings.Join(ModelNames(), "|"))
 }

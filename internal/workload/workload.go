@@ -118,8 +118,6 @@ type Result struct {
 	BytesRead    int64
 	Duration     sim.Time
 	Latency      *stats.LatencyRecorder
-	// Timeline holds completions per TimelineInterval bucket (see Options).
-	Timeline []int64
 	// SkippedOps counts trace operations Replay could not issue against the
 	// target (oversized, misaligned, or unknown kinds). Always 0 for
 	// generated workloads.
@@ -158,14 +156,12 @@ type generator struct {
 	deadline sim.Time
 	maxReqs  int64
 
-	nextSeq      int64 // sequential pointer (in requests)
-	inflight     int
-	issued       int64
-	sinceSync    int
-	res          *Result
-	doneSignal   func()
-	timelineUnit sim.Time
-	runStart     sim.Time
+	nextSeq    int64 // sequential pointer (in requests)
+	inflight   int
+	issued     int64
+	sinceSync  int
+	res        *Result
+	doneSignal func()
 
 	// Prebuilt continuations (built once in init) and the pooled per-request
 	// descriptor freelist: the steady-state issue/complete loop reuses these
@@ -197,9 +193,7 @@ func (g *generator) newReq(start sim.Time, n int64, isRead bool, then func()) *w
 			g := r.g
 			g.inflight--
 			g.res.Requests++
-			now := g.dev.Engine().Now()
-			g.res.Latency.Record(now - r.start)
-			g.markTimeline(now)
+			g.res.Latency.Record(g.dev.Engine().Now() - r.start)
 			if r.isRead {
 				g.res.BytesRead += r.n
 			} else {
@@ -329,18 +323,6 @@ func (g *generator) openLoopTick() {
 	eng.Schedule(g.spec.Interval*sim.Time(burst), g.tickFn)
 }
 
-// markTimeline buckets one completion into the result timeline.
-func (g *generator) markTimeline(now sim.Time) {
-	if g.timelineUnit <= 0 {
-		return
-	}
-	b := int((now - g.runStart) / g.timelineUnit)
-	for len(g.res.Timeline) <= b {
-		g.res.Timeline = append(g.res.Timeline, 0)
-	}
-	g.res.Timeline[b]++
-}
-
 // signalDone fires the completion signal exactly once.
 func (g *generator) signalDone() {
 	if g.doneSignal != nil {
@@ -389,9 +371,6 @@ func (g *generator) pump() {
 type Options struct {
 	Duration    sim.Time
 	MaxRequests int64
-	// TimelineInterval, if positive, buckets completions over time into
-	// Result.Timeline (a throughput-over-time view).
-	TimelineInterval sim.Time
 }
 
 // Run executes one workload to completion and returns its result. The
@@ -446,22 +425,13 @@ func RunMulti(targets []Target, specs []Spec, opt Options) []Result {
 			panic("workload: RequestBytes must be positive")
 		}
 		results[i] = Result{Name: spec.Name, Latency: stats.NewLatencyRecorder()}
-		if opt.TimelineInterval > 0 && opt.Duration > 0 {
-			// Pre-size the timeline to the run's bucket count so steady-state
-			// completion marking never grows the slice (a trailing bucket
-			// catches completions that drain past the deadline).
-			buckets := int(opt.Duration/opt.TimelineInterval) + 2
-			results[i].Timeline = make([]int64, 0, buckets)
-		}
 		g := &generator{
-			spec:         spec,
-			dev:          targets[i],
-			rng:          rand.New(rand.NewSource(spec.Seed + 1)),
-			deadline:     deadline,
-			maxReqs:      opt.MaxRequests,
-			res:          &results[i],
-			timelineUnit: opt.TimelineInterval,
-			runStart:     start,
+			spec:     spec,
+			dev:      targets[i],
+			rng:      rand.New(rand.NewSource(spec.Seed + 1)),
+			deadline: deadline,
+			maxReqs:  opt.MaxRequests,
+			res:      &results[i],
 			doneSignal: func() {
 				remaining--
 			},

@@ -266,24 +266,6 @@ func TestBurstOpenLoop(t *testing.T) {
 	}
 }
 
-func TestTimelineBuckets(t *testing.T) {
-	dev := testDev(t)
-	res := Run(dev, Spec{
-		Name: "tl", Pattern: Sequential, RequestBytes: 4096,
-		Interval: 100 * sim.Microsecond,
-	}, Options{Duration: 10 * sim.Millisecond, TimelineInterval: sim.Millisecond})
-	if len(res.Timeline) < 9 || len(res.Timeline) > 12 {
-		t.Fatalf("timeline buckets = %d, want ~10", len(res.Timeline))
-	}
-	var sum int64
-	for _, n := range res.Timeline {
-		sum += n
-	}
-	if sum != res.Requests {
-		t.Errorf("timeline sum %d != requests %d", sum, res.Requests)
-	}
-}
-
 func TestTraceRoundTrip(t *testing.T) {
 	ops := []blockdev.Op{
 		{Kind: blockdev.OpWrite, Off: 4096, Len: 8192},

@@ -14,6 +14,10 @@
 #   ssdfio.timeline.csv, ssdfio.metrics
 #       cmd/ssdfio -fleet 16 -prefill -pattern hotspot -read 0.3
 #       -placement hash
+#   ssdfio.dev.stdout, ssdfio.dev.trace.jsonl, ssdfio.dev.perfetto.json,
+#   ssdfio.dev.metrics, ssdfio.dev.telemetry.jsonl, ssdfio.dev.timeline.csv
+#       cmd/ssdfio -model MX500 -prefill -pattern uniform -qd 4 -ms 100
+#       (single-device mode, every export)
 #   jtagprobe.stdout, jtagprobe.pc.stdout
 #       cmd/jtagprobe (the Fig. 6 exploration, ending with the TCK edge
 #       count) and cmd/jtagprobe -pc
@@ -68,6 +72,14 @@ echo ">> cmd/ssdfio -fleet 16" >&2
 	-telemetry ssdfio.telemetry.jsonl \
 	-timeline ssdfio.timeline.csv \
 	-metrics ssdfio.metrics >ssdfio.stdout
+
+echo ">> cmd/ssdfio -model MX500" >&2
+"$bin/ssdfio" -model MX500 -prefill -pattern uniform -qd 4 -ms 100 \
+	-trace ssdfio.dev.trace.jsonl \
+	-trace-perfetto ssdfio.dev.perfetto.json \
+	-metrics ssdfio.dev.metrics \
+	-telemetry ssdfio.dev.telemetry.jsonl \
+	-timeline ssdfio.dev.timeline.csv >ssdfio.dev.stdout
 
 echo ">> cmd/jtagprobe, examples/compression-study" >&2
 "$bin/jtagprobe" >jtagprobe.stdout
